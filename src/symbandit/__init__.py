@@ -2,25 +2,16 @@
 pseudoregret by backward induction, closed-form parabolic approximations,
 and a reproducible experiment harness."""
 
-from .core import (
-    GameParams,
-    PseudoState,
-    RegretState,
-    erf,
-    erfc,
-    heat_kernel,
-    terminal_payoff,
-)
+from .core import erf, erfc, terminal_payoff
 from .dp import (
     bayesian_pseudoregret_check,
     pseudoregret_value,
     pseudoregret_value_full,
     regret_value,
     regret_value_full,
-    regret_value_reduced,
     value_trace,
 )
-from .env import EpisodeLog, RewardPair, play_episode, sample_rewards, simulate_batch, step
+from .env import EpisodeLog, play_episode, play_episodes, simulate_batch
 from .experiments import (
     MCResult,
     ScalingFit,
@@ -43,14 +34,11 @@ from .pde import (
     u_total,
 )
 from .strategy import (
-    Decision,
     MyopicStrategy,
     TabularStrategy,
     UniformStrategy,
     brute_force_minimax,
-    likelihood_ratio,
     minimax_pair_solve,
-    myopic_decision,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dp, experiments, pde
 from .core import check_gap
-from .env import play_episode
+from .env import play_episodes
 from .experiments import (
     ARTIFACT_VERSION,
     CONVERGENCE_COLUMNS,
@@ -158,10 +158,10 @@ def _cmd_simulate(args) -> int:
         print(f"pseudo_mean = {_fmt(res.pseudo_mean, args.round3)} "
               f"(se {_fmt(res.pseudo_se, args.round3)})")
     if args.audit:
+        seeds = (np.random.SeedSequence(args.seed, spawn_key=(9999, i))
+                 for i in range(args.audit_episodes))
         with open(args.audit, "w") as fh:
-            for i in range(args.audit_episodes):
-                ss = np.random.SeedSequence(args.seed, spawn_key=(9999, i))
-                log = play_episode(T, eps, strategy, ss, safe_arm=args.safe_arm)
+            for log in play_episodes(T, eps, strategy, seeds, safe_arm=args.safe_arm):
                 log.seed = args.seed
                 fh.write(log.to_line() + "\n")
         print(f"audit log written to {args.audit}")

@@ -1,107 +1,19 @@
-"""Domain types and special functions shared by every other module.
+"""The rules of the game, shared by every other module.
 
-Everything here is pure float64. The error function carries the accuracy
-budget of all downstream closed-form evaluators, so it is implemented from
-scratch (power series plus a continued fraction for the complement) and
-validated against a slow high-precision series oracle in the test suite.
+One home per rule: the reward law of the two arms, the final-time
+payoff, and the validation of a game's parameters. The error function
+is the standard library's; the test suite checks it against a slow
+high-precision series oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from math import erf, erfc  # noqa: F401  (re-exported for the closed forms)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# |1 - erf(6)| < 1e-16, below the 1e-14 accuracy budget, so saturating
-# to +-1 past this point is exact at working precision.
-ERF_SATURATION = 6.0
-
-
-def _erf_series(x: float) -> float:
-    """erf on 0 <= x <= 2 via the all-positive confluent series.
-
-    erf(x) = (2x/sqrt(pi)) e^{-x^2} sum_n (2x^2)^n / (1*3*...*(2n+1));
-    no cancellation between terms, ~30 terms at x = 2.
-    """
-    tx2 = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    n = 0
-    while True:
-        n += 1
-        term *= tx2 / (2.0 * n + 1.0)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return (2.0 * x / SQRT_PI) * math.exp(-x * x) * total
-
-
-def _erfc_cf(x: float) -> float:
-    """erfc on x > 2 via the continued fraction, modified Lentz scheme.
-
-    sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))).
-    Underflows to 0.0 for x > ~26.6 with the correct sign of the limit.
-    """
-    f = x
-    c = x
-    d = 0.0
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = 1e-300
-        c = x + a / c
-        if c == 0.0:
-            c = 1e-300
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (SQRT_PI * f)
-
-
-def erf(x: float) -> float:
-    """Gauss error function, absolute error <= 1e-14 on [-6, 6].
-
-    Returns exactly +-1.0 beyond |x| = 6; total on inf/nan.
-    """
-    if math.isnan(x):
-        return x
-    ax = abs(x)
-    if ax <= 2.0:
-        return math.copysign(_erf_series(ax), x)
-    if ax > ERF_SATURATION:
-        return math.copysign(1.0, x)
-    return math.copysign(1.0 - _erfc_cf(ax), x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function.
-
-    Keeps full relative accuracy on the right tail (where 1 - erf(x)
-    would cancel to zero), which the prefactor evaluations rely on for
-    large arguments.
-    """
-    if math.isnan(x):
-        return x
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x <= 2.0:
-        return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
-
-
-def heat_kernel(s: float, t: float) -> float:
-    """Fundamental solution of the backward heat equation, variance -t.
-
-    Phi(s, t) = exp(s^2 / (2t)) / sqrt(-2 pi t), defined for t < 0 only.
-    """
-    if t >= 0.0:
-        raise ValueError(f"heat_kernel requires t < 0, got t={t}")
-    return math.exp(s * s / (2.0 * t)) / math.sqrt(-2.0 * math.pi * t)
 
 
 def terminal_payoff(eta: float, xi_h: float, xi_r: float) -> float:
@@ -114,6 +26,23 @@ def terminal_payoff(eta: float, xi_h: float, xi_r: float) -> float:
     return 0.5 * (eta + abs(xi_r + xi_h))
 
 
+def arm_probs(eps: float, safe_arm: int = 1) -> tuple[float, float]:
+    """(P(g1 = +1), P(g2 = +1)): the safe arm pays +1 w.p. (1 + eps)/2,
+    the risky arm w.p. (1 - eps)/2, independently."""
+    high, low = (1.0 + eps) / 2.0, (1.0 - eps) / 2.0
+    return (high, low) if safe_arm == 1 else (low, high)
+
+
+def reward_table(eps: float, safe_arm: int = 1) -> list[tuple[int, int, float]]:
+    """The four reward pairs (g1, g2) of one round with their probabilities."""
+    p1, p2 = arm_probs(eps, safe_arm)
+    return [
+        (g1, g2, (p1 if g1 == 1 else 1.0 - p1) * (p2 if g2 == 1 else 1.0 - p2))
+        for g1 in (1, -1)
+        for g2 in (1, -1)
+    ]
+
+
 def check_gap(eps: float) -> float:
     """Validate the half-gap parameter; returns it for chaining."""
     if not 0.0 <= eps < 1.0:
@@ -121,62 +50,10 @@ def check_gap(eps: float) -> float:
     return eps
 
 
-@dataclass(frozen=True)
-class GameParams:
-    """Horizon and gap of one game instance; gamma = gap * sqrt(horizon)."""
-
-    horizon: int
-    gap: float
-    gamma: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-        check_gap(self.gap)
-        object.__setattr__(self, "gamma", self.gap * math.sqrt(self.horizon))
-
-    @classmethod
-    def from_gamma(cls, horizon: int, gamma: float) -> "GameParams":
-        if horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {horizon}")
-        return cls(horizon=horizon, gap=gamma / math.sqrt(horizon))
-
-
-@dataclass(frozen=True)
-class RegretState:
-    """Game state (eta, xi_h, xi_r) at time t in [-T, 0].
-
-    eta accumulates g1 + g2 - 2*g_chosen (always even), xi_r / xi_h are
-    the revealed / hidden cumulative reward differences between arms.
-    """
-
-    eta: int
-    xi_h: int
-    xi_r: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.eta % 2 != 0:
-            raise ValueError(f"eta must be even, got {self.eta}")
-        if self.t > 0:
-            raise ValueError(f"time index must be <= 0, got {self.t}")
-
-    @property
-    def zeta(self) -> int:
-        """xi_r + xi_h; the terminal payoff depends on xi only through it."""
-        return self.xi_r + self.xi_h
-
-
-@dataclass(frozen=True)
-class PseudoState:
-    """Observable state (xi_r, s2) at time t; s2 counts risky-arm pulls."""
-
-    xi_r: int
-    s2: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.s2 < 0:
-            raise ValueError(f"s2 must be nonnegative, got {self.s2}")
-        if self.t > 0:
-            raise ValueError(f"time index must be <= 0, got {self.t}")
+def check_game(T: int, eps: float, safe_arm: int = 1) -> None:
+    """Validate horizon, gap and safe-arm label of one game."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
+        raise ValueError(f"horizon must be a positive integer, got {T!r}")
+    check_gap(eps)
+    if safe_arm not in (1, 2):
+        raise ValueError(f"safe_arm must be 1 or 2, got {safe_arm}")

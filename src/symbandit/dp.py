@@ -1,12 +1,11 @@
 """Exact backward induction for the myopic player's value functions.
 
-Three routes compute the same regret value at three scales, and the
-cheaper ones are proven against the dearer ones in the tests:
+Two routes compute the same regret value at two scales, and the tests
+prove the cheaper one against the dearer one and against a reduced
+(xi_r, zeta) lattice oracle kept under tests/:
 
 * ``regret_value_full``  -- the raw (eta, xi_h, xi_r) lattice, T <= 12.
   Transparent oracle, dict-based.
-* ``regret_value_reduced`` -- the (xi_r, zeta = xi_r + xi_h) lattice with
-  the eta drift accumulated as a scalar source, T <= 512.
 * ``regret_value`` -- production route, O(T^2) work and O(T) memory.
 
 The production route rests on two exact facts. First, the terminal
@@ -31,63 +30,36 @@ indifference check under label swap a real two-route test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import check_gap, terminal_payoff
+from .core import arm_probs, check_game, reward_table, terminal_payoff
 
 FULL_TABLE_MAX_T = 12
-REDUCED_2D_MAX_T = 512
-
-
-@dataclass
-class ValueTable:
-    """One time slice of a value function over a tagged state reduction."""
-
-    t: int
-    values: dict
-    reduction: str  # "full" (eta, xi_h, xi_r) | "reduced" (xi_r, zeta) | "pseudo" (xi_r, s2)
-
-
-def _validate(T: int, eps: float, safe_arm: int) -> None:
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"horizon must be a positive integer, got {T}")
-    check_gap(eps)
-    if safe_arm not in (1, 2):
-        raise ValueError(f"safe_arm must be 1 or 2, got {safe_arm}")
-
-
-def _reward_probs(eps: float, safe_arm: int) -> list[tuple[int, int, float]]:
-    p1 = (1.0 + eps) / 2.0 if safe_arm == 1 else (1.0 - eps) / 2.0
-    p2 = (1.0 - eps) / 2.0 if safe_arm == 1 else (1.0 + eps) / 2.0
-    return [
-        (g1, g2, (p1 if g1 == 1 else 1.0 - p1) * (p2 if g2 == 1 else 1.0 - p2))
-        for g1 in (1, -1)
-        for g2 in (1, -1)
-    ]
 
 
 # ---------------------------------------------------------------------------
 # Full-state oracles (desk scale)
 # ---------------------------------------------------------------------------
 
-def regret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[ValueTable]:
-    """All slices of the raw-lattice regret recursion, terminal first.
+def _lattice_tables(T, eps, safe_arm, origin, xi_r_at, moves, terminal) -> list[dict]:
+    """Backward induction of the myopic player over the reachable states.
 
-    Reachable states only; the recursion is exact on the finite lattice.
+    `moves(state, g1, g2)` gives the successors after choosing arm 1 and
+    arm 2; entry `xi_r_at` of a state is the revealed difference the
+    player follows. Returns all slices, terminal first: entry k maps each
+    reachable state at t = -k to its value.
     """
-    _validate(T, eps, safe_arm)
+    check_game(T, eps, safe_arm)
     if T > FULL_TABLE_MAX_T:
         raise ValueError(f"full-state table is limited to T <= {FULL_TABLE_MAX_T}, got {T}")
-    outcomes = _reward_probs(eps, safe_arm)
+    outcomes = reward_table(eps, safe_arm)
 
     def successors(state):
-        eta, xi_h, xi_r = state
+        xi_r = state[xi_r_at]
         for g1, g2, pr in outcomes:
-            one = (eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1)
-            two = (eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2)
+            one, two = moves(state, g1, g2)
             if xi_r > 0:
                 yield one, pr
             elif xi_r < 0:
@@ -96,119 +68,52 @@ def regret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[ValueTable
                 yield one, 0.5 * pr
                 yield two, 0.5 * pr
 
-    layers = [{(0, 0, 0)}]
+    layers = [{origin}]
     for _ in range(T):
-        nxt = set()
-        for state in layers[-1]:
-            for succ, _ in successors(state):
-                nxt.add(succ)
-        layers.append(nxt)
+        layers.append({succ for state in layers[-1] for succ, _ in successors(state)})
 
-    tables = [ValueTable(t=0, values={s: terminal_payoff(*s) for s in layers[T]},
-                         reduction="full")]
+    tables = [{s: terminal(s) for s in layers[T]}]
     for back in range(1, T + 1):
-        prev = tables[-1].values
-        vals = {}
-        for state in layers[T - back]:
-            vals[state] = sum(pr * prev[succ] for succ, pr in successors(state))
-        tables.append(ValueTable(t=-back, values=vals, reduction="full"))
+        prev = tables[-1]
+        tables.append({state: sum(pr * prev[succ] for succ, pr in successors(state))
+                       for state in layers[T - back]})
     return tables
+
+
+def regret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[dict]:
+    """All slices of the raw (eta, xi_h, xi_r) regret recursion, terminal
+    first; exact on the finite lattice."""
+
+    def moves(state, g1, g2):
+        eta, xi_h, xi_r = state
+        return ((eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1),
+                (eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2))
+
+    return _lattice_tables(T, eps, safe_arm, (0, 0, 0), 2, moves,
+                           lambda s: terminal_payoff(*s))
 
 
 def regret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
     """v(0, 0, -T) on the raw (eta, xi_h, xi_r) lattice; oracle scale."""
-    return regret_tables_full(T, eps, safe_arm)[-1].values[(0, 0, 0)]
+    return regret_tables_full(T, eps, safe_arm)[-1][(0, 0, 0)]
 
 
-def pseudoregret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[ValueTable]:
-    """All slices of the unreduced (xi_r, s2) pseudoregret recursion."""
-    _validate(T, eps, safe_arm)
-    if T > FULL_TABLE_MAX_T:
-        raise ValueError(f"full-state table is limited to T <= {FULL_TABLE_MAX_T}, got {T}")
-    outcomes = _reward_probs(eps, safe_arm)
-    risky_choice = 2 if safe_arm == 1 else 1
+def pseudoregret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[dict]:
+    """All slices of the unreduced (xi_r, s2) pseudoregret recursion,
+    terminal first."""
+    risky_one = 1 if safe_arm == 2 else 0
 
-    def successors(state):
+    def moves(state, g1, g2):
         xi_r, s2 = state
-        for g1, g2, pr in outcomes:
-            one = (xi_r + g1, s2 + (1 if risky_choice == 1 else 0))
-            two = (xi_r - g2, s2 + (1 if risky_choice == 2 else 0))
-            if xi_r > 0:
-                yield one, pr
-            elif xi_r < 0:
-                yield two, pr
-            else:
-                yield one, 0.5 * pr
-                yield two, 0.5 * pr
-
-    layers = [{(0, 0)}]
-    for _ in range(T):
-        nxt = set()
-        for state in layers[-1]:
-            for succ, _ in successors(state):
-                nxt.add(succ)
-        layers.append(nxt)
+        return (xi_r + g1, s2 + risky_one), (xi_r - g2, s2 + 1 - risky_one)
 
     gap2 = 2.0 * eps
-    tables = [ValueTable(t=0, values={s: gap2 * s[1] for s in layers[T]},
-                         reduction="pseudo")]
-    for back in range(1, T + 1):
-        prev = tables[-1].values
-        vals = {}
-        for state in layers[T - back]:
-            vals[state] = sum(pr * prev[succ] for succ, pr in successors(state))
-        tables.append(ValueTable(t=-back, values=vals, reduction="pseudo"))
-    return tables
+    return _lattice_tables(T, eps, safe_arm, (0, 0), 0, moves, lambda s: gap2 * s[1])
 
 
 def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
     """vbar(0, 0, -T) on the unreduced (xi_r, s2) lattice; oracle scale."""
-    return pseudoregret_tables_full(T, eps, safe_arm)[-1].values[(0, 0)]
-
-
-# ---------------------------------------------------------------------------
-# Mid-scale reduced recursion on (xi_r, zeta)
-# ---------------------------------------------------------------------------
-
-def regret_value_reduced(T: int, eps: float, safe_arm: int = 1) -> float:
-    """v(0, 0, -T) on the (xi_r, zeta) lattice with scalar eta source.
-
-    O(T^2) states per slice, O(T^3) work; cross-checks the production
-    decomposition at horizons the full table cannot reach.
-    """
-    _validate(T, eps, safe_arm)
-    if T > REDUCED_2D_MAX_T:
-        raise ValueError(f"reduced 2-d recursion is limited to T <= {REDUCED_2D_MAX_T}, got {T}")
-    sign = 1.0 if safe_arm == 1 else -1.0
-    outcomes = _reward_probs(eps, safe_arm)
-
-    # w[x_idx, m_idx]: x = xi_r in [-T, T], m = zeta/2 in [-T, T]
-    n = 2 * T + 1
-    off = T
-    x = np.arange(-T, T + 1).reshape(-1, 1)
-    m = np.arange(-T, T + 1).reshape(1, -1)
-    w = np.broadcast_to(np.abs(m).astype(float), (n, n)).copy()
-
-    def shifted(arr, dx, dm):
-        out = np.zeros_like(arr)
-        xs = slice(max(0, -dx), n - max(0, dx))
-        ms = slice(max(0, -dm), n - max(0, dm))
-        xd = slice(max(0, dx), n - max(0, -dx))
-        md = slice(max(0, dm), n - max(0, -dm))
-        out[xs, ms] = arr[xd, md]
-        return out
-
-    for _ in range(T):
-        pick1 = np.zeros_like(w)
-        pick2 = np.zeros_like(w)
-        for g1, g2, pr in outcomes:
-            dm = (g1 - g2) // 2
-            pick1 += pr * shifted(w, g1, dm)
-            pick2 += pr * shifted(w, -g2, dm)
-        pick1 -= sign * eps
-        pick2 += sign * eps
-        w = np.where(x > 0, pick1, np.where(x < 0, pick2, 0.5 * (pick1 + pick2)))
-    return float(w[off, off])
+    return pseudoregret_tables_full(T, eps, safe_arm)[-1][(0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +145,17 @@ def _abs_walk_terminal(T: int, p_up: float, p_down: float) -> float:
     return float(w[0])
 
 
+def _lazy_walk_probs(drift: float) -> tuple[float, float]:
+    """Up and down step probabilities of the lazy walk zeta/2."""
+    return (1.0 + drift) ** 2 / 4.0, (1.0 - drift) ** 2 / 4.0
+
+
+def _pseudo_source(xi: np.ndarray, eps: float, safe_arm: int) -> np.ndarray:
+    """2*eps*P(the myopic player pulls the risky arm) at xi_r = xi."""
+    behind = xi < 0 if safe_arm == 1 else xi > 0
+    return 2.0 * eps * (behind + 0.5 * (xi == 0))
+
+
 def regret_value(T: int, eps: float, safe_arm: int = 1) -> float:
     """Exact v(0, 0, -T) under the myopic player, O(T^2) time, O(T) memory.
 
@@ -247,28 +163,18 @@ def regret_value(T: int, eps: float, safe_arm: int = 1) -> float:
     -eps*sign(xi_r) source over the revealed-difference walk; see the
     module docstring for why this equals the lattice recursion exactly.
     """
-    _validate(T, eps, safe_arm)
+    check_game(T, eps, safe_arm)
     drift = eps if safe_arm == 1 else -eps
-    up = (1.0 + drift) / 2.0
-    src_scale = -eps if safe_arm == 1 else eps
-
-    w_n = _walk_source_sum(T, up, lambda xi: src_scale * np.sign(xi))
-    p_up = (1.0 + drift) ** 2 / 4.0
-    p_down = (1.0 - drift) ** 2 / 4.0
-    w_h = _abs_walk_terminal(T, p_up, p_down)
+    w_n = _walk_source_sum(T, arm_probs(eps, safe_arm)[0], lambda xi: -drift * np.sign(xi))
+    w_h = _abs_walk_terminal(T, *_lazy_walk_probs(drift))
     return w_h + w_n
 
 
 def pseudoregret_value(T: int, eps: float, safe_arm: int = 1) -> float:
     """Exact vbar(0, 0, -T): accumulated 2*eps*P(pull risky) over the walk."""
-    _validate(T, eps, safe_arm)
-    drift = eps if safe_arm == 1 else -eps
-    up = (1.0 + drift) / 2.0
-    if safe_arm == 1:
-        src = lambda xi: 2.0 * eps * ((xi < 0) + 0.5 * (xi == 0))
-    else:
-        src = lambda xi: 2.0 * eps * ((xi > 0) + 0.5 * (xi == 0))
-    return _walk_source_sum(T, up, src)
+    check_game(T, eps, safe_arm)
+    return _walk_source_sum(T, arm_probs(eps, safe_arm)[0],
+                            lambda xi: _pseudo_source(xi, eps, safe_arm))
 
 
 def bayesian_pseudoregret_check(T: int, eps: float) -> float:
@@ -292,7 +198,7 @@ def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float,
     origin are the values of the shorter games; computed on unpacked
     integer windows so every t has an origin entry.
     """
-    _validate(T, eps, safe_arm)
+    check_game(T, eps, safe_arm)
     drift = eps if safe_arm == 1 else -eps
     up = (1.0 + drift) / 2.0
     down = 1.0 - up
@@ -313,8 +219,7 @@ def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float,
         w = src_n + nxt
         wn_origin.append(w[T])
 
-    p_up = (1.0 + drift) ** 2 / 4.0
-    p_down = (1.0 - drift) ** 2 / 4.0
+    p_up, p_down = _lazy_walk_probs(drift)
     p_stay = 1.0 - p_up - p_down
     h = np.abs(np.arange(-T, T + 1)).astype(float)
     wh_origin = [0.0]
@@ -326,10 +231,7 @@ def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float,
         h = nxt
         wh_origin.append(h[T])
 
-    if safe_arm == 1:
-        src_b = 2.0 * eps * ((xi < 0) + 0.5 * (xi == 0))
-    else:
-        src_b = 2.0 * eps * ((xi > 0) + 0.5 * (xi == 0))
+    src_b = _pseudo_source(xi, eps, safe_arm)
     b = np.zeros(n)
     vbar_origin = [0.0]
     for _ in range(T):
@@ -341,5 +243,6 @@ def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float,
         vbar_origin.append(b[T])
 
     return [
-        (-k, wh_origin[k] + wn_origin[k], vbar_origin[k]) for k in range(T, -1, -1)
+        (-k, float(wh_origin[k] + wn_origin[k]), float(vbar_origin[k]))
+        for k in range(T, -1, -1)
     ]

@@ -1,156 +1,63 @@
-"""Centered symmetric two-armed Bernoulli environment.
+"""Centered symmetric two-armed Bernoulli environment and its simulator.
 
-Rewards live on the +-1 scale: the safe arm pays +1 with probability
-(1 + eps)/2, the risky arm with probability (1 - eps)/2, independently.
-A raw 0/1 reward converts via g = 2*raw - 1 and nothing else in the
-package ever touches the raw scale.
+Rewards live on the +-1 scale; `core.arm_probs` gives the reward law.
+One vectorized round loop plays every episode: Monte Carlo batches keep
+only the final payoff and the risky pulls, audit episodes also keep
+their per-round choices and rewards.
 
-Randomness convention: every public sampling entry point takes either an
-integer seed or a numpy Generator. Batches split work into fixed-size
-chunks whose generators are spawned from SeedSequence(seed), so results
-are bit-identical regardless of how many workers process the chunks.
+Randomness convention: every round consumes three uniforms per episode,
+in the order choice coin, g1, g2. A Monte Carlo batch draws them as one
+(3, n) array per round from a single generator. An audit episode owns a
+generator and draws its uniforms in (rounds, 3) chunks, which yields the
+same numbers as drawing round by round. Batches split work into
+fixed-size chunks whose generators are spawned from SeedSequence(seed),
+so results are bit-identical regardless of how many workers process the
+chunks.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RegretState, check_gap, terminal_payoff
+from .core import arm_probs, check_game
+
+# audit episodes played together, and rounds drawn per generator call:
+# together they bound the audit's memory whatever the number of episodes
+AUDIT_BLOCK = 64
+AUDIT_DRAW_ROUNDS = 4096
 
 
-def centered_from_raw(raw: int) -> int:
-    """Map a raw 0/1 reward to the centered +-1 scale."""
-    if raw not in (0, 1):
-        raise ValueError(f"raw reward must be 0 or 1, got {raw}")
-    return 2 * raw - 1
+def _play_rounds(T, eps, strategy, n, draws, safe_arm, record=None):
+    """Play n episodes through T rounds.
 
-
-def raw_from_centered(g: int) -> int:
-    if g not in (-1, 1):
-        raise ValueError(f"centered reward must be -1 or +1, got {g}")
-    return (g + 1) // 2
-
-
-@dataclass(frozen=True)
-class RewardPair:
-    """One round's rewards for both arms, centered scale."""
-
-    g1: int
-    g2: int
-
-    def __post_init__(self) -> None:
-        if self.g1 not in (-1, 1) or self.g2 not in (-1, 1):
-            raise ValueError(f"rewards must be +-1, got ({self.g1}, {self.g2})")
-
-
-def _check_safe_arm(safe_arm: int) -> None:
-    if safe_arm not in (1, 2):
-        raise ValueError(f"safe_arm must be 1 or 2, got {safe_arm}")
-
-
-def sample_rewards(rng: np.random.Generator, eps: float, safe_arm: int = 1) -> RewardPair:
-    """Draw one independent reward pair; safe component is +1 w.p. (1+eps)/2."""
-    check_gap(eps)
-    _check_safe_arm(safe_arm)
-    p1 = (1.0 + eps) / 2.0 if safe_arm == 1 else (1.0 - eps) / 2.0
-    p2 = (1.0 - eps) / 2.0 if safe_arm == 1 else (1.0 + eps) / 2.0
-    g1 = 1 if rng.random() < p1 else -1
-    g2 = 1 if rng.random() < p2 else -1
-    return RewardPair(g1, g2)
-
-
-def step(state: RegretState, choice: int, rewards: RewardPair) -> RegretState:
-    """Advance the state one round given the player's choice and rewards.
-
-    eta += g1 + g2 - 2*g_choice; arm 1 reveals g1 (xi_r += g1, xi_h -= g2),
-    arm 2 reveals g2 (xi_r -= g2, xi_h += g1). xi_r + xi_h always moves by
-    g1 - g2, so the information revealed per round is choice-independent.
+    `draws` yields T arrays of shape (3, n): choice coins, g1 uniforms
+    and g2 uniforms. Arm 1 reveals g1 (xi_r += g1), arm 2 reveals g2
+    (xi_r -= g2); eta += g1 + g2 - 2*g_chosen and zeta = xi_r + xi_h moves
+    by g1 - g2 whatever the choice. When `record` is given, round k's
+    arm-1 picks, g1 and g2 go into row k of its three (T, n) arrays.
+    Returns (final payoff mu, risky pulls).
     """
-    if state.t >= 0:
-        raise ValueError(f"cannot step a finished game (t={state.t})")
-    if choice not in (1, 2):
-        raise ValueError(f"choice must be 1 or 2, got {choice}")
-    g1, g2 = rewards.g1, rewards.g2
-    g_i = g1 if choice == 1 else g2
-    eta = state.eta + g1 + g2 - 2 * g_i
-    if choice == 1:
-        xi_r, xi_h = state.xi_r + g1, state.xi_h - g2
-    else:
-        xi_r, xi_h = state.xi_r - g2, state.xi_h + g1
-    return RegretState(eta=eta, xi_h=xi_h, xi_r=xi_r, t=state.t + 1)
-
-
-@dataclass
-class EpisodeLog:
-    """One simulated play-through, serializable one-per-line for audit."""
-
-    seed: int
-    safe_arm: int
-    eps: float
-    choices: list[int] = field(default_factory=list)
-    rewards: list[RewardPair] = field(default_factory=list)
-    trajectory: list[RegretState] = field(default_factory=list)
-    final_regret: float = 0.0
-    risky_pulls: int = 0
-
-    def to_line(self) -> str:
-        rec = {
-            "seed": self.seed,
-            "safe_arm": self.safe_arm,
-            "eps": self.eps,
-            "choices": self.choices,
-            "rewards": [[r.g1, r.g2] for r in self.rewards],
-            "final_regret": self.final_regret,
-            "s2": self.risky_pulls,
-        }
-        return json.dumps(rec, separators=(",", ":"))
-
-    @classmethod
-    def from_line(cls, line: str) -> "EpisodeLog":
-        rec = json.loads(line)
-        log = cls(seed=rec["seed"], safe_arm=rec["safe_arm"], eps=rec["eps"])
-        log.choices = list(rec["choices"])
-        log.rewards = [RewardPair(g1, g2) for g1, g2 in rec["rewards"]]
-        log.final_regret = rec["final_regret"]
-        log.risky_pulls = rec["s2"]
-        T = len(log.choices)
-        state = RegretState(0, 0, 0, -T)
-        log.trajectory = [state]
-        for choice, rp in zip(log.choices, log.rewards):
-            state = step(state, choice, rp)
-            log.trajectory.append(state)
-        return log
-
-
-def play_episode(T: int, eps: float, strategy, seed, safe_arm: int = 1) -> EpisodeLog:
-    """Play one full episode with per-round draws (choice coin, g1, g2).
-
-    `seed` may be an int or a SeedSequence; `strategy` needs a
-    p1(t, xi_r) -> float method.
-    """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    check_gap(eps)
-    _check_safe_arm(safe_arm)
-    rng = np.random.default_rng(seed)
-    seed_label = seed if isinstance(seed, int) else -1
-    log = EpisodeLog(seed=seed_label, safe_arm=safe_arm, eps=eps)
-    state = RegretState(0, 0, 0, -T)
-    log.trajectory.append(state)
-    for _ in range(T):
-        p1 = strategy.p1(state.t, state.xi_r)
-        choice = 1 if rng.random() < p1 else 2
-        rp = sample_rewards(rng, eps, safe_arm)
-        state = step(state, choice, rp)
-        log.choices.append(choice)
-        log.rewards.append(rp)
-        log.trajectory.append(state)
-    log.final_regret = terminal_payoff(state.eta, state.xi_h, state.xi_r)
-    log.risky_pulls = sum(1 for c in log.choices if c == (2 if safe_arm == 1 else 1))
-    return log
+    p_g1, p_g2 = arm_probs(eps, safe_arm)
+    eta = np.zeros(n, dtype=np.int64)
+    xi_r = np.zeros(n, dtype=np.int64)
+    zeta = np.zeros(n, dtype=np.int64)
+    risky = np.zeros(n, dtype=np.int64)
+    for k, (coin, u1, u2) in enumerate(draws):
+        pick1 = coin < strategy.p1_batch(k - T, xi_r)
+        # rewards are +-1; int8 keeps the per-round temporaries small
+        g1 = 2 * (u1 < p_g1).astype(np.int8) - 1
+        g2 = 2 * (u2 < p_g2).astype(np.int8) - 1
+        eta += g1 + g2 - 2 * np.where(pick1, g1, g2)
+        xi_r += np.where(pick1, g1, -g2)
+        zeta += g1 - g2
+        risky += pick1 if safe_arm == 2 else ~pick1
+        if record is not None:
+            record[0][k], record[1][k], record[2][k] = pick1, g1, g2
+    return 0.5 * (eta + np.abs(zeta)), risky
 
 
 def simulate_batch(
@@ -163,30 +70,89 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n episodes vectorized; returns (final payoff mu, risky pulls).
 
-    Per round the draw order is: choice coins (n,), then g1 uniforms (n,),
-    then g2 uniforms (n,). `strategy` needs p1_batch(t, xi_r array).
+    `strategy` needs p1_batch(t, xi_r array).
     """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    check_gap(eps)
-    _check_safe_arm(safe_arm)
-    p_g1 = (1.0 + eps) / 2.0 if safe_arm == 1 else (1.0 - eps) / 2.0
-    p_g2 = (1.0 - eps) / 2.0 if safe_arm == 1 else (1.0 + eps) / 2.0
-    eta = np.zeros(n, dtype=np.int64)
-    xi_r = np.zeros(n, dtype=np.int64)
-    zeta = np.zeros(n, dtype=np.int64)
-    risky = np.zeros(n, dtype=np.int64)
-    risky_choice = 2 if safe_arm == 1 else 1
-    for t in range(-T, 0):
-        p1 = strategy.p1_batch(t, xi_r)
-        pick1 = rng.random(n) < p1
-        g1 = np.where(rng.random(n) < p_g1, 1, -1)
-        g2 = np.where(rng.random(n) < p_g2, 1, -1)
-        g_i = np.where(pick1, g1, g2)
-        eta += g1 + g2 - 2 * g_i
-        xi_r += np.where(pick1, g1, -g2)
-        zeta += g1 - g2
-        picked_risky = ~pick1 if risky_choice == 2 else pick1
-        risky += picked_risky.astype(np.int64)
-    mu = 0.5 * (eta + np.abs(zeta))
-    return mu, risky
+    check_game(T, eps, safe_arm)
+    draws = (rng.random((3, n)) for _ in range(T))
+    return _play_rounds(T, eps, strategy, n, draws, safe_arm)
+
+
+@dataclass
+class EpisodeLog:
+    """One simulated play-through, serializable one-per-line for audit."""
+
+    seed: int
+    safe_arm: int
+    eps: float
+    choices: list[int] = field(default_factory=list)
+    rewards: list[tuple[int, int]] = field(default_factory=list)
+    final_regret: float = 0.0
+    risky_pulls: int = 0
+
+    def to_line(self) -> str:
+        rec = {
+            "seed": self.seed,
+            "safe_arm": self.safe_arm,
+            "eps": self.eps,
+            "choices": self.choices,
+            "rewards": self.rewards,
+            "final_regret": self.final_regret,
+            "s2": self.risky_pulls,
+        }
+        return json.dumps(rec, separators=(",", ":"))
+
+    @classmethod
+    def from_line(cls, line: str) -> "EpisodeLog":
+        rec = json.loads(line)
+        choices = list(rec["choices"])
+        rewards = [(g1, g2) for g1, g2 in rec["rewards"]]
+        if any(c not in (1, 2) for c in choices):
+            raise ValueError(f"choices must be 1 or 2, got {choices}")
+        if any(g not in (-1, 1) for pair in rewards for g in pair):
+            raise ValueError(f"rewards must be +-1, got {rewards}")
+        return cls(seed=rec["seed"], safe_arm=rec["safe_arm"], eps=rec["eps"],
+                   choices=choices, rewards=rewards,
+                   final_regret=rec["final_regret"], risky_pulls=rec["s2"])
+
+
+def _episode_draws(rngs, T):
+    """Per-round (3, n) uniforms of n episodes, each from its own generator.
+
+    Successive `random((k, 3))` calls continue one stream, so a chunked
+    draw gives the numbers of a round-by-round one.
+    """
+    for start in range(0, T, AUDIT_DRAW_ROUNDS):
+        rounds = min(AUDIT_DRAW_ROUNDS, T - start)
+        yield from np.stack([r.random((rounds, 3)) for r in rngs], axis=2)
+
+
+def play_episodes(T: int, eps: float, strategy, seeds, safe_arm: int = 1):
+    """Yield one EpisodeLog per seed, AUDIT_BLOCK episodes at a time.
+
+    Each seed (an int or a SeedSequence) drives its own generator, so an
+    episode does not depend on the others played with it. `strategy`
+    needs p1_batch(t, xi_r array).
+    """
+    check_game(T, eps, safe_arm)
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, AUDIT_BLOCK)):
+        n = len(block)
+        record = (np.empty((T, n), bool), np.empty((T, n), np.int8), np.empty((T, n), np.int8))
+        draws = _episode_draws([np.random.default_rng(s) for s in block], T)
+        mu, risky = _play_rounds(T, eps, strategy, n, draws, safe_arm, record)
+        picks, g1, g2 = record
+        for j, seed in enumerate(block):
+            yield EpisodeLog(
+                seed=seed if isinstance(seed, int) else -1,
+                safe_arm=safe_arm,
+                eps=eps,
+                choices=np.where(picks[:, j], 1, 2).tolist(),
+                rewards=list(zip(g1[:, j].tolist(), g2[:, j].tolist())),
+                final_regret=float(mu[j]),
+                risky_pulls=int(risky[j]),
+            )
+
+
+def play_episode(T: int, eps: float, strategy, seed, safe_arm: int = 1) -> EpisodeLog:
+    """Play one full episode; the one-seed case of `play_episodes`."""
+    return next(play_episodes(T, eps, strategy, [seed], safe_arm))

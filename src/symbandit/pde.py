@@ -63,7 +63,11 @@ class ClosedForm:
 
     @classmethod
     def c0(cls, eps: float) -> "ClosedForm":
-        """The error-optimized C^0 member, b = 1/(eps - eps^3)."""
+        """The C^0 member, b = 1/(eps - eps^3).
+
+        It keeps a slope jump at xi_r = 0, and b is the value at which the
+        jumps there satisfy (1/2)[phi'] + (eps/4)[phi''] = 0.
+        """
         if eps <= 0.0:
             raise ValueError(f"C0 branch needs eps > 0, got {eps}")
         return cls(eps=eps, b=1.0 / (eps - eps**3))
@@ -318,7 +322,7 @@ def prefactor_c(gamma: float) -> float:
     form loses the 1/gamma answer to cancellation. The gamma -> 0 limit
     is SMALL_GAP_LIMIT_C.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # also rejects nan
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma
     if g <= 8.0:
@@ -334,7 +338,7 @@ def prefactor_c(gamma: float) -> float:
 def prefactor_c_bar(gamma: float) -> float:
     """Pseudoregret analogue:
     cbar(gamma) = (1/g - g) erf(g/sqrt2) - sqrt(2/pi) e^{-g^2/2} + g."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # also rejects nan
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma
     if g <= 8.0:

@@ -14,36 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_gap, terminal_payoff
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Probability of choosing arm 1."""
-
-    p1: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
-
-
-def myopic_decision(xi_r: int) -> Decision:
-    """Arm 1 iff xi_r > 0, arm 2 iff xi_r < 0, fair coin at xi_r = 0."""
-    if xi_r > 0:
-        return Decision(1.0)
-    if xi_r < 0:
-        return Decision(0.0)
-    return Decision(0.5)
-
-
-def likelihood_ratio(xi_r: int, eps: float) -> float:
-    """Odds that arm 1 is safe given the revealed difference xi_r.
-
-    ((1 + eps) / (1 - eps)) ** xi_r; > 1 exactly when xi_r > 0.
-    """
-    check_gap(eps)
-    return ((1.0 + eps) / (1.0 - eps)) ** xi_r
+from .core import check_game, reward_table, terminal_payoff
 
 
 class Strategy:
@@ -57,8 +28,14 @@ class Strategy:
 
 
 class MyopicStrategy(Strategy):
+    """Arm 1 iff xi_r > 0, arm 2 iff xi_r < 0, fair coin at xi_r = 0."""
+
     def p1(self, t: int, xi_r: int) -> float:
-        return myopic_decision(xi_r).p1
+        if xi_r > 0:
+            return 1.0
+        if xi_r < 0:
+            return 0.0
+        return 0.5
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
         return np.where(xi_r > 0, 1.0, np.where(xi_r < 0, 0.0, 0.5))
@@ -167,26 +144,16 @@ def _decision_classes_history(T: int) -> list[tuple]:
     return classes
 
 
-def _reward_outcomes(eps: float, safe_arm: int) -> list[tuple[int, int, float]]:
-    p1 = (1.0 + eps) / 2.0 if safe_arm == 1 else (1.0 - eps) / 2.0
-    p2 = (1.0 - eps) / 2.0 if safe_arm == 1 else (1.0 + eps) / 2.0
-    return [
-        (g1, g2, (p1 if g1 == 1 else 1.0 - p1) * (p2 if g2 == 1 else 1.0 - p2))
-        for g1 in (1, -1)
-        for g2 in (1, -1)
-    ]
-
-
 def tree_expected_regret(T: int, eps: float, strategy, safe_arm: int = 1) -> float:
     """Exact expected final regret by full outcome-tree enumeration.
 
     Exponential in T; independent desk oracle for the dynamic program and
     the Monte Carlo estimator at tiny horizons.
     """
+    check_game(T, eps, safe_arm)
     if T > 8:
         raise ValueError(f"outcome-tree enumeration is limited to T <= 8, got {T}")
-    check_gap(eps)
-    outcomes = _reward_outcomes(eps, safe_arm)
+    outcomes = reward_table(eps, safe_arm)
 
     def walk(t, eta, xi_h, xi_r, prob):
         if t == 0:
@@ -211,7 +178,7 @@ def _grid_tree_values(T, eps, safe_arm, class_index, mesh, full_shape, observabl
     `mesh[k]` broadcasts the k-th decision probability along its own axis;
     partial factor products stay small until the leaf accumulation.
     """
-    outcomes = _reward_outcomes(eps, safe_arm)
+    outcomes = reward_table(eps, safe_arm)
     acc = np.zeros(full_shape)
 
     def walk(t, eta, xi_h, xi_r, hist, prob, factor):
@@ -248,7 +215,7 @@ def brute_force_minimax(
         raise ValueError(f"grid must have at least 2 levels, got {grid}")
     if observable not in ("xi_r", "history"):
         raise ValueError(f"observable must be 'xi_r' or 'history', got {observable!r}")
-    check_gap(eps)
+    check_game(T, eps)
 
     if observable == "xi_r":
         classes = _decision_classes_xi_r(T)

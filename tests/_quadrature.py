@@ -53,11 +53,16 @@ def gaussian_weighted_integral(f, mean: float, sigma: float, tol: float = 1e-12)
     return sum(adaptive_simpson(f, a, b, tol=per_panel_tol) for a, b in panels)
 
 
+def heat_kernel(s: float, t: float) -> float:
+    """Fundamental solution of the backward heat equation, variance -t.
+
+    Phi(s, t) = exp(s^2 / (2t)) / sqrt(-2 pi t), defined for t < 0 only.
+    """
+    if t >= 0.0:
+        raise ValueError(f"heat_kernel requires t < 0, got t={t}")
+    return math.exp(s * s / (2.0 * t)) / math.sqrt(-2.0 * math.pi * t)
+
+
 def heat_kernel_mass(t: float, tol: float = 1e-12) -> float:
     """Quadrature of the heat kernel over the real line (should be 1)."""
-    sigma = math.sqrt(-t)
-
-    def f(s):
-        return math.exp(s * s / (2.0 * t)) / math.sqrt(-2.0 * math.pi * t)
-
-    return gaussian_weighted_integral(f, 0.0, sigma, tol=tol)
+    return gaussian_weighted_integral(lambda s: heat_kernel(s, t), 0.0, math.sqrt(-t), tol=tol)

@@ -44,6 +44,11 @@ class TestDp:
         meta, rows = read_csv(path)
         assert len(rows) == 9
         assert "config" in meta and meta["symbandit_version"] == "0.1.0"
+        cells = [[float(row[c]) for c in ("t", "v", "vbar")] for row in rows]
+        printed = dict(line.split(" = ") for line in out.splitlines()[:2])
+        assert cells[0][0] == -8
+        assert cells[0][1] == pytest.approx(float(printed["v"]), rel=1e-11)
+        assert cells[0][2] == pytest.approx(float(printed["vbar"]), rel=1e-11)
 
 
 class TestUsageErrors:

@@ -4,19 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbandit.core import (
-    ERF_SATURATION,
-    GameParams,
-    PseudoState,
-    RegretState,
-    erf,
-    erfc,
-    heat_kernel,
-    terminal_payoff,
-)
+from symbandit.core import check_game, erf, erfc, terminal_payoff
 
 from _erf_oracle import erf_oracle_float
-from _quadrature import heat_kernel_mass
+from _quadrature import heat_kernel, heat_kernel_mass
 
 
 class TestErf:
@@ -43,7 +34,7 @@ class TestErf:
         assert erf(6.0000001) == 1.0
         assert erf(-7.5) == -1.0
         assert erf(math.inf) == 1.0
-        assert abs(1.0 - erf(ERF_SATURATION)) < 1e-15
+        assert abs(1.0 - erf(6.0)) < 1e-15
 
     def test_monotone_and_bounded(self):
         xs = [-6 + 12 * i / 2000 for i in range(2001)]
@@ -65,6 +56,8 @@ class TestErf:
 
 
 class TestHeatKernel:
+    """The heat kernel that the quadrature oracle integrates."""
+
     def test_gaussian_peak(self):
         assert abs(heat_kernel(0.0, -1.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
 
@@ -108,31 +101,9 @@ class TestTerminalPayoff:
 
 
 class TestDomainTypes:
-    def test_game_params_gamma(self):
-        p = GameParams(horizon=400, gap=0.03535)
-        assert p.gamma == 0.03535 * math.sqrt(400)
-
-    def test_game_params_from_gamma_roundtrip(self):
-        p = GameParams.from_gamma(100, 0.707)
-        assert abs(p.gap - 0.0707) < 1e-15
-        assert abs(p.gamma - 0.707) < 1e-15
-
     def test_game_params_validation(self):
-        with pytest.raises(ValueError):
-            GameParams(horizon=0, gap=0.1)
-        with pytest.raises(ValueError):
-            GameParams(horizon=10, gap=1.0)
-        with pytest.raises(ValueError):
-            GameParams(horizon=10, gap=-0.2)
-
-    def test_regret_state_invariants(self):
-        RegretState(eta=-2, xi_h=1, xi_r=1, t=-2)
-        with pytest.raises(ValueError):
-            RegretState(eta=1, xi_h=0, xi_r=0, t=-1)  # odd eta
-        with pytest.raises(ValueError):
-            RegretState(eta=0, xi_h=0, xi_r=0, t=1)
-
-    def test_pseudo_state_invariants(self):
-        PseudoState(xi_r=-1, s2=3, t=-4)
-        with pytest.raises(ValueError):
-            PseudoState(xi_r=0, s2=-1, t=-4)
+        check_game(10, 0.1, safe_arm=2)
+        for T, eps, safe_arm in [(0, 0.1, 1), (10, 1.0, 1), (10, -0.2, 1), (10, math.nan, 1),
+                                 (True, 0.3, 1), (2.0, 0.3, 1), (10, 0.1, 3)]:
+            with pytest.raises(ValueError):
+                check_game(T, eps, safe_arm)

@@ -6,18 +6,19 @@ import pytest
 from symbandit import dp
 from symbandit.core import terminal_payoff
 
+from _reduced_oracle import regret_value_reduced
+
 
 class TestTerminalSlice:
     def test_full_table_terminal_is_payoff(self):
         tables = dp.regret_tables_full(4, 0.3)
-        terminal = tables[0]
-        assert terminal.t == 0 and terminal.reduction == "full"
-        for (eta, xi_h, xi_r), v in terminal.values.items():
+        assert len(tables) == 5 and list(tables[-1]) == [(0, 0, 0)]
+        for (eta, xi_h, xi_r), v in tables[0].items():
             assert v == terminal_payoff(eta, xi_h, xi_r)
 
     def test_pseudo_terminal_is_weighted_pulls(self):
         tables = dp.pseudoregret_tables_full(4, 0.25)
-        for (xi_r, s2), v in tables[0].values.items():
+        for (xi_r, s2), v in tables[0].items():
             assert v == 2 * 0.25 * s2
 
 
@@ -53,12 +54,12 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("T,eps", [(48, 0.15), (96, 0.35), (64, 0.0)])
     def test_decomposed_equals_joint_2d(self, T, eps):
         a = dp.regret_value(T, eps)
-        b = dp.regret_value_reduced(T, eps)
+        b = regret_value_reduced(T, eps)
         assert abs(a - b) <= 1e-12
 
     def test_decomposed_equals_joint_2d_safe_arm_2(self):
         a = dp.regret_value(40, 0.3, safe_arm=2)
-        b = dp.regret_value_reduced(40, 0.3, safe_arm=2)
+        b = regret_value_reduced(40, 0.3, safe_arm=2)
         assert abs(a - b) <= 1e-12
 
 
@@ -70,9 +71,9 @@ class TestStructuralInvariants:
         tables = dp.regret_tables_full(6, 0.3)
         checked = 0
         for table in tables:
-            for (eta, xi_h, xi_r), v in table.values.items():
+            for (eta, xi_h, xi_r), v in table.items():
                 assert (eta + xi_h + xi_r) % 4 == 0
-                other = table.values.get((eta + 4, xi_h, xi_r))
+                other = table.get((eta + 4, xi_h, xi_r))
                 if other is not None:
                     assert other - v == pytest.approx(2.0, abs=1e-12)
                     checked += 1
@@ -83,8 +84,8 @@ class TestStructuralInvariants:
         tables = dp.pseudoregret_tables_full(6, eps)
         checked = 0
         for table in tables:
-            for (xi_r, s2), v in table.values.items():
-                other = table.values.get((xi_r, s2 + 1))
+            for (xi_r, s2), v in table.items():
+                other = table.get((xi_r, s2 + 1))
                 if other is not None:
                     assert other - v == pytest.approx(2 * eps, abs=1e-12)
                     checked += 1
@@ -149,7 +150,7 @@ class TestGuards:
 
     def test_reduced_2d_horizon_guard(self):
         with pytest.raises(ValueError):
-            dp.regret_value_reduced(513, 0.1)
+            regret_value_reduced(513, 0.1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -158,3 +159,8 @@ class TestGuards:
             dp.regret_value(10, 1.0)
         with pytest.raises(ValueError):
             dp.regret_value(10, 0.1, safe_arm=3)
+        # bool is an int subclass, but True is not a horizon
+        with pytest.raises(ValueError):
+            dp.regret_value(True, 0.3)
+        with pytest.raises(ValueError):
+            dp.pseudoregret_value(True, 0.3)

@@ -5,113 +5,104 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symbandit.core import RegretState, terminal_payoff
-from symbandit.env import (
-    EpisodeLog,
-    RewardPair,
-    centered_from_raw,
-    play_episode,
-    raw_from_centered,
-    sample_rewards,
-    simulate_batch,
-    step,
-)
+from symbandit import env
+from symbandit.core import terminal_payoff
+from symbandit.env import EpisodeLog, play_episode, play_episodes, simulate_batch
 from symbandit.strategy import MyopicStrategy, UniformStrategy
 
 
+def replay(choices, rewards):
+    """Final payoff and risky-arm-2 pulls of a logged episode, one round at
+    a time: arm 1 reveals g1 (xi_r += g1, xi_h -= g2), arm 2 reveals g2
+    (xi_r -= g2, xi_h += g1), and eta += g1 + g2 - 2*g_chosen."""
+    eta = xi_h = xi_r = 0
+    for choice, (g1, g2) in zip(choices, rewards):
+        eta += g1 + g2 - 2 * (g1 if choice == 1 else g2)
+        if choice == 1:
+            xi_r, xi_h = xi_r + g1, xi_h - g2
+        else:
+            xi_r, xi_h = xi_r - g2, xi_h + g1
+    return terminal_payoff(eta, xi_h, xi_r), sum(c == 2 for c in choices)
+
+
+def forced_rounds(choices, g1s, g2s):
+    """Play one episode whose draws force the given choices and rewards:
+    a fair-coin player at eps = 0 picks arm 1 iff coin < 1/2, and a
+    reward is +1 iff its uniform is < 1/2."""
+    draws = [np.array([[0.25 if c == 1 else 0.75], [0.25 if a == 1 else 0.75],
+                       [0.25 if b == 1 else 0.75]]) for c, a, b in zip(choices, g1s, g2s)]
+    mu, risky = env._play_rounds(len(choices), 0.0, UniformStrategy(), 1, iter(draws), 1)
+    return float(mu[0]), int(risky[0])
+
+
 def test_reward_pair_validation():
-    RewardPair(1, -1)
+    line = play_episode(3, 0.2, MyopicStrategy(), seed=1).to_line()
+    EpisodeLog.from_line(line)
     with pytest.raises(ValueError):
-        RewardPair(0, 1)
-
-
-def test_centering_helpers():
-    assert centered_from_raw(0) == -1
-    assert centered_from_raw(1) == 1
-    assert raw_from_centered(-1) == 0
-    assert raw_from_centered(1) == 1
+        EpisodeLog.from_line(line.replace('"rewards":[[', '"rewards":[[0,1],['))
+    with pytest.raises(ValueError):
+        EpisodeLog.from_line(line.replace('"choices":[', '"choices":[3,'))
 
 
 class TestSampleRewards:
     def test_rejects_bad_gap(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_rewards(rng, 1.0)
-        with pytest.raises(ValueError):
-            sample_rewards(rng, -0.1)
+        for eps in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                simulate_batch(5, eps, MyopicStrategy(), 10, rng)
+            with pytest.raises(ValueError):
+                play_episode(5, eps, MyopicStrategy(), seed=0)
 
     def test_degenerate_gap(self):
-        rng = np.random.default_rng(1)
-        draws = [sample_rewards(rng, 1 - 1e-9, safe_arm=1) for _ in range(200)]
-        assert all(d.g1 == 1 for d in draws)
-        assert all(d.g2 == -1 for d in draws)
+        log = play_episode(200, 1 - 1e-9, MyopicStrategy(), seed=1, safe_arm=1)
+        assert all(r == (1, -1) for r in log.rewards)
 
     def test_mean_matches_gap(self):
-        # deterministic given the seed; binomial 3-sigma window
-        rng = np.random.default_rng(1234)
-        eps, n = 0.2, 1_000_000
-        total = sum(sample_rewards(rng, eps, safe_arm=1).g1 for _ in range(n))
+        # deterministic given the seeds; binomial 3-sigma window
+        eps, T = 0.2, 500
+        logs = list(play_episodes(T, eps, UniformStrategy(), range(2000)))
+        n = T * len(logs)
+        total = sum(g1 for log in logs for g1, _ in log.rewards)
         se = 2.0 * math.sqrt((1 - eps * eps) / 4 / n)
         assert abs(total / n - eps) <= 3 * se
 
     def test_zero_gap_symmetric(self):
-        rng = np.random.default_rng(99)
-        n = 200_000
-        t1 = sum(sample_rewards(rng, 0.0).g1 for _ in range(n))
+        T = 400
+        logs = list(play_episodes(T, 0.0, UniformStrategy(), range(500)))
+        n = T * len(logs)
+        t1 = sum(g1 for log in logs for g1, _ in log.rewards)
         assert abs(t1 / n) <= 3 / math.sqrt(n)
 
 
 class TestStep:
     def test_choice_one_example(self):
-        s = RegretState(0, 0, 0, -3)
-        out = step(s, 1, RewardPair(1, -1))
-        assert (out.eta, out.xi_h, out.xi_r, out.t) == (-2, 1, 1, -2)
+        # eta -2, xi_h 1, xi_r 1: payoff (-2 + |2|)/2, no risky pull
+        assert forced_rounds([1], [1], [-1]) == (0.0, 0)
 
     def test_choice_two_example(self):
-        s = RegretState(0, 0, 0, -3)
-        out = step(s, 2, RewardPair(1, -1))
-        assert (out.eta, out.xi_h, out.xi_r, out.t) == (2, 1, 1, -2)
+        # eta 2, xi_h 1, xi_r 1: payoff (2 + |2|)/2, one risky pull
+        assert forced_rounds([2], [1], [-1]) == (2.0, 1)
 
     def test_rejects_finished_game(self):
         with pytest.raises(ValueError):
-            step(RegretState(0, 0, 0, 0), 1, RewardPair(1, 1))
+            play_episode(0, 0.2, MyopicStrategy(), seed=0)
 
-    @given(
-        st.integers(-10, 10).map(lambda k: 2 * k),
-        st.integers(-10, 10),
-        st.integers(-10, 10),
-        st.sampled_from([1, 2]),
-        st.sampled_from([-1, 1]),
-        st.sampled_from([-1, 1]),
-    )
-    def test_increment_algebra(self, eta, xi_h, xi_r, choice, g1, g2):
-        s = RegretState(eta, xi_h, xi_r, -5)
-        out = step(s, choice, RewardPair(g1, g2))
-        assert out.eta - eta in (-2, 0, 2)
-        assert abs(out.xi_r - xi_r) == 1
-        # the revealed+hidden sum moves by g1 - g2 whatever the choice
-        assert out.zeta - s.zeta == g1 - g2
-        assert out.t == s.t + 1
+    @given(st.lists(st.tuples(st.sampled_from([1, 2]), st.sampled_from([-1, 1]),
+                              st.sampled_from([-1, 1])), min_size=1, max_size=8))
+    def test_increment_algebra(self, rounds):
+        choices, g1s, g2s = zip(*rounds)
+        assert forced_rounds(choices, g1s, g2s) == replay(choices, list(zip(g1s, g2s)))
 
 
 class TestEpisodes:
     def test_log_consistency(self):
         log = play_episode(50, 0.3, MyopicStrategy(), seed=7)
-        final = log.trajectory[-1]
-        assert final.t == 0
-        assert log.final_regret == terminal_payoff(final.eta, final.xi_h, final.xi_r)
-        assert log.risky_pulls == sum(1 for c in log.choices if c == 2)
         assert len(log.choices) == len(log.rewards) == 50
-        assert len(log.trajectory) == 51
+        assert (log.final_regret, log.risky_pulls) == replay(log.choices, log.rewards)
 
     def test_roundtrip_serialization(self):
         log = play_episode(12, 0.25, UniformStrategy(), seed=3)
-        back = EpisodeLog.from_line(log.to_line())
-        assert back.choices == log.choices
-        assert back.rewards == log.rewards
-        assert back.final_regret == log.final_regret
-        assert back.risky_pulls == log.risky_pulls
-        assert back.trajectory[-1] == log.trajectory[-1]
+        assert EpisodeLog.from_line(log.to_line()) == log
 
     def test_label_swap_symmetry_at_zero_gap(self):
         # same seed, eps = 0: the two labelings give identical episodes
@@ -120,18 +111,15 @@ class TestEpisodes:
         assert a.choices == b.choices
         assert a.final_regret == b.final_regret
 
-    def test_batch_matches_scalar_statistically(self):
-        # same law, different draw layout: compare means at 4 sigma
-        n = 4000
-        T, eps = 20, 0.15
-        rng = np.random.default_rng(42)
-        mu, s2 = simulate_batch(T, eps, MyopicStrategy(), n, rng)
-        scalar = [
-            play_episode(T, eps, MyopicStrategy(), seed=(1000 + i)).final_regret
-            for i in range(n)
-        ]
-        se = math.sqrt(np.var(mu, ddof=1) / n + np.var(scalar, ddof=1) / n)
-        assert abs(float(np.mean(mu)) - float(np.mean(scalar))) <= 4 * se
+    def test_blocks_do_not_change_episodes(self, monkeypatch):
+        # an episode depends on its own seed only, not on the episodes
+        # played beside it or on how its rounds are drawn
+        seeds = [np.random.SeedSequence(4, spawn_key=(9999, i)) for i in range(9)]
+        whole = list(play_episodes(10, 0.3, MyopicStrategy(), seeds))
+        monkeypatch.setattr(env, "AUDIT_BLOCK", 4)
+        monkeypatch.setattr(env, "AUDIT_DRAW_ROUNDS", 3)
+        assert list(play_episodes(10, 0.3, MyopicStrategy(), seeds)) == whole
+        assert [play_episode(10, 0.3, MyopicStrategy(), s) for s in seeds] == whole
 
     def test_batch_risky_pulls_zero_gap_uniform(self):
         rng = np.random.default_rng(5)

@@ -1,0 +1,90 @@
+"""Exact-output tests: CLI outputs against committed golden files.
+
+The files in tests/golden/ were written by the per-round scalar episode
+loop and the three-draws-per-round batch loop that the single vectorized
+simulator replaced, so these tests pin that the replacement reproduces
+them byte for byte. Regenerate a file only for an intended change of
+output: run the case's argv through `symbandit.cli.main` and copy what
+it writes over the file.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from symbandit.cli import main
+from symbandit.experiments import read_csv
+
+GOLDEN = Path(__file__).parent / "golden"
+TABLE = GOLDEN / "strategy_T8.txt"
+
+SIMULATE_JSON = {
+    "simulate_myopic": ["simulate", "--T", "20", "--eps", "0.1", "--episodes", "3000",
+                        "--seed", "42", "--json"],
+    "simulate_uniform_arm2": ["simulate", "--T", "15", "--gamma", "0.9", "--episodes", "2000",
+                              "--seed", "7", "--strategy", "uniform", "--safe-arm", "2",
+                              "--json"],
+}
+
+# name -> (strategy, safe_arm, T, audit episodes); 150 episodes span
+# several audit blocks
+AUDIT = {
+    "myopic_arm1": ("myopic", 1, 12, 150),
+    "myopic_arm2": ("myopic", 2, 12, 5),
+    "uniform_arm1": ("uniform", 1, 12, 5),
+    "uniform_arm2": ("uniform", 2, 12, 5),
+    "table_arm1": (f"table:{TABLE}", 1, 8, 5),
+    "table_arm2": (f"table:{TABLE}", 2, 8, 5),
+}
+
+SWEEP_CONFIG = (
+    "regime = medium\n"
+    "T_list = 16, 64\n"
+    "gamma = 0.707\n"
+    "seed = 5\n"
+    "replications = 3\n"
+    "episodes = 400\n"
+)
+# columns computed by the exact walks and the simulator: byte-identical;
+# the closed-form columns go through erf and are held to 1e-11 relative
+SWEEP_EXACT = ["T", "eps", "gamma", "branch", "v", "vbar", "v_norm", "vbar_norm",
+               "mc_regret_mean", "mc_regret_se", "mc_pseudo_mean", "mc_pseudo_se"]
+SWEEP_CLOSED = ["u", "ubar", "u_minus_v", "ubar_minus_vbar", "u_norm", "ubar_norm"]
+
+
+def audit_argv(strategy, safe_arm, T, episodes, path):
+    return ["simulate", "--T", str(T), "--eps", "0.3", "--episodes", "10", "--seed", "11",
+            "--strategy", strategy, "--safe-arm", str(safe_arm),
+            "--audit", str(path), "--audit-episodes", str(episodes)]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_JSON))
+def test_simulate_json(name, capsys):
+    assert main(SIMULATE_JSON[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT))
+def test_simulate_audit(name, capsys, tmp_path):
+    path = tmp_path / "audit.jsonl"
+    assert main(audit_argv(*AUDIT[name], path)) == 0
+    assert path.read_bytes() == (GOLDEN / f"audit_{name}.jsonl").read_bytes()
+
+
+def test_sweep_mc_columns(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    meta, rows = read_csv(out)
+    gold_meta, gold_rows = read_csv(GOLDEN / "sweep_mc.csv")
+    assert meta == gold_meta
+    assert len(rows) == len(gold_rows)
+    for row, gold in zip(rows, gold_rows):
+        assert row.keys() == gold.keys()
+        assert [row[c] for c in SWEEP_EXACT] == [gold[c] for c in SWEEP_EXACT]
+        for c in SWEEP_CLOSED:
+            assert math.isclose(float(row[c]), float(gold[c]), rel_tol=1e-11, abs_tol=1e-12), c
+

@@ -336,6 +336,9 @@ class TestPrefactors:
             prefactor_c(0.0)
         with pytest.raises(ValueError):
             prefactor_c_bar(-1.0)
+        for f in (prefactor_c, prefactor_c_bar):
+            with pytest.raises(ValueError):
+                f(math.nan)
 
     def test_maximizer_c(self):
         gstar, val = maximize_prefactor("c")

@@ -8,23 +8,21 @@ from hypothesis import strategies as st
 
 from symbandit import dp
 from symbandit.strategy import (
-    Decision,
     MyopicStrategy,
     TabularStrategy,
     UniformStrategy,
     brute_force_minimax,
-    likelihood_ratio,
     minimax_pair_solve,
-    myopic_decision,
     tree_expected_regret,
 )
 
 
 class TestMyopic:
     def test_rule(self):
-        assert myopic_decision(3).p1 == 1.0
-        assert myopic_decision(0).p1 == 0.5
-        assert myopic_decision(-1).p1 == 0.0
+        s = MyopicStrategy()
+        assert s.p1(-5, 3) == 1.0
+        assert s.p1(-5, 0) == 0.5
+        assert s.p1(-5, -1) == 0.0
 
     def test_batch_matches_scalar(self):
         s = MyopicStrategy()
@@ -33,23 +31,17 @@ class TestMyopic:
 
     def test_decision_validation(self):
         with pytest.raises(ValueError):
-            Decision(p1=1.5)
+            TabularStrategy({(-1, 0): 1.5})
+        with pytest.raises(ValueError):
+            UniformStrategy(-0.1)
 
 
 class TestLikelihoodRatio:
-    def test_examples(self):
-        assert likelihood_ratio(0, 0.3) == 1.0
-        assert likelihood_ratio(1, 0.5) == pytest.approx(3.0, abs=1e-15)
-        assert likelihood_ratio(-2, 0.5) == pytest.approx(1.0 / 9.0, abs=1e-16)
-
-    def test_rejects_unit_gap(self):
-        with pytest.raises(ValueError):
-            likelihood_ratio(1, 1.0)
-
     @given(st.integers(-30, 30), st.floats(min_value=1e-6, max_value=0.999))
     def test_argmax_agreement_with_myopic(self, xi_r, eps):
-        ratio = likelihood_ratio(xi_r, eps)
-        p1 = myopic_decision(xi_r).p1
+        # odds that arm 1 is safe given the revealed difference xi_r
+        ratio = ((1.0 + eps) / (1.0 - eps)) ** xi_r
+        p1 = MyopicStrategy().p1(-1, xi_r)
         if ratio > 1.0:
             assert p1 == 1.0
         elif ratio < 1.0:
