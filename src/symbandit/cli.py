@@ -68,8 +68,7 @@ def _resolve_eps(args, T: int) -> float:
 def _cmd_dp(args) -> int:
     T = args.T
     eps = _resolve_eps(args, T)
-    v = dp.regret_value(T, eps, safe_arm=args.safe_arm)
-    vbar = dp.pseudoregret_value(T, eps, safe_arm=args.safe_arm)
+    v, vbar = dp.values(T, eps)
     print(f"v = {_fmt(v, args.round3)}")
     print(f"vbar = {_fmt(vbar, args.round3)}")
     if args.trace:
@@ -281,7 +280,9 @@ def _verify_checks():
             d = abs(dp.regret_value(T, eps) - dp.regret_value_full(T, eps))
             add(f"reduced==full T={T} eps={eps}", d <= 1e-12, f"|diff|={d:.2e}")
 
-    d = abs(dp.regret_value(10, 0.25, safe_arm=1) - dp.regret_value(10, 0.25, safe_arm=2))
+    # the production route is label-symmetric by construction; the lattice plays the swap
+    d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)
+            - dp.regret_value_full(10, 0.25, safe_arm=2))
     add("indifference under safe-arm swap", d <= 1e-12, f"|diff|={d:.2e}")
     d = abs(dp.bayesian_pseudoregret_check(12, 0.2) - dp.pseudoregret_value(12, 0.2))
     add("uniform-prior pseudoregret equals minimax", d <= 1e-12, f"|diff|={d:.2e}")

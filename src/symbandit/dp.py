@@ -1,36 +1,45 @@
-"""Exact backward induction for the myopic player's value functions.
+"""Exact values of the myopic player: regret v and pseudoregret vbar.
 
-Two routes compute the same regret value at two scales, and the tests
-prove the cheaper one against the dearer one and against a reduced
-(xi_r, zeta) lattice oracle kept under tests/:
+Two routes compute the same values at two scales:
 
-* ``regret_value_full``  -- the raw (eta, xi_h, xi_r) lattice, T <= 12.
-  Transparent oracle, dict-based.
-* ``regret_value`` -- production route, O(T^2) work and O(T) memory.
+* ``regret_value_full`` / ``pseudoregret_value_full`` -- backward
+  induction on the raw (eta, xi_h, xi_r) and (xi_r, s2) lattices,
+  T <= 12. Transparent dict-based oracles that play both safe-arm labels.
+* ``regret_value`` / ``pseudoregret_value`` / ``value_trace`` -- the
+  production route, O(T) time and memory, from one array of central
+  binomial probabilities.
 
-The production route rests on two exact facts. First, the terminal
-payoff is (eta + |zeta|)/2 and eta enters all values linearly, so the
-value at the origin splits into E[|zeta_0|]/2 plus the accumulated
-E[d eta]/2 source. Second, the joint law of the per-round increments
-(d xi_r, d zeta) is the same whichever arm is chosen (the revealed
-difference moves up with probability (1 + eps)/2 either way), so each
-piece is an expectation over a one-dimensional uncontrolled random walk:
+The production route rests on the myopic player following xi_r, which
+moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
+is the simple walk W from 0, and the player pulls the risky arm when W
+is behind (a fair coin at W = 0). So, with q = 1 - p,
 
-* zeta/2 walks with steps +1, 0, -1 w.p. (1+eps)^2/4, (1-eps^2)/2,
-  (1-eps)^2/4 and terminal score |zeta/2|;
-* xi_r walks with steps +-1 (up w.p. (1+eps)/2) and per-round source
-  -eps*sign(xi_r) (the eta drift of the myopic choice), the two choice
-  branches averaging exactly to zero at xi_r = 0.
+* vbar_k = 2*eps * sum_{j<k} [P(W_j < 0) + P(W_j = 0)/2];
+* v_k = vbar_k + 2*g(k), g(k) = E[(k - X)^+], X ~ Bin(2k, p): the terminal
+  payoff adds |zeta/2|, and zeta/2 is the simple walk seen at even times
+  (a lazy walk with steps +1, 0, -1 w.p. p^2, 2pq, q^2) with mean eps*k.
 
-Pseudoregret reduces the same way: the value is linear in s2 with slope
-2*eps, leaving a single xi_r walk with source 2*eps*P(pull risky arm).
-Both reductions flip sign with the safe-arm label, which makes the
-indifference check under label swap a real two-route test.
+Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m, computed from
+Loader's Stirling-error terms (C. Loader, "Fast and Accurate Computation
+of Binomial Probabilities", 2000) so that each a_m is accurate to a few
+ulps at any m. L_2m = P(W_2m < 0) is a prefix sum of its exact two-step
+increment a_m q (q - eps m)/(m + 1), L_2m+1 = L_2m + q a_m, and
+g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every prefix sum is compensated
+for the rounding of its additions. When gamma = eps sqrt(T) is large, L
+and g fall towards zero inside the horizon; their tails are then summed
+from the far end, so they keep their relative accuracy and v >= vbar
+holds in floating point too. The tests hold the route to 1e-13 relative
+of an exact rational oracle (measured 7.4e-16) and check it against the
+O(T^2) walk decomposition and the O(T^3) reduced lattice kept under
+tests/.
+
+The value does not depend on which arm is safe, so ``safe_arm`` is only
+validated; the full-lattice oracles are the label-swap check.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
 
 import numpy as np
 
@@ -116,133 +125,122 @@ def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
     return pseudoregret_tables_full(T, eps, safe_arm)[-1][(0, 0)]
 
 
+def bayesian_pseudoregret_check(T: int, eps: float) -> float:
+    """Pseudoregret under a uniform prior on the safe-arm label, (vbar(safe=1)
+    + vbar(safe=2)) / 2 on the unreduced lattice, which plays both labels;
+    equals the minimax value as the myopic player is indifferent to the label."""
+    return 0.5 * (pseudoregret_value_full(T, eps, safe_arm=1)
+                  + pseudoregret_value_full(T, eps, safe_arm=2))
+
+
 # ---------------------------------------------------------------------------
-# Production route: exact one-dimensional walk decomposition
+# Production route: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------
 
-def _walk_source_sum(T: int, up: float, source: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Backward induction of sum_t E[source(W_t)] for the +-1 walk from 0.
+# Loader's Stirling error delta(n) = log(n!) - (n log n - n + log(2 pi n)/2)
+# for n = 0..15 (entry 0 is unused), and the coefficients of its
+# asymptotic series above that, accurate to ~1e-16 absolute from n = 16.
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
-    Parity-packed slices: at k rounds elapsed the walk sits on
-    xi_r = -k + 2j, j = 0..k, and entry j feeds from entries j (down step)
-    and j+1 (up step) of the next slice. The source over the widest slice
-    is precomputed once; radius-k slices are strided views into it.
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Loader's delta(n) for a float array of integers n >= 1."""
+    r = 1.0 / (n * n)
+    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / n
+    small = n < len(_STIRLERR_SMALL)
+    out[small] = _STIRLERR_SMALL[n[small].astype(np.intp)]
+    return out
+
+
+def _central_binomial(n: int, eps: float) -> np.ndarray:
+    """a_m = C(2m, m) (pq)^m = P(W_2m = 0) for m = 0..n-1."""
+    m = np.arange(1.0, n)
+    log_a = _stirlerr(2.0 * m) - 2.0 * _stirlerr(m) + m * math.log1p(-eps * eps)
+    return np.concatenate(([1.0], np.exp(log_a) / np.sqrt(math.pi * m)))
+
+
+# Once T*eps^2 passes _DEEP_TAIL, L_2m and g(k) fall below the round-off
+# of their peaks inside the horizon (a_m <= exp(-m eps^2) / sqrt(pi m)),
+# so their tails are summed from the far end of _TAIL_PAD/eps^2 extra terms.
+_DEEP_TAIL = 30.0
+_TAIL_PAD = 40.0
+
+
+def _cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of x, each corrected by the running sum of the
+    rounding errors of the additions (Knuth's TwoSum, vectorized)."""
+    s = np.cumsum(x)
+    prev = np.empty_like(s)
+    prev[0], prev[1:] = 0.0, s[:-1]
+    step = s - prev
+    return s + np.cumsum((prev - (s - step)) + (x - step))
+
+
+def _prefix_sums(x: np.ndarray, vanishing: bool) -> np.ndarray:
+    """s_k = sum_{j<k} x_j for k = 0..len(x).
+
+    With `vanishing`, the terms change sign once and sum to zero up to a
+    negligible remainder: past the peak of s each entry is minus the sum
+    of the remaining terms. Both sides are then sums of one-signed terms,
+    so the tail keeps its relative accuracy as it falls to zero.
     """
-    down = 1.0 - up
-    src_all = np.ascontiguousarray(source(np.arange(-T, T + 1, dtype=np.float64)))
-    w = np.zeros(T + 1)
-    for k in range(T - 1, -1, -1):
-        w = src_all[T - k : T + k + 1 : 2] + up * w[1 : k + 2] + down * w[0 : k + 1]
-    return float(w[0])
+    s = np.concatenate(([0.0], _cumsum(x)))
+    if vanishing:
+        rest = np.concatenate((_cumsum(x[::-1])[::-1], [0.0]))
+        past = np.arange(len(s)) > np.argmax(s)
+        s[past] = -rest[past]
+    return s
 
 
-def _abs_walk_terminal(T: int, p_up: float, p_down: float) -> float:
-    """Backward induction of E[|M_T|] for the lazy +-1 walk M (= zeta/2)."""
-    w = np.abs(np.arange(-T, T + 1)).astype(float)
-    p_stay = 1.0 - p_up - p_down
-    for k in range(T - 1, -1, -1):
-        w = p_up * w[2 : 2 * k + 3] + p_stay * w[1 : 2 * k + 2] + p_down * w[0 : 2 * k + 1]
-    return float(w[0])
+def _origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (v_k, vbar_k), k = 0..T: the values of every horizon up to T."""
+    _, q = arm_probs(eps)
+    deep = eps * eps * T >= _DEEP_TAIL
+    n = T + math.ceil(_TAIL_PAD / (eps * eps)) if deep else T
+    a = _central_binomial(n, eps)
+    m = np.arange(n)
+    lower_even = _prefix_sums(a * q * (q - eps * m) / (m + 1), deep)[:n]  # L_2m
+    # P(W_j < 0) + P(W_j = 0)/2 for j = 0..T-1, even and odd j interleaved
+    behind = np.empty(T)
+    behind[0::2] = (lower_even + 0.5 * a)[: (T + 1) // 2]
+    behind[1::2] = (lower_even + q * a)[: T // 2]
+    vbar = 2.0 * eps * _prefix_sums(behind, False)
+    g = _prefix_sums(q * q * a - eps * lower_even, deep)[: T + 1]  # E[(k - X)^+]
+    return vbar + 2.0 * g, vbar
 
 
-def _lazy_walk_probs(drift: float) -> tuple[float, float]:
-    """Up and down step probabilities of the lazy walk zeta/2."""
-    return (1.0 + drift) ** 2 / 4.0, (1.0 - drift) ** 2 / 4.0
-
-
-def _pseudo_source(xi: np.ndarray, eps: float, safe_arm: int) -> np.ndarray:
-    """2*eps*P(the myopic player pulls the risky arm) at xi_r = xi."""
-    behind = xi < 0 if safe_arm == 1 else xi > 0
-    return 2.0 * eps * (behind + 0.5 * (xi == 0))
+def values(T: int, eps: float) -> tuple[float, float]:
+    """Exact (v, vbar) at the origin of the T-round game, O(T) time and memory."""
+    check_game(T, eps)
+    v, vbar = _origin_values(T, eps)
+    return float(v[-1]), float(vbar[-1])
 
 
 def regret_value(T: int, eps: float, safe_arm: int = 1) -> float:
-    """Exact v(0, 0, -T) under the myopic player, O(T^2) time, O(T) memory.
-
-    E[|zeta_0|]/2 over the drifted lazy walk plus the accumulated
-    -eps*sign(xi_r) source over the revealed-difference walk; see the
-    module docstring for why this equals the lattice recursion exactly.
-    """
+    """Exact regret v(0, 0, -T) under the myopic player."""
     check_game(T, eps, safe_arm)
-    drift = eps if safe_arm == 1 else -eps
-    w_n = _walk_source_sum(T, arm_probs(eps, safe_arm)[0], lambda xi: -drift * np.sign(xi))
-    w_h = _abs_walk_terminal(T, *_lazy_walk_probs(drift))
-    return w_h + w_n
+    return values(T, eps)[0]
 
 
 def pseudoregret_value(T: int, eps: float, safe_arm: int = 1) -> float:
-    """Exact vbar(0, 0, -T): accumulated 2*eps*P(pull risky) over the walk."""
+    """Exact pseudoregret vbar(0, 0, -T) under the myopic player."""
     check_game(T, eps, safe_arm)
-    return _walk_source_sum(T, arm_probs(eps, safe_arm)[0],
-                            lambda xi: _pseudo_source(xi, eps, safe_arm))
+    return values(T, eps)[1]
 
-
-def bayesian_pseudoregret_check(T: int, eps: float) -> float:
-    """Pseudoregret under a uniform prior on the safe-arm label.
-
-    (vbar(safe=1) + vbar(safe=2)) / 2; equals the minimax value because
-    the myopic player is indifferent to the label.
-    """
-    return 0.5 * (pseudoregret_value(T, eps, safe_arm=1)
-                  + pseudoregret_value(T, eps, safe_arm=2))
-
-
-# ---------------------------------------------------------------------------
-# Value-at-origin traces (for convergence plots / CSV dumps)
-# ---------------------------------------------------------------------------
 
 def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float, float]]:
-    """Rows (t, v(0,0,t), vbar(0,0,t)) for t = -T..0 from single passes.
+    """Rows (t, v(0,0,t), vbar(0,0,t)) for t = -T..0.
 
-    The recursions are time homogeneous, so the slice values at the
-    origin are the values of the shorter games; computed on unpacked
-    integer windows so every t has an origin entry.
+    The recursions are time homogeneous, so the value at the origin with
+    k rounds left is the value of the k-round game.
     """
     check_game(T, eps, safe_arm)
-    drift = eps if safe_arm == 1 else -eps
-    up = (1.0 + drift) / 2.0
-    down = 1.0 - up
-    src_scale = -eps if safe_arm == 1 else eps
-
-    n = 2 * T + 1
-    xi = np.arange(-T, T + 1).astype(float)
-
-    # regret source walk, full window: entry x feeds from x-1 and x+1
-    w = np.zeros(n)
-    wn_origin = [0.0]
-    src_n = src_scale * np.sign(xi)
-    for _ in range(T):
-        nxt = np.empty(n)
-        nxt[1:-1] = up * w[2:] + down * w[:-2]
-        nxt[0] = up * w[1]      # boundary rows never reach the origin cone
-        nxt[-1] = down * w[-2]
-        w = src_n + nxt
-        wn_origin.append(w[T])
-
-    p_up, p_down = _lazy_walk_probs(drift)
-    p_stay = 1.0 - p_up - p_down
-    h = np.abs(np.arange(-T, T + 1)).astype(float)
-    wh_origin = [0.0]
-    for _ in range(T):
-        nxt = np.empty(n)
-        nxt[1:-1] = p_up * h[2:] + p_stay * h[1:-1] + p_down * h[:-2]
-        nxt[0] = p_up * h[1] + p_stay * h[0]
-        nxt[-1] = p_down * h[-2] + p_stay * h[-1]
-        h = nxt
-        wh_origin.append(h[T])
-
-    src_b = _pseudo_source(xi, eps, safe_arm)
-    b = np.zeros(n)
-    vbar_origin = [0.0]
-    for _ in range(T):
-        nxt = np.empty(n)
-        nxt[1:-1] = up * b[2:] + down * b[:-2]
-        nxt[0] = up * b[1]
-        nxt[-1] = down * b[-2]
-        b = src_b + nxt
-        vbar_origin.append(b[T])
-
-    return [
-        (-k, float(wh_origin[k] + wn_origin[k]), float(vbar_origin[k]))
-        for k in range(T, -1, -1)
-    ]
+    v, vbar = _origin_values(T, eps)
+    return list(zip(range(-T, 1), v[::-1].tolist(), vbar[::-1].tolist()))

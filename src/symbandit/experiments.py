@@ -112,6 +112,11 @@ def mc_estimate(
 # Sweep specification
 # ---------------------------------------------------------------------------
 
+# Monte Carlo replication r of sweep cell idx uses stream
+# REPLICATION_STRIDE * idx + r, so a cell holds at most this many.
+REPLICATION_STRIDE = 1000
+
+
 @dataclass
 class SweepSpec:
     """One sweep: horizons plus exactly one gap rule.
@@ -143,6 +148,9 @@ class SweepSpec:
             raise ValueError("exactly one of gamma, power, eps_list must be set")
         if self.eps_list is not None and len(self.T_list) != 1:
             raise ValueError("eps_list mode requires a single horizon in T_list")
+        if not 0 <= self.replications <= REPLICATION_STRIDE:
+            raise ValueError(f"replications must be in [0, {REPLICATION_STRIDE}], "
+                             f"got {self.replications}")
         for T, eps in self.cells():
             check_gap(eps)  # the rule must keep every cell feasible
 
@@ -167,8 +175,7 @@ def convergence_sweep(spec: SweepSpec, strategy=None) -> list[dict]:
     rows = []
     for idx, (T, eps) in enumerate(spec.cells()):
         sqT = math.sqrt(T)
-        v = dp.regret_value(T, eps)
-        vbar = dp.pseudoregret_value(T, eps)
+        v, vbar = dp.values(T, eps)
         if eps > 0.0:
             cf = pde.ClosedForm.make(spec.branch, eps)
             u = pde.u_total(0.0, 0.0, 0.0, -float(T), cf)
@@ -203,7 +210,8 @@ def convergence_sweep(spec: SweepSpec, strategy=None) -> list[dict]:
             means_r, means_p = [], []
             for r in range(spec.replications):
                 res = mc_estimate(strategy, T, eps, spec.episodes,
-                                  seed=spec.seed, replication=1000 * idx + r)
+                                  seed=spec.seed,
+                                  replication=REPLICATION_STRIDE * idx + r)
                 means_r.append(res.regret_mean)
                 means_p.append(res.pseudo_mean)
             row["mc_regret_mean"] = float(np.mean(means_r))

@@ -1,0 +1,66 @@
+"""Exact rational regret and pseudoregret for rational eps.
+
+With eps = a/b every transition probability is rational: the xi_r walk
+W steps up w.p. p = (b + a)/(2b) and down w.p. q = (b - a)/(2b), so each
+probability below is an integer sum over math.comb divided by a power of
+2b. The values come from the walk decomposition of the lattice recursion
+(tests/_walk_oracle.py), summed directly over the binomial laws:
+
+* vbar = 2 eps sum_{j<T} [P(W_j < 0) + P(W_j = 0)/2];
+* v = E|zeta_T/2| - eps sum_{j<T} [P(W_j > 0) - P(W_j < 0)], where
+  zeta_T/2 = X - T with X ~ Bin(2T, p).
+
+`exact_values` neither pairs steps, telescopes a tail nor uses
+v - vbar = 2E[(T-X)^+], the identities the production route in
+`symbandit.dp` rests on; `shortfall` gives the right side of that identity
+so the tests can check it. T = 400 takes 0.1-0.2 s.
+"""
+
+from fractions import Fraction
+from math import comb
+
+
+def exact_values(T: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """(v, vbar) at the origin of the T-round game, as exact fractions."""
+    eps = Fraction(eps)
+    if not (isinstance(T, int) and T >= 1 and 0 <= eps < 1):
+        raise ValueError(f"need an integer T >= 1 and 0 <= eps < 1, got T={T!r}, eps={eps}")
+    a, b = eps.numerator, eps.denominator
+    up_pow = [1]
+    down_pow = [1]
+    for _ in range(2 * T):
+        up_pow.append(up_pow[-1] * (b + a))
+        down_pow.append(down_pow[-1] * (b - a))
+
+    def weight(n, i):  # P(i up steps in n) * (2b)^n
+        return comb(n, i) * up_pow[i] * down_pow[n - i]
+
+    # numerators over the common denominator (2b)^(T-1)
+    behind = 0  # sum_j P(W_j < 0) + P(W_j = 0)/2, doubled
+    sign = 0    # sum_j P(W_j > 0) - P(W_j < 0)
+    for j in range(T):
+        below = sum(weight(j, i) for i in range((j + 1) // 2))
+        level = weight(j, j // 2) if j % 2 == 0 else 0
+        above = (2 * b) ** j - below - level  # the weights of W_j sum to (2b)^j
+        rest = (2 * b) ** (T - 1 - j)
+        behind += (2 * below + level) * rest
+        sign += (above - below) * rest
+    scale = (2 * b) ** (T - 1)
+    abs_zeta = Fraction(sum(abs(x - T) * weight(2 * T, x) for x in range(2 * T + 1)),
+                        (2 * b) ** (2 * T))
+    return abs_zeta - eps * Fraction(sign, scale), eps * Fraction(behind, scale)
+
+
+def shortfall(T: int, eps: Fraction) -> Fraction:
+    """E[(T - X)^+] with X ~ Bin(2T, (1 + eps)/2), as an exact fraction."""
+    eps = Fraction(eps)
+    a, b = eps.numerator, eps.denominator
+    total = sum((T - x) * comb(2 * T, x) * (b + a) ** x * (b - a) ** (2 * T - x)
+                for x in range(T))
+    return Fraction(total, (2 * b) ** (2 * T))
+
+
+def relative_error(approx: float, exact: Fraction) -> float:
+    """|approx - exact| / |exact|, evaluated exactly; absolute at exact = 0."""
+    diff = abs(Fraction(approx) - exact)
+    return float(diff / abs(exact)) if exact else float(diff)

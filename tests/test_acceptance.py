@@ -111,7 +111,7 @@ def test_criterion_03_regret_convergence_medium_gap():
     gamma = 0.707
     c_val = pde.prefactor_c(gamma)
     t0 = time.perf_counter()
-    Ts = [100, 400, 1600, 6400]
+    Ts = [100, 400, 1600, 6400, 25600, 102400, 409600]
     devs = [abs(dp.regret_value(T, gamma / math.sqrt(T)) / math.sqrt(T) - c_val)
             for T in Ts]
     elapsed = time.perf_counter() - t0
@@ -135,7 +135,7 @@ def test_criterion_04_pseudoregret_convergence_medium_gap():
     gamma = 1.274
     cb_val = pde.prefactor_c_bar(gamma)
     t0 = time.perf_counter()
-    Ts = [100, 400, 1600, 6400]
+    Ts = [100, 400, 1600, 6400, 25600, 102400, 409600]
     devs = [abs(dp.pseudoregret_value(T, gamma / math.sqrt(T)) / math.sqrt(T) - cb_val)
             for T in Ts]
     elapsed = time.perf_counter() - t0
@@ -179,7 +179,8 @@ def test_criterion_06_error_branch_improvement():
     d1 = ", ".join(f"{e}:{diffs['C1'][e]:.3e}" for e in eps_grid)
     d0 = ", ".join(f"{e}:{diffs['C0'][e]:.3e}" for e in eps_grid)
     # the eps^2 T (C1) and eps^3 T (C0) envelopes are upper bounds; at T = 4096
-    # the C1 differences for eps >= 0.1 sit at the round-off floor of regret_value
+    # the C1 differences for eps >= 0.1 are exponentially small (3.1e-10 at 0.1;
+    # at 0.2 the closed form and the exact value agree to the last bit)
     parts = [
         ("C1 slope vs log eps <= 2.3", s1 <= 2.3,
          f"measured {s1:.3f}; |u-v| per eps: {d1}"),
@@ -218,8 +219,9 @@ def test_criterion_08_exactness_oracles():
     one_round = max(abs(dp.regret_value(1, e) - (1 + e * e) / 2)
                     for e in (0.0, 0.1, 0.3, 0.7))
     one_round_bar = max(abs(dp.pseudoregret_value(1, e) - e) for e in (0.0, 0.25, 0.6))
+    # the production route is label-symmetric by construction; the lattice plays the swap
     indiff = max(
-        abs(dp.regret_value(T, eps, safe_arm=1) - dp.regret_value(T, eps, safe_arm=2))
+        abs(dp.regret_value_full(T, eps, safe_arm=1) - dp.regret_value_full(T, eps, safe_arm=2))
         for T in (6, 12) for eps in (0.1, 0.3, 0.7)
     )
     parts = [

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from symbandit.cli import main
+from symbandit import dp
+from symbandit.cli import _verify_checks, main
 from symbandit.experiments import read_csv
 
 
@@ -200,3 +201,16 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 15
         assert "0 failures" in out
+
+    @pytest.mark.parametrize("oracle,check", [
+        ("regret_value_full", "indifference under safe-arm swap"),
+        ("pseudoregret_value_full", "uniform-prior pseudoregret equals minimax"),
+    ])
+    def test_label_checks_play_both_labels(self, monkeypatch, oracle, check):
+        # the production route is label-symmetric by construction, so each
+        # check must catch a label dependence of the lattice oracle
+        full = getattr(dp, oracle)
+        monkeypatch.setattr(dp, oracle, lambda T, eps, safe_arm=1:
+                            full(T, eps, safe_arm) + 1e-9 * (safe_arm == 2))
+        checks = {name: ok for name, ok, _ in _verify_checks()}
+        assert checks[check] is False

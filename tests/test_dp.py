@@ -1,12 +1,17 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symbandit import dp
 from symbandit.core import terminal_payoff
 
+from _exact import shortfall
 from _reduced_oracle import regret_value_reduced
+from _walk_oracle import walk_pseudoregret_value, walk_regret_value
 
 
 class TestTerminalSlice:
@@ -101,7 +106,8 @@ class TestStructuralInvariants:
                        - dp.regret_value_full(T, eps, safe_arm=2)) <= 1e-12
 
     def test_bayesian_check_equals_minimax(self):
-        for T, eps in [(1, 0.4), (50, 0.1), (20, 0.0)]:
+        # the check plays both labels on the lattice, so T <= FULL_TABLE_MAX_T
+        for T, eps in [(1, 0.4), (12, 0.1), (10, 0.0)]:
             assert abs(dp.bayesian_pseudoregret_check(T, eps)
                        - dp.pseudoregret_value(T, eps)) <= 1e-12
 
@@ -141,6 +147,51 @@ class TestTraces:
             v, vb = by_t[-k]
             assert v == pytest.approx(dp.regret_value(k, eps), abs=1e-12)
             assert vb == pytest.approx(dp.pseudoregret_value(k, eps), abs=1e-12)
+
+
+gaps = st.floats(min_value=0.0, max_value=0.999)
+
+
+class TestProperties:
+    # T = 399, eps = 0.3 had v < vbar by 2.4e-12, and eps = 0.9 had
+    # v(391) < v(390) by 3.6e-13 relative, when v came from the O(T^2) walks
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(1, 5000), eps=gaps)
+    @example(T=399, eps=0.3)
+    def test_regret_dominates_pseudoregret(self, T, eps):
+        assert dp.regret_value(T, eps) >= dp.pseudoregret_value(T, eps) >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(1, 5000), eps=gaps)
+    @example(T=390, eps=0.9)
+    def test_nondecreasing_in_horizon(self, T, eps):
+        # up to the round-off of the last two bits of either value
+        for value in (dp.regret_value, dp.pseudoregret_value):
+            assert value(T + 1, eps) >= value(T, eps) * (1.0 - 2.0**-51)
+
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.integers(1, 3000), eps=gaps, data=st.data())
+    def test_trace_rows_are_the_values(self, T, eps, data):
+        rows = dp.value_trace(T, eps)
+        assert [t for t, _, _ in rows] == list(range(-T, 1))
+        assert rows[-1] == (0, 0.0, 0.0)
+        for k in {T, data.draw(st.integers(1, T))}:
+            _, v, vbar = rows[T - k]
+            assert v == pytest.approx(dp.regret_value(k, eps), rel=1e-13, abs=0.0)
+            assert vbar == pytest.approx(dp.pseudoregret_value(k, eps), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.integers(1, 300), milli_eps=st.integers(0, 999))
+    def test_regret_minus_pseudoregret_is_twice_the_shortfall(self, T, milli_eps):
+        # v - vbar = 2 E[(T - X)^+], X ~ Bin(2T, (1 + eps)/2): checked on the
+        # O(T^2) walks, which never use it, within their error budget
+        eps = milli_eps / 1000
+        gap = float(2 * shortfall(T, Fraction(milli_eps, 1000)))
+        v_walk = walk_regret_value(T, eps)
+        assert abs(v_walk - walk_pseudoregret_value(T, eps) - gap) <= 2e-11 * v_walk
+        v = dp.regret_value(T, eps)
+        assert abs(v - dp.pseudoregret_value(T, eps) - gap) <= 1e-13 * v
 
 
 class TestGuards:

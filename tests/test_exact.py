@@ -1,0 +1,78 @@
+"""Error budgets of the exact routes, measured against exact arithmetic.
+
+* The O(T) production route in `symbandit.dp`: within 1e-13 relative of
+  the rational oracle in tests/_exact.py on a (T, eps) grid with T up to
+  400 and eps from 0 to 0.9, with v >= vbar holding exactly (measured
+  worst: 7.4e-16).
+* The retired O(T^2) walks in tests/_walk_oracle.py, against the
+  production route up to T = 16000, gamma = eps*sqrt(T) <= 12: the
+  pseudoregret walk within 2e-14 relative; the regret walk within 2e-11,
+  because it adds two sums of size eps*T that cancel to about 1/eps when
+  gamma is large (measured 1.6e-11 at T = 1600, eps = 0.3 and 9.2e-12 at
+  T = 16000, gamma = 5).
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from symbandit import dp
+
+from _exact import exact_values, relative_error
+from _walk_oracle import walk_pseudoregret_value, walk_regret_value
+
+ROUTE_BUDGET = 1e-13
+WALK_REGRET_BUDGET = 2e-11
+WALK_PSEUDO_BUDGET = 2e-14
+
+GRID_T = (1, 2, 3, 4, 7, 16, 33, 64, 101, 256, 400)
+GRID_EPS = (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(3, 10),
+            Fraction(1, 2), Fraction(9, 10))
+
+
+def test_oracle_equals_full_lattice():
+    for T in range(1, 9):
+        for eps in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(7, 10)):
+            v, vbar = exact_values(T, eps)
+            assert relative_error(dp.regret_value_full(T, float(eps)), v) <= 1e-14
+            assert relative_error(dp.pseudoregret_value_full(T, float(eps)), vbar) <= 1e-14
+
+
+def test_central_binomial_to_a_few_ulps():
+    # covers Loader's table (n <= 15) and the series past it; the rounding
+    # of the exponent m*log1p(-eps^2) adds its size in ulps
+    for eps in (Fraction(0), Fraction(1, 8), Fraction(3, 5)):
+        a = dp._central_binomial(80, float(eps))
+        pq = (1 - eps * eps) / 4
+        for m in range(80):
+            ulps = 4.0 + abs(m * math.log1p(-float(eps * eps)))
+            assert relative_error(float(a[m]), math.comb(2 * m, m) * pq**m) <= ulps * 2.0**-52
+
+
+@pytest.mark.parametrize("T", GRID_T)
+def test_route_within_budget_of_rational_oracle(T):
+    for eps in GRID_EPS:
+        v_exact, vbar_exact = exact_values(T, eps)
+        v, vbar = dp.values(T, float(eps))
+        assert relative_error(v, v_exact) <= ROUTE_BUDGET, (T, eps)
+        assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET, (T, eps)
+        assert v >= vbar >= 0.0
+
+
+def test_route_within_budget_on_a_gamma_cell():
+    # the float eps = 0.707/12 is a dyadic rational; the oracle takes it exactly
+    eps = 0.707 / math.sqrt(144)
+    v_exact, vbar_exact = exact_values(144, Fraction(eps))
+    v, vbar = dp.values(144, eps)
+    assert relative_error(v, v_exact) <= ROUTE_BUDGET
+    assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET
+
+
+@pytest.mark.parametrize("T,gamma", [(1000, 0.707), (1600, 12.0), (4000, 5.0), (16000, 5.0)])
+def test_walks_within_their_budgets(T, gamma):
+    eps = gamma / math.sqrt(T)
+    v, vbar = dp.values(T, eps)
+    assert abs(walk_regret_value(T, eps) - v) <= WALK_REGRET_BUDGET * v
+    assert abs(walk_pseudoregret_value(T, eps) - vbar) <= WALK_PSEUDO_BUDGET * vbar
+

@@ -73,6 +73,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(regime="medium", T_list=[4], gamma=2.5)  # eps = 1.25
 
+    def test_replications_stay_inside_their_cell_streams(self):
+        # replication r of cell idx draws stream 1000*idx + r, so a 1001st
+        # replication of cell 0 would replay the first one of cell 1
+        kw = dict(regime="medium", T_list=[16, 64], gamma=0.4, episodes=10)
+        assert SweepSpec(replications=1000, **kw).replications == 1000
+        with pytest.raises(ValueError, match="replications"):
+            SweepSpec(replications=1001, **kw)
+
     def test_cells(self):
         spec = SweepSpec(regime="medium", T_list=[100, 400], gamma=0.8)
         assert spec.cells() == [(100, 0.08), (400, 0.04)]

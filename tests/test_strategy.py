@@ -153,9 +153,13 @@ class TestIndifference:
     @pytest.mark.parametrize("T,eps", list(itertools.product([1, 4, 9, 12],
                                                              [0.1, 0.3, 0.7])))
     def test_safe_arm_swap(self, T, eps):
-        v1 = dp.regret_value(T, eps, safe_arm=1)
-        v2 = dp.regret_value(T, eps, safe_arm=2)
+        # the production route is label-symmetric by construction; the
+        # full lattices play each label
+        v1 = dp.regret_value_full(T, eps, safe_arm=1)
+        v2 = dp.regret_value_full(T, eps, safe_arm=2)
         assert abs(v1 - v2) <= 1e-12
-        b1 = dp.pseudoregret_value(T, eps, safe_arm=1)
-        b2 = dp.pseudoregret_value(T, eps, safe_arm=2)
+        assert abs(v2 - dp.regret_value(T, eps, safe_arm=2)) <= 1e-12
+        b1 = dp.pseudoregret_value_full(T, eps, safe_arm=1)
+        b2 = dp.pseudoregret_value_full(T, eps, safe_arm=2)
         assert abs(b1 - b2) <= 1e-12
+        assert abs(b2 - dp.pseudoregret_value(T, eps, safe_arm=2)) <= 1e-12
