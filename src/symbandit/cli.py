@@ -74,9 +74,9 @@ def _cmd_dp(args) -> int:
     if args.trace:
         rows = [
             {"t": t, "v": val, "vbar": vbar_val}
-            for t, val, vbar_val in dp.value_trace(T, eps, safe_arm=args.safe_arm)
+            for t, val, vbar_val in dp.value_trace(T, eps)
         ]
-        cfg = RunConfig("dp", {"T": T, "eps": repr(eps), "safe_arm": args.safe_arm})
+        cfg = RunConfig("dp", {"T": T, "eps": repr(eps)})
         write_csv(args.trace, ["t", "v", "vbar"], rows, cfg.meta())
         print(f"trace written to {args.trace}")
     return 0
@@ -167,9 +167,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+# sweep config key -> parser of its value
+_SWEEP_KEYS = {
+    "regime": str, "T_list": _ints, "gamma": float, "power": float,
+    "eps_list": _floats, "branch": str, "seed": int, "replications": int,
+    "episodes": int,
+}
+
+
 def _parse_sweep_config(path: str) -> SweepSpec:
     """Key = value file -> SweepSpec; '#' starts a comment."""
-    raw: dict[str, str] = {}
+    kwargs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
@@ -177,27 +193,11 @@ def _parse_sweep_config(path: str) -> SweepSpec:
                 continue
             if "=" not in body:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            k, v = body.split("=", 1)
-            raw[k.strip()] = v.strip()
-    def ints(s):
-        return [int(x) for x in s.split(",") if x.strip()]
-    def floats(s):
-        return [float(x) for x in s.split(",") if x.strip()]
-    kwargs = {}
-    if "regime" in raw:
-        kwargs["regime"] = raw["regime"]
-    if "T_list" in raw:
-        kwargs["T_list"] = ints(raw["T_list"])
-    for key in ("gamma", "power"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    if "eps_list" in raw:
-        kwargs["eps_list"] = floats(raw["eps_list"])
-    if "branch" in raw:
-        kwargs["branch"] = raw["branch"]
-    for key in ("seed", "replications", "episodes"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
+            k, v = (part.strip() for part in body.split("=", 1))
+            if k not in _SWEEP_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
+                                 f"known keys: {', '.join(_SWEEP_KEYS)}")
+            kwargs[k] = _SWEEP_KEYS[k](v)
     missing = {"regime", "T_list"} - set(kwargs)
     if missing:
         raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
@@ -228,8 +228,7 @@ def _cmd_sweep(args) -> int:
             cols += MC_COLUMNS
         write_csv(args.out, cols, rows, cfg.meta())
     else:
-        fit = experiments.error_scaling_fit(spec)
-        rows = experiments.error_scaling_rows(spec)
+        rows, fit = experiments.error_scaling(spec)
         meta = cfg.meta()
         meta["fit_slope"] = repr(fit.slope)
         meta["fit_intercept"] = repr(fit.intercept)
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dp", help="exact values v, vbar at the origin")
     add_common(sp)
-    sp.add_argument("--safe-arm", type=int, default=1, choices=(1, 2))
     sp.add_argument("--trace", default=None, help="write (t, v, vbar) CSV here")
     sp.set_defaults(func=_cmd_dp)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from math import erf, erfc  # noqa: F401  (re-exported for the closed forms)
+from math import erf, erfc  # noqa: F401  (bench/ times them as core.erf, core.erfc)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)

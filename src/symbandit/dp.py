@@ -33,8 +33,9 @@ of an exact rational oracle (measured 7.4e-16) and check it against the
 O(T^2) walk decomposition and the O(T^3) reduced lattice kept under
 tests/.
 
-The value does not depend on which arm is safe, so ``safe_arm`` is only
-validated; the full-lattice oracles are the label-swap check.
+The value does not depend on which arm is safe, so the production route
+takes no safe-arm label. The full-lattice oracles play both labels, and
+they are the label-swap check.
 """
 
 from __future__ import annotations
@@ -223,24 +224,22 @@ def values(T: int, eps: float) -> tuple[float, float]:
     return float(v[-1]), float(vbar[-1])
 
 
-def regret_value(T: int, eps: float, safe_arm: int = 1) -> float:
+def regret_value(T: int, eps: float) -> float:
     """Exact regret v(0, 0, -T) under the myopic player."""
-    check_game(T, eps, safe_arm)
     return values(T, eps)[0]
 
 
-def pseudoregret_value(T: int, eps: float, safe_arm: int = 1) -> float:
+def pseudoregret_value(T: int, eps: float) -> float:
     """Exact pseudoregret vbar(0, 0, -T) under the myopic player."""
-    check_game(T, eps, safe_arm)
     return values(T, eps)[1]
 
 
-def value_trace(T: int, eps: float, safe_arm: int = 1) -> list[tuple[int, float, float]]:
+def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
     """Rows (t, v(0,0,t), vbar(0,0,t)) for t = -T..0.
 
     The recursions are time homogeneous, so the value at the origin with
     k rounds left is the value of the k-round game.
     """
-    check_game(T, eps, safe_arm)
+    check_game(T, eps)
     v, vbar = _origin_values(T, eps)
     return list(zip(range(-T, 1), v[::-1].tolist(), vbar[::-1].tolist()))

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dp, pde
+from . import __version__, dp, pde
 from .core import check_gap
 from .env import simulate_batch
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = __version__
 
 CONVERGENCE_COLUMNS = [
     "T", "eps", "gamma", "branch", "v", "vbar", "u", "ubar",
@@ -52,6 +52,10 @@ def _mc_chunk(args) -> tuple[int, float, float, float, float]:
             float(pseudo.sum()), float((pseudo * pseudo).sum()))
 
 
+# episodes per Monte Carlo chunk; chunk i draws from its own stream
+CHUNK_SIZE = 1 << 16
+
+
 def mc_estimate(
     strategy,
     T: int,
@@ -59,27 +63,28 @@ def mc_estimate(
     episodes: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = 1 << 16,
     safe_arm: int = 1,
     replication: int = 0,
 ) -> MCResult:
     """Unbiased sample means of the final payoff and of 2*eps*s2.
 
-    Deterministic in (seed, episodes, chunk_size, replication) no matter
-    how many workers run the chunks.
+    Deterministic in (seed, episodes, replication) no matter how many
+    workers run the chunks; no more workers start than there are chunks.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_gap(eps)
-    n_chunks = (episodes + chunk_size - 1) // chunk_size
+    n_chunks = (episodes + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [
         (strategy, T, eps,
-         min(chunk_size, episodes - i * chunk_size), safe_arm, seed,
+         min(CHUNK_SIZE, episodes - i * CHUNK_SIZE), safe_arm, seed,
          (replication, i))
         for i in range(n_chunks)
     ]
     if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             parts = list(pool.map(_mc_chunk, jobs))
     else:
         parts = [_mc_chunk(j) for j in jobs]
@@ -232,16 +237,12 @@ def convergence_sweep(spec: SweepSpec, strategy=None) -> list[dict]:
 
 @dataclass
 class ScalingFit:
-    """Least-squares line through log-log points, with dominance metadata."""
+    """Least-squares line through the log-log points of an error sweep."""
 
-    points: list[tuple[float, float]]
     slope: float
     intercept: float
     r2: float
     x_axis: str
-    branch: str
-    predictor_power: int
-    dominance_margin: float = field(default=float("nan"))
 
 
 def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
@@ -251,8 +252,9 @@ def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
     return eps**3 * T, eps**2 * math.sqrt(T) + eps * math.log(T) + 1.0
 
 
-def error_scaling_fit(spec: SweepSpec) -> ScalingFit:
-    """Fit log|u - v| against the varying scale of the sweep.
+def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
+    """Per-cell |u - v| rows and the fit of log|u - v| against the
+    varying scale of the sweep.
 
     Refuses to fit when the branch's dominant envelope term, evaluated
     with unit constants, does not exceed the remaining terms at the
@@ -271,65 +273,23 @@ def error_scaling_fit(spec: SweepSpec) -> ScalingFit:
             f"at the largest gap; slope fit would be meaningless"
         )
     power = 2 if spec.branch == "C1" else 3
-    xs, ys = [], []
+    rows, xs, ys = [], [], []
     for T, eps in cells:
-        cf = pde.ClosedForm.make(spec.branch, eps)
-        u = pde.u_total(0.0, 0.0, 0.0, -float(T), cf)
+        u = pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.make(spec.branch, eps))
         v = dp.regret_value(T, eps)
-        diff = abs(u - v)
-        if diff == 0.0:
-            diff = 5e-324  # log of true zero: clamp to the smallest subnormal
-        if spec.eps_list is not None:
-            xs.append(math.log(eps))
-        else:
-            xs.append(math.log(eps**power * T))
-        ys.append(math.log(diff))
+        row = {"T": T, "eps": eps, "branch": spec.branch, "v": v, "u": u,
+               "abs_diff": abs(u - v), "predictor": eps**power * T}
+        rows.append(row)
+        xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
+        # log of true zero: clamp to the smallest subnormal
+        ys.append(math.log(row["abs_diff"] or 5e-324))
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = np.polyval([slope, intercept], xs)
     ss_res = float(np.sum((np.array(ys) - fitted) ** 2))
     ss_tot = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return ScalingFit(
-        points=list(zip(xs, ys)),
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-        x_axis="log_eps" if spec.eps_list is not None else "log_predictor",
-        branch=spec.branch,
-        predictor_power=power,
-        dominance_margin=dom / rest,
-    )
-
-
-def error_scaling_rows(spec: SweepSpec) -> list[dict]:
-    """Per-cell |u - v| table backing the fit (CSV emission)."""
-    power = 2 if spec.branch == "C1" else 3
-    rows = []
-    for T, eps in spec.cells():
-        cf = pde.ClosedForm.make(spec.branch, eps)
-        u = pde.u_total(0.0, 0.0, 0.0, -float(T), cf)
-        v = dp.regret_value(T, eps)
-        rows.append({
-            "T": T, "eps": eps, "branch": spec.branch, "v": v, "u": u,
-            "abs_diff": abs(u - v), "predictor": eps**power * T,
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Regime laws (direct ratio checks)
-# ---------------------------------------------------------------------------
-
-def small_gap_pseudoregret_ratio(T: int, power: float = 0.75) -> float:
-    """vbar(0,0,-T) / (eps*T) with eps = T^-power; tends to 1."""
-    eps = T ** -power
-    return dp.pseudoregret_value(T, eps) / (eps * T)
-
-
-def large_gap_regret_ratio(T: int, power: float = 0.3) -> float:
-    """eps * v(0,0,-T) with eps = T^-power; tends to 1."""
-    eps = T ** -power
-    return eps * dp.regret_value(T, eps)
+    x_axis = "log_eps" if spec.eps_list is not None else "log_predictor"
+    return rows, ScalingFit(float(slope), float(intercept), r2, x_axis)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import erf, erfc
 
-from .core import SQRT_PI, SQRT_TWO_PI, check_gap, erf, erfc
+from .core import SQRT_PI, SQRT_TWO_PI, check_gap
 
 SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
@@ -206,20 +207,6 @@ def bar_phi(xi_r: float, cf: ClosedForm) -> float:
     return cf.b * math.exp(-2.0 * cf.eps * xi_r) - cf.b
 
 
-def bar_phi_deriv(xi_r: float, cf: ClosedForm, order: int = 1, side: int = 0) -> float:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if xi_r == 0.0 and side not in (1, -1):
-        raise ValueError("bar_phi is kinked at xi_r = 0; pass side=+1 or side=-1")
-    right = xi_r > 0.0 or (xi_r == 0.0 and side == 1)
-    if not right:
-        if order == 1:
-            return -2.0
-        return 0.0
-    e = math.exp(-2.0 * cf.eps * xi_r)
-    return cf.b * (-2.0 * cf.eps) ** order * e
-
-
 def bar_phi_hat(xi_r: float, t: float, cf: ClosedForm) -> float:
     """Drifted heat smoothing of bar_phi: 2 E[(-S)^+] plus the tilt terms."""
     _require_negative_t(t)
@@ -252,6 +239,16 @@ def pseudoregret_source(xi_r: float, cf: ClosedForm) -> float:
 # Finite-difference residuals (smooth-region verification)
 # ---------------------------------------------------------------------------
 
+def _check_stencil(xi_r: float, t: float, h: float) -> None:
+    """The stencil must stay off the kink at xi_r = 0 and before t = 0."""
+    if h <= 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    if abs(xi_r) <= 2.0 * h:
+        raise ValueError(f"point too close to the kink: |xi_r|={abs(xi_r)} <= 2h")
+    if t + 2.0 * h >= 0.0:
+        raise ValueError(f"stencil would cross t = 0: t={t}, h={h}")
+
+
 def pde_residual(
     eta: float, xi_h: float, xi_r: float, t: float, cf: ClosedForm, h: float = 1e-3
 ) -> float:
@@ -260,12 +257,7 @@ def pde_residual(
     Requires |xi_r| > 2h (away from the kink) and t + 2h < 0; vanishes at
     O(h^2) plus roundoff.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    if abs(xi_r) <= 2.0 * h:
-        raise ValueError(f"point too close to the kink: |xi_r|={abs(xi_r)} <= 2h")
-    if t + 2.0 * h >= 0.0:
-        raise ValueError(f"stencil would cross t = 0: t={t}, h={h}")
+    _check_stencil(xi_r, t, h)
 
     def u(e, xh, xr, tt):
         return u_total(e, xh, xr, tt, cf)
@@ -291,12 +283,7 @@ def bar_pde_residual(
     xi_r: float, s2: float, t: float, cf: ClosedForm, h: float = 1e-3
 ) -> float:
     """Central-difference residual of the pseudoregret equation."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    if abs(xi_r) <= 2.0 * h:
-        raise ValueError(f"point too close to the kink: |xi_r|={abs(xi_r)} <= 2h")
-    if t + 2.0 * h >= 0.0:
-        raise ValueError(f"stencil would cross t = 0: t={t}, h={h}")
+    _check_stencil(xi_r, t, h)
 
     def u(xr, tt):
         return bar_u_total(xr, s2, tt, cf)
@@ -337,10 +324,19 @@ def prefactor_c(gamma: float) -> float:
 
 def prefactor_c_bar(gamma: float) -> float:
     """Pseudoregret analogue:
-    cbar(gamma) = (1/g - g) erf(g/sqrt2) - sqrt(2/pi) e^{-g^2/2} + g."""
+    cbar(gamma) = (1/g - g) erf(g/sqrt2) - sqrt(2/pi) e^{-g^2/2} + g.
+
+    Below gamma = 0.01 the terms near sqrt(2/pi) cancel down to about
+    gamma, so the Maclaurin series
+    g - sqrt(2/pi) (2/3 g^2 - g^4/15 + g^6/140) takes over; past
+    gamma = 8 the erfc complements do, as in `prefactor_c`.
+    """
     if not gamma > 0.0:  # also rejects nan
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma
+    if g < 0.01:
+        g2 = g * g
+        return g - math.sqrt(2.0 / math.pi) * g2 * (2.0 / 3.0 - g2 * (1.0 / 15.0 - g2 / 140.0))
     if g <= 8.0:
         return ((1.0 / g - g) * erf(g / SQRT2)
                 - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g) + g)

@@ -42,18 +42,13 @@ class MyopicStrategy(Strategy):
 
 
 class UniformStrategy(Strategy):
-    """Baseline that ignores the history entirely."""
-
-    def __init__(self, p: float = 0.5):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-        self.p = p
+    """Baseline that ignores the history: a fair coin every round."""
 
     def p1(self, t: int, xi_r: int) -> float:
-        return self.p
+        return 0.5
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        return np.full(xi_r.shape, self.p)
+        return np.full(xi_r.shape, 0.5)
 
 
 class TabularStrategy(Strategy):
@@ -86,12 +81,6 @@ class TabularStrategy(Strategy):
                 raise ValueError(f"line {lineno}: expected 't xi_r p1', got {line!r}")
             table[(int(parts[0]), int(parts[1]))] = float(parts[2])
         return cls(table)
-
-    def to_text(self) -> str:
-        lines = ["# t xi_r p1"]
-        for (t, x), p in sorted(self.table.items()):
-            lines.append(f"{t} {x} {p!r}")
-        return "\n".join(lines) + "\n"
 
 
 def minimax_pair_solve(

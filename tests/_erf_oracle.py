@@ -32,7 +32,8 @@ def _pi_dec() -> Decimal:
     return 16 * arctan_inv(5) - 4 * arctan_inv(239)
 
 
-_TWO_OVER_SQRT_PI = Decimal(2) / _pi_dec().sqrt()
+PI = _pi_dec()
+_TWO_OVER_SQRT_PI = Decimal(2) / PI.sqrt()
 
 
 def erf_oracle(x: float) -> Decimal:

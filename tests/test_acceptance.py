@@ -24,13 +24,7 @@ import time
 import numpy as np
 
 from symbandit import dp, pde
-from symbandit.experiments import (
-    SweepSpec,
-    error_scaling_fit,
-    large_gap_regret_ratio,
-    mc_estimate,
-    small_gap_pseudoregret_ratio,
-)
+from symbandit.experiments import SweepSpec, error_scaling, mc_estimate
 from symbandit.strategy import MyopicStrategy, brute_force_minimax
 
 
@@ -169,12 +163,8 @@ def test_criterion_06_error_branch_improvement():
     diffs = {}
     for branch in ("C1", "C0"):
         spec = SweepSpec(regime="large", T_list=[T], eps_list=eps_grid, branch=branch)
-        fits[branch] = error_scaling_fit(spec)
-        diffs[branch] = {}
-        for eps in eps_grid:
-            cf = pde.ClosedForm.make(branch, eps)
-            diffs[branch][eps] = abs(pde.u_total(0, 0, 0, -float(T), cf)
-                                     - dp.regret_value(T, eps))
+        rows, fits[branch] = error_scaling(spec)
+        diffs[branch] = {row["eps"]: row["abs_diff"] for row in rows}
     s1, s0 = fits["C1"].slope, fits["C0"].slope
     d1 = ", ".join(f"{e}:{diffs['C1'][e]:.3e}" for e in eps_grid)
     d0 = ", ".join(f"{e}:{diffs['C0'][e]:.3e}" for e in eps_grid)
@@ -197,8 +187,9 @@ def test_criterion_06_error_branch_improvement():
 def test_criterion_07_gap_regime_laws():
     T = 100_000
     t0 = time.perf_counter()
-    small = small_gap_pseudoregret_ratio(T, power=0.75)
-    large = large_gap_regret_ratio(T, power=0.3)
+    eps_small, eps_large = T ** -0.75, T ** -0.3
+    small = dp.pseudoregret_value(T, eps_small) / (eps_small * T)
+    large = eps_large * dp.regret_value(T, eps_large)
     elapsed = time.perf_counter() - t0
     parts = [
         ("vbar/(eps*T) = 1 +- 0.05 at eps = T^-3/4", abs(small - 1.0) <= 0.05,

@@ -1,0 +1,44 @@
+"""The design rule that every public name has a caller in the program.
+
+A public module-level function or class of `symbandit`, or a public
+method of one of its classes, must be referenced by word somewhere in
+`src/` outside its own definition, or in `bench/`. A name that only its
+own test calls belongs in that test.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "symbandit"
+
+
+def _public_defs(tree):
+    """(name, first line, last line) of public functions, classes and methods."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def test_every_public_name_has_a_program_caller():
+    sources = {p: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "bench").rglob("*"))
+                      if p.is_file() and p.suffix in (".py", ".md"))
+    orphans = []
+    for path, lines in sources.items():
+        if path.name == "__init__.py":
+            continue
+        for name, first, last in _public_defs(ast.parse("\n".join(lines))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            elsewhere = [text for other, text in sources.items() if other != path]
+            elsewhere.append(lines[:first - 1] + lines[last:])
+            if not (word.search(bench)
+                    or any(word.search("\n".join(text)) for text in elsewhere)):
+                orphans.append(f"{path.name}:{first} {name}")
+    assert not orphans, "no caller in the program: " + ", ".join(orphans)

@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from symbandit import dp
-from symbandit.cli import _verify_checks, main
+from symbandit.cli import _parse_sweep_config, _verify_checks, main
 from symbandit.experiments import read_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -44,7 +48,8 @@ class TestDp:
         assert code == 0
         meta, rows = read_csv(path)
         assert len(rows) == 9
-        assert "config" in meta and meta["symbandit_version"] == "0.1.0"
+        assert meta["config"] == "dp T=8 eps=0.2"
+        assert meta["symbandit_version"] == "0.1.0"
         cells = [[float(row[c]) for c in ("t", "v", "vbar")] for row in rows]
         printed = dict(line.split(" = ") for line in out.splitlines()[:2])
         assert cells[0][0] == -8
@@ -165,11 +170,25 @@ class TestSweep:
 
     def test_bad_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("regime = medium\n")  # missing T_list
-        code, _, err = run(capsys, "sweep", "--config", str(cfg),
-                           "--out", str(tmp_path / "x.csv"))
-        assert code == 1
-        assert "missing" in err
+        for text, message in [
+            ("regime = medium\n", "missing"),  # no T_list
+            # a misspelt key must not quietly drop the Monte Carlo columns
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 100\n"
+             "replication = 3\n", f"{cfg}:5: unknown key 'replication'"),
+        ]:
+            cfg.write_text(text)
+            code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv"))
+            assert code == 1
+            assert message in err
+
+    def test_readme_configs_parse(self, tmp_path):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) >= 4
+        for i, block in enumerate(blocks):
+            cfg = tmp_path / f"readme{i}.cfg"
+            cfg.write_text(block)
+            _parse_sweep_config(str(cfg))
 
 
 class TestFigure:

@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from symbandit import dp
+from symbandit import dp, experiments
 from symbandit.experiments import (
-    MCResult,
     SweepSpec,
     convergence_sweep,
-    error_scaling_fit,
-    error_scaling_rows,
+    error_scaling,
     figure_data,
-    large_gap_regret_ratio,
     mc_estimate,
     read_csv,
-    small_gap_pseudoregret_ratio,
     write_csv,
 )
 from symbandit.strategy import MyopicStrategy, UniformStrategy
@@ -26,12 +22,39 @@ class TestMCEstimate:
         b = mc_estimate(MyopicStrategy(), 20, 0.2, 3000, seed=5)
         assert a == b
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         # chunked sub-seeding: results must not depend on the worker count
-        kw = dict(T=15, eps=0.1, episodes=2500, seed=9, chunk_size=512)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 512)
+        kw = dict(T=15, eps=0.1, episodes=2500, seed=9)
         a = mc_estimate(MyopicStrategy(), workers=1, **kw)
         b = mc_estimate(MyopicStrategy(), workers=2, **kw)
         assert a == b
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        # a process pool forks all of its workers up front, so it must not
+        # be asked for more than there are chunks; this pool starts none
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        kw = dict(T=2, eps=0.1, episodes=2 * (1 << 16) + 1, seed=4)  # three chunks
+        pooled = mc_estimate(MyopicStrategy(), workers=5000, **kw)
+        assert asked == [3]
+        assert pooled == mc_estimate(MyopicStrategy(), workers=1, **kw)
+        with pytest.raises(ValueError, match="workers"):
+            mc_estimate(MyopicStrategy(), workers=0, **kw)
 
     def test_matches_dp_within_4se(self):
         T, eps, n = 30, 0.1, 40_000
@@ -113,32 +136,39 @@ class TestErrorScalingFit:
     def test_refuses_small_gap_rule(self):
         spec = SweepSpec(regime="small", T_list=[1000], power=0.75, branch="C1")
         with pytest.raises(ValueError, match="dominance"):
-            error_scaling_fit(spec)
+            error_scaling(spec)
 
     def test_fixed_horizon_fit_runs(self):
         spec = SweepSpec(regime="large", T_list=[256],
                          eps_list=[0.1, 0.2, 0.4], branch="C0")
-        fit = error_scaling_fit(spec)
+        rows, fit = error_scaling(spec)
         assert fit.x_axis == "log_eps"
-        assert len(fit.points) == 3
+        assert len(rows) == 3
         assert math.isfinite(fit.slope)
 
     def test_rows_match_fit_inputs(self):
         spec = SweepSpec(regime="large", T_list=[128],
                          eps_list=[0.2, 0.4], branch="C1")
-        rows = error_scaling_rows(spec)
+        rows, fit = error_scaling(spec)
         assert [r["eps"] for r in rows] == [0.2, 0.4]
         assert all(r["abs_diff"] >= 0 for r in rows)
+        # the fit is the least-squares line through the rows' log-log points
+        ys = [math.log(r["abs_diff"] or 5e-324) for r in rows]
+        xs = [math.log(r["eps"]) for r in rows]
+        assert fit.slope == pytest.approx((ys[1] - ys[0]) / (xs[1] - xs[0]), rel=1e-9)
 
 
 class TestRegimeLaws:
     def test_small_gap_pseudoregret_ratio(self):
-        r = small_gap_pseudoregret_ratio(10_000)
+        T = 10_000
+        eps = T ** -0.75
+        r = dp.pseudoregret_value(T, eps) / (eps * T)
         assert 0.9 < r < 1.0
 
     def test_large_gap_regret_ratio(self):
-        r = large_gap_regret_ratio(10_000)
-        assert abs(r - 1.0) < 0.01
+        T = 10_000
+        eps = T ** -0.3
+        assert abs(eps * dp.regret_value(T, eps) - 1.0) < 0.01
 
 
 class TestFigureData:

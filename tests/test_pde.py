@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from symbandit.pde import (
     SMALL_GAP_LIMIT_C,
     bar_pde_residual,
     bar_phi,
-    bar_phi_deriv,
     bar_phi_hat,
     bar_u_total,
     folded_normal_mean,
@@ -29,7 +29,23 @@ from symbandit.pde import (
     u_total,
 )
 
+from _erf_oracle import PI, erf_oracle
 from _quadrature import gaussian_weighted_integral
+
+
+def bar_phi_deriv(xi_r, cf, order=1, side=0):
+    """One-sided derivatives of bar_phi, written out from its two pieces."""
+    if xi_r < 0.0 or (xi_r == 0.0 and side == -1):
+        return -2.0 if order == 1 else 0.0
+    return cf.b * (-2.0 * cf.eps) ** order * math.exp(-2.0 * cf.eps * xi_r)
+
+
+def c_bar_oracle(gamma):
+    """cbar(gamma) in 60-digit Decimal arithmetic."""
+    g = Decimal(gamma)
+    two = Decimal(2)
+    return ((1 / g - g) * erf_oracle(g / two.sqrt())
+            - (two / PI).sqrt() * (-g * g / two).exp() + g)
 
 
 def quad_phi_hat(xi_r, t, cf, bar=False):
@@ -322,6 +338,14 @@ class TestPrefactors:
     def test_large_gap_limits(self):
         assert abs(50.0 * prefactor_c(50.0) - 1.0) <= 1e-6
         assert abs(50.0 * prefactor_c_bar(50.0) - 1.0) <= 1e-6
+
+    def test_c_bar_against_decimal_oracle(self):
+        # below gamma ~ 0.01 the direct form cancels its ~0.8-sized terms
+        # down to ~gamma and lost up to 1.7e-8 relative at gamma = 1e-8
+        for g in np.logspace(-8.0, math.log10(8.0), 81):
+            exact = c_bar_oracle(float(g))
+            rel = abs(Decimal(prefactor_c_bar(float(g))) - exact) / exact
+            assert rel <= Decimal("5e-14"), (float(g), float(rel))
 
     def test_erfc_form_continuous_at_switch(self):
         # the direct and complement-based evaluations agree near gamma = 8

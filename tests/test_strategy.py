@@ -32,8 +32,6 @@ class TestMyopic:
     def test_decision_validation(self):
         with pytest.raises(ValueError):
             TabularStrategy({(-1, 0): 1.5})
-        with pytest.raises(ValueError):
-            UniformStrategy(-0.1)
 
 
 class TestLikelihoodRatio:
@@ -91,11 +89,12 @@ class TestMinimaxPair:
 
 
 class TestTabular:
-    def test_text_roundtrip(self):
-        table = {(-2, 0): 0.5, (-1, 1): 1.0, (-1, -1): 0.25}
-        s = TabularStrategy(table)
-        back = TabularStrategy.from_text(s.to_text())
-        assert back.table == table
+    def test_from_text(self):
+        text = "# t xi_r p1\n-2 0 0.5\n-1 1 1.0  # sure\n\n-1 -1 0.25\n"
+        s = TabularStrategy.from_text(text)
+        assert s.table == {(-2, 0): 0.5, (-1, 1): 1.0, (-1, -1): 0.25}
+        with pytest.raises(ValueError, match="line 2"):
+            TabularStrategy.from_text("-2 0 0.5\n-1 1\n")
 
     def test_undefined_class_raises(self):
         s = TabularStrategy({(-1, 0): 0.5})
@@ -153,13 +152,13 @@ class TestIndifference:
     @pytest.mark.parametrize("T,eps", list(itertools.product([1, 4, 9, 12],
                                                              [0.1, 0.3, 0.7])))
     def test_safe_arm_swap(self, T, eps):
-        # the production route is label-symmetric by construction; the
-        # full lattices play each label
+        # the production route takes no label; the full lattices play each
+        # label, and the label-2 value must equal the production one
         v1 = dp.regret_value_full(T, eps, safe_arm=1)
         v2 = dp.regret_value_full(T, eps, safe_arm=2)
         assert abs(v1 - v2) <= 1e-12
-        assert abs(v2 - dp.regret_value(T, eps, safe_arm=2)) <= 1e-12
+        assert abs(v2 - dp.regret_value(T, eps)) <= 1e-12
         b1 = dp.pseudoregret_value_full(T, eps, safe_arm=1)
         b2 = dp.pseudoregret_value_full(T, eps, safe_arm=2)
         assert abs(b1 - b2) <= 1e-12
-        assert abs(b2 - dp.pseudoregret_value(T, eps, safe_arm=2)) <= 1e-12
+        assert abs(b2 - dp.pseudoregret_value(T, eps)) <= 1e-12
