@@ -197,7 +197,10 @@ def _parse_sweep_config(path: str) -> SweepSpec:
             if k not in _SWEEP_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
                                  f"known keys: {', '.join(_SWEEP_KEYS)}")
-            kwargs[k] = _SWEEP_KEYS[k](v)
+            try:
+                kwargs[k] = _SWEEP_KEYS[k](v)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
     missing = {"regime", "T_list"} - set(kwargs)
     if missing:
         raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "exact values, closed forms, experiments")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, gamma_first=True):
+    def add_common(sp):
         sp.add_argument("--T", type=int, required=True, help="horizon (rounds)")
         sp.add_argument("--gamma", type=float, default=None,
                         help="gap scale; eps = gamma / sqrt(T)")

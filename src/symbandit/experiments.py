@@ -8,6 +8,7 @@ chunk order, so output is bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 from . import __version__, dp, pde
 from .core import check_gap
 from .env import simulate_batch
+from .strategy import MyopicStrategy
 
 ARTIFACT_VERSION = __version__
 
@@ -40,7 +42,6 @@ class MCResult:
     pseudo_mean: float
     pseudo_se: float
     episodes: int
-    seed: int
 
 
 def _mc_chunk(args) -> tuple[int, float, float, float, float]:
@@ -109,7 +110,6 @@ def mc_estimate(
         pseudo_mean=mean_ps,
         pseudo_se=se(s_ps, s_ps2, mean_ps),
         episodes=n,
-        seed=seed,
     )
 
 
@@ -156,6 +156,10 @@ class SweepSpec:
         if not 0 <= self.replications <= REPLICATION_STRIDE:
             raise ValueError(f"replications must be in [0, {REPLICATION_STRIDE}], "
                              f"got {self.replications}")
+        if (self.replications > 0) != (self.episodes > 0):
+            raise ValueError("Monte Carlo columns need both replications and episodes "
+                             f"positive, or neither; got replications={self.replications}, "
+                             f"episodes={self.episodes}")
         for T, eps in self.cells():
             check_gap(eps)  # the rule must keep every cell feasible
 
@@ -171,11 +175,11 @@ class SweepSpec:
 # Convergence sweep (exact DP vs closed form)
 # ---------------------------------------------------------------------------
 
-def convergence_sweep(spec: SweepSpec, strategy=None) -> list[dict]:
+def convergence_sweep(spec: SweepSpec) -> list[dict]:
     """Rows of exact values v, vbar and closed forms u, ubar per cell.
 
     With spec.episodes > 0 and spec.replications > 0, appends Monte Carlo
-    columns estimated with the myopic player (or `strategy`).
+    columns estimated with the myopic player.
     """
     rows = []
     for idx, (T, eps) in enumerate(spec.cells()):
@@ -207,14 +211,10 @@ def convergence_sweep(spec: SweepSpec, strategy=None) -> list[dict]:
             "u_norm": u / sqT,
             "ubar_norm": ubar / sqT,
         }
-        if spec.episodes > 0 and spec.replications > 0:
-            if strategy is None:
-                from .strategy import MyopicStrategy
-
-                strategy = MyopicStrategy()
+        if spec.replications > 0:
             means_r, means_p = [], []
             for r in range(spec.replications):
-                res = mc_estimate(strategy, T, eps, spec.episodes,
+                res = mc_estimate(MyopicStrategy(), T, eps, spec.episodes,
                                   seed=spec.seed,
                                   replication=REPLICATION_STRIDE * idx + r)
                 means_r.append(res.regret_mean)
@@ -320,13 +320,9 @@ def figure_data(gamma_grid) -> list[dict]:
     ]
 
 
-_MAXIMIZER_CACHE: dict[str, tuple[float, float]] = {}
-
-
+@functools.cache
 def maximize_prefactor_cached(which: str) -> tuple[float, float]:
-    if which not in _MAXIMIZER_CACHE:
-        _MAXIMIZER_CACHE[which] = pde.maximize_prefactor(which)
-    return _MAXIMIZER_CACHE[which]
+    return pde.maximize_prefactor(which)
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,23 @@ drift. phi_hat has an explicit erf/exponential form, obtained by
 splitting the defining integral at 0 and using Gaussian moment and
 exponential-tilt identities; the tests gate it against adaptive
 quadrature of the defining integral.
+
+In xi_r both equations carry d_t + eps d_xr + (1/2) d_xrxr, which maps
+xi_r to eps = q - qbar. So the regret layer is the pseudoregret layer
+plus xi_r, its smoothing adds the mean xi_r - eps t, and
+u_n = bar_u_n + eps t: each regret piece is one line over its twin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import erf, erfc
 
 from .core import SQRT_PI, SQRT_TWO_PI, check_gap
 
 SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
-
-_BRANCH_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -37,19 +40,9 @@ class ClosedForm:
 
     eps: float
     b: float
-    branch: str = field(init=False)
 
     def __post_init__(self) -> None:
         check_gap(self.eps)
-        branch = "custom"
-        if self.eps > 0.0:
-            c1 = 1.0 / self.eps
-            c0 = 1.0 / (self.eps - self.eps**3)
-            if abs(self.b - c1) <= _BRANCH_TOL * abs(c1):
-                branch = "C1"
-            elif abs(self.b - c0) <= _BRANCH_TOL * abs(c0):
-                branch = "C0"
-        object.__setattr__(self, "branch", branch)
 
     @property
     def kappa(self) -> float:
@@ -134,54 +127,24 @@ def u_h(eta: float, xi_h: float, xi_r: float, t: float, cf: ClosedForm) -> float
 
 
 def phi_fn(xi_r: float, cf: ClosedForm) -> float:
-    """Steady source layer: -xi_r on the left, xi_r + b e^{-2 eps xi_r} - b
-    on the right, pinned to phi(0) = 0."""
-    if xi_r <= 0.0:
-        return -xi_r
-    return xi_r + cf.b * math.exp(-2.0 * cf.eps * xi_r) - cf.b
+    """Steady source layer bar_phi + xi_r: -xi_r on the left,
+    xi_r + b e^{-2 eps xi_r} - b on the right, pinned to phi(0) = 0."""
+    return bar_phi(xi_r, cf) + xi_r
 
 
 def phi_deriv(xi_r: float, cf: ClosedForm, order: int = 1, side: int = 0) -> float:
     """One-sided derivatives of phi; `side` (+1/-1) is required at xi_r = 0."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if xi_r == 0.0 and side not in (1, -1):
-        raise ValueError("phi is kinked at xi_r = 0; pass side=+1 or side=-1")
-    right = xi_r > 0.0 or (xi_r == 0.0 and side == 1)
-    if not right:
-        if order == 1:
-            return -1.0
-        return 0.0
-    e = math.exp(-2.0 * cf.eps * xi_r)
-    core = cf.b * (-2.0 * cf.eps) ** order * e
-    if order == 1:
-        return 1.0 + core
-    return core
+    return _bar_phi_deriv(xi_r, cf, order, side) + float(order == 1)
 
 
 def phi_hat(xi_r: float, t: float, cf: ClosedForm) -> float:
-    """Drifted heat smoothing of phi, in closed form.
-
-    With S ~ N(m, -t), m = xi_r - eps t: the |s|-like part contributes
-    E|S| and the exponential branch tilts the Gaussian, shifting its
-    mean to xi_r + eps t, whence
-
-        phi_hat = sqrt(-t) E|m/sqrt(-t) + Z|
-                  + b e^{-2 eps xi_r} NormalCDF((xi_r + eps t)/sqrt(-t))
-                  - b NormalCDF(m/sqrt(-t)).
-    """
-    _require_negative_t(t)
-    sigma = math.sqrt(-t)
-    m = xi_r - cf.eps * t
-    a = m / sigma
-    folded = sigma * folded_normal_mean(a)
-    tilt = _exp_times_normal_cdf(-2.0 * cf.eps * xi_r, (xi_r + cf.eps * t) / sigma)
-    return folded + cf.b * tilt - cf.b * _normal_cdf(a)
+    """Drifted heat smoothing of phi: bar_phi_hat plus E[S] = xi_r - eps t."""
+    return bar_phi_hat(xi_r, t, cf) + (xi_r - cf.eps * t)
 
 
 def u_n(xi_r: float, t: float, cf: ClosedForm) -> float:
-    """Non-smooth part phi - phi_hat; vanishes as t -> 0^-."""
-    return phi_fn(xi_r, cf) - phi_hat(xi_r, t, cf)
+    """Non-smooth part phi - phi_hat = bar_u_n + eps t; vanishes as t -> 0^-."""
+    return bar_u_n(xi_r, t, cf) + cf.eps * t
 
 
 def u_total(eta: float, xi_h: float, xi_r: float, t: float, cf: ClosedForm) -> float:
@@ -190,10 +153,8 @@ def u_total(eta: float, xi_h: float, xi_r: float, t: float, cf: ClosedForm) -> f
 
 
 def regret_source(xi_r: float, cf: ClosedForm) -> float:
-    """Source q of the regret equation: +eps for xi_r > 0, -eps below."""
-    if xi_r == 0.0:
-        raise ValueError("source is discontinuous at xi_r = 0")
-    return cf.eps if xi_r > 0.0 else -cf.eps
+    """Source q = qbar + eps: +eps for xi_r > 0, -eps below."""
+    return pseudoregret_source(xi_r, cf) + cf.eps
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +168,25 @@ def bar_phi(xi_r: float, cf: ClosedForm) -> float:
     return cf.b * math.exp(-2.0 * cf.eps * xi_r) - cf.b
 
 
+def _bar_phi_deriv(xi_r: float, cf: ClosedForm, order: int, side: int) -> float:
+    """One-sided derivatives of bar_phi; `side` (+1/-1) is required at xi_r = 0."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if xi_r == 0.0 and side not in (1, -1):
+        raise ValueError("phi is kinked at xi_r = 0; pass side=+1 or side=-1")
+    if xi_r < 0.0 or (xi_r == 0.0 and side == -1):
+        return -2.0 if order == 1 else 0.0
+    return cf.b * (-2.0 * cf.eps) ** order * math.exp(-2.0 * cf.eps * xi_r)
+
+
 def bar_phi_hat(xi_r: float, t: float, cf: ClosedForm) -> float:
-    """Drifted heat smoothing of bar_phi: 2 E[(-S)^+] plus the tilt terms."""
+    """Drifted heat smoothing of bar_phi, in closed form.
+
+    With S ~ N(m, -t), m = xi_r - eps t: the left piece contributes
+    2 E[(-S)^+], and the exponential branch tilts the Gaussian, shifting
+    its mean to xi_r + eps t, which gives
+    b e^{-2 eps xi_r} NormalCDF((xi_r + eps t)/sqrt(-t)) - b NormalCDF(m/sqrt(-t)).
+    """
     _require_negative_t(t)
     sigma = math.sqrt(-t)
     m = xi_r - cf.eps * t
@@ -304,22 +282,14 @@ def prefactor_c(gamma: float) -> float:
     """Normalized origin value of the regret solution at gamma = eps sqrt(T).
 
     c(gamma) = e^{-g^2}/sqrt(pi) + g erf(g) + (1/g - g) erf(g/sqrt2)
-               - sqrt(2/pi) e^{-g^2/2};
-    evaluated through erfc complements past gamma = 8, where the direct
-    form loses the 1/gamma answer to cancellation. The gamma -> 0 limit
-    is SMALL_GAP_LIMIT_C.
+               - sqrt(2/pi) e^{-g^2/2}
+             = cbar(gamma) + e^{-g^2}/sqrt(pi) - g erfc(g):
+    at the origin u = ubar + u_h - eps T, and the added terms are the
+    leading order of (u_h - eps T)/sqrt(T). Evaluated so, c shares the
+    small- and large-gamma forms of cbar. The gamma -> 0 limit is
+    SMALL_GAP_LIMIT_C.
     """
-    if not gamma > 0.0:  # also rejects nan
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    g = gamma
-    if g <= 8.0:
-        return (math.exp(-g * g) / SQRT_PI + g * erf(g)
-                + (1.0 / g - g) * erf(g / SQRT2)
-                - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g))
-    return (1.0 / g
-            + (math.exp(-g * g) / SQRT_PI - g * erfc(g))
-            + ((g - 1.0 / g) * erfc(g / SQRT2)
-               - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g)))
+    return prefactor_c_bar(gamma) + math.exp(-gamma * gamma) / SQRT_PI - gamma * erfc(gamma)
 
 
 def prefactor_c_bar(gamma: float) -> float:
@@ -329,7 +299,8 @@ def prefactor_c_bar(gamma: float) -> float:
     Below gamma = 0.01 the terms near sqrt(2/pi) cancel down to about
     gamma, so the Maclaurin series
     g - sqrt(2/pi) (2/3 g^2 - g^4/15 + g^6/140) takes over; past
-    gamma = 8 the erfc complements do, as in `prefactor_c`.
+    gamma = 8 the erfc complements do, where the direct form loses the
+    1/gamma answer to cancellation.
     """
     if not gamma > 0.0:  # also rejects nan
         raise ValueError(f"gamma must be positive, got {gamma}")

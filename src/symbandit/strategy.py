@@ -5,6 +5,9 @@ reward difference xi_r (a maximum-likelihood guess of the safe arm) and
 splits 1/2 - 1/2 on a tie. The brute-force search certifies, at tiny
 horizons, that no strategy on a probability grid beats it by more than a
 grid-resolution bound.
+
+Each player has one decision method, p1_batch(t, xi_r): the probability
+of pulling arm 1 at round t, for every revealed difference in an array.
 """
 
 from __future__ import annotations
@@ -14,44 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dp
 from .core import check_game, reward_table, terminal_payoff
 
 
-class Strategy:
-    """Interface: decisions depend on the observable pair (t, xi_r)."""
-
-    def p1(self, t: int, xi_r: int) -> float:
-        raise NotImplementedError
-
-    def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        return np.array([self.p1(t, int(x)) for x in xi_r], dtype=float)
-
-
-class MyopicStrategy(Strategy):
+class MyopicStrategy:
     """Arm 1 iff xi_r > 0, arm 2 iff xi_r < 0, fair coin at xi_r = 0."""
-
-    def p1(self, t: int, xi_r: int) -> float:
-        if xi_r > 0:
-            return 1.0
-        if xi_r < 0:
-            return 0.0
-        return 0.5
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
         return np.where(xi_r > 0, 1.0, np.where(xi_r < 0, 0.0, 0.5))
 
 
-class UniformStrategy(Strategy):
+class UniformStrategy:
     """Baseline that ignores the history: a fair coin every round."""
-
-    def p1(self, t: int, xi_r: int) -> float:
-        return 0.5
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
         return np.full(xi_r.shape, 0.5)
 
 
-class TabularStrategy(Strategy):
+class TabularStrategy:
     """Explicit (t, xi_r) -> p1 table, loadable from a plain-text file.
 
     File format: one `t xi_r p1` triple per line, '#' starts a comment.
@@ -63,11 +47,12 @@ class TabularStrategy(Strategy):
                 raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
         self.table = dict(table)
 
-    def p1(self, t: int, xi_r: int) -> float:
+    def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
         try:
-            return self.table[(t, xi_r)]
-        except KeyError:
-            raise ValueError(f"strategy table has no entry for (t={t}, xi_r={xi_r})")
+            return np.array([self.table[(t, x)] for x in xi_r.tolist()], dtype=float)
+        except KeyError as exc:
+            _, x = exc.args[0]
+            raise ValueError(f"strategy table has no entry for (t={t}, xi_r={x})") from None
 
     @classmethod
     def from_text(cls, text: str) -> "TabularStrategy":
@@ -133,34 +118,6 @@ def _decision_classes_history(T: int) -> list[tuple]:
     return classes
 
 
-def tree_expected_regret(T: int, eps: float, strategy, safe_arm: int = 1) -> float:
-    """Exact expected final regret by full outcome-tree enumeration.
-
-    Exponential in T; independent desk oracle for the dynamic program and
-    the Monte Carlo estimator at tiny horizons.
-    """
-    check_game(T, eps, safe_arm)
-    if T > 8:
-        raise ValueError(f"outcome-tree enumeration is limited to T <= 8, got {T}")
-    outcomes = reward_table(eps, safe_arm)
-
-    def walk(t, eta, xi_h, xi_r, prob):
-        if t == 0:
-            return prob * terminal_payoff(eta, xi_h, xi_r)
-        p1 = strategy.p1(t, xi_r)
-        total = 0.0
-        for g1, g2, pr in outcomes:
-            if p1 > 0.0:
-                total += walk(t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1,
-                              prob * pr * p1)
-            if p1 < 1.0:
-                total += walk(t + 1, eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2,
-                              prob * pr * (1.0 - p1))
-        return total
-
-    return walk(-T, 0, 0, 0, 1.0)
-
-
 def _grid_tree_values(T, eps, safe_arm, class_index, mesh, full_shape, observable):
     """Expected regret of every grid strategy at once, by outcome-tree walk.
 
@@ -195,8 +152,9 @@ def brute_force_minimax(
     Enumerates every strategy assigning one of `grid` evenly spaced
     probabilities to each observable decision class, evaluates its exact
     worst-case expected regret over the two safe-arm labels by outcome-tree
-    enumeration, and reports whether the myopic player attains the grid
-    minimum within one conservative Lipschitz bound (2 * classes / grid).
+    enumeration, and reports whether the myopic player, valued on the full
+    (eta, xi_h, xi_r) lattice of each label, attains the grid minimum
+    within one conservative Lipschitz bound (2 * classes / grid).
     """
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
@@ -228,11 +186,8 @@ def brute_force_minimax(
         worst = ev if worst is None else np.maximum(worst, ev)
     value = float(worst.min())
 
-    myopic = MyopicStrategy()
-    myopic_value = max(
-        tree_expected_regret(T, eps, myopic, safe_arm=1),
-        tree_expected_regret(T, eps, myopic, safe_arm=2),
-    )
+    myopic_value = max(dp.regret_value_full(T, eps, safe_arm=1),
+                       dp.regret_value_full(T, eps, safe_arm=2))
     tolerance = 2.0 * n / grid
     achieved = myopic_value <= value + tolerance + 1e-12
     return BruteForceCertificate(

@@ -175,6 +175,13 @@ class TestSweep:
             # a misspelt key must not quietly drop the Monte Carlo columns
             ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 100\n"
              "replication = 3\n", f"{cfg}:5: unknown key 'replication'"),
+            # a value of the wrong type names its line and key
+            ("regime = medium\nT_list = 16\nseed = 1.5\n", f"{cfg}:3: bad value for 'seed'"),
+            # one Monte Carlo key alone must not quietly write no MC columns
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
+             "replications=3, episodes=0"),
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 100\n",
+             "replications=0, episodes=100"),
         ]:
             cfg.write_text(text)
             code, _, err = run(capsys, "sweep", "--config", str(cfg),

@@ -48,9 +48,25 @@ def c_bar_oracle(gamma):
             - (two / PI).sqrt() * (-g * g / two).exp() + g)
 
 
+def c_oracle(gamma):
+    """c(gamma) in 60-digit Decimal arithmetic, from its direct form."""
+    g = Decimal(gamma)
+    two = Decimal(2)
+    return ((-g * g).exp() / PI.sqrt() + g * erf_oracle(g)
+            + (1 / g - g) * erf_oracle(g / two.sqrt())
+            - (two / PI).sqrt() * (-g * g / two).exp())
+
+
+def regret_layer(s, cf):
+    """phi written out from its two pieces, sharing no code with pde."""
+    if s <= 0.0:
+        return -s
+    return s + cf.b * math.exp(-2.0 * cf.eps * s) - cf.b
+
+
 def quad_phi_hat(xi_r, t, cf, bar=False):
     """Defining integral of the drifted smoothing, by adaptive quadrature."""
-    layer = bar_phi if bar else phi_fn
+    layer = bar_phi if bar else regret_layer
     sigma = math.sqrt(-t)
     mean = xi_r - cf.eps * t
 
@@ -78,11 +94,6 @@ def quad_u_h(eta, xi_h, xi_r, t, cf):
 
 
 class TestClosedFormType:
-    def test_branch_tags(self):
-        assert ClosedForm.c1(0.2).branch == "C1"
-        assert ClosedForm.c0(0.2).branch == "C0"
-        assert ClosedForm(eps=0.2, b=3.0).branch == "custom"
-
     def test_kappa(self):
         assert ClosedForm.c1(0.3).kappa == 2 * (1 + 0.09)
 
@@ -339,12 +350,16 @@ class TestPrefactors:
         assert abs(50.0 * prefactor_c(50.0) - 1.0) <= 1e-6
         assert abs(50.0 * prefactor_c_bar(50.0) - 1.0) <= 1e-6
 
-    def test_c_bar_against_decimal_oracle(self):
-        # below gamma ~ 0.01 the direct form cancels its ~0.8-sized terms
-        # down to ~gamma and lost up to 1.7e-8 relative at gamma = 1e-8
+    @pytest.mark.parametrize("f,oracle", [(prefactor_c_bar, c_bar_oracle),
+                                          (prefactor_c, c_oracle)],
+                             ids=["c_bar", "c"])
+    def test_c_bar_against_decimal_oracle(self, f, oracle):
+        # below gamma ~ 0.01 the direct form of cbar cancels its ~0.8-sized
+        # terms down to ~gamma and lost up to 1.7e-8 relative at
+        # gamma = 1e-8; c adds about 1/sqrt(pi) to cbar there
         for g in np.logspace(-8.0, math.log10(8.0), 81):
-            exact = c_bar_oracle(float(g))
-            rel = abs(Decimal(prefactor_c_bar(float(g))) - exact) / exact
+            exact = oracle(float(g))
+            rel = abs(Decimal(f(float(g))) - exact) / exact
             assert rel <= Decimal("5e-14"), (float(g), float(rel))
 
     def test_erfc_form_continuous_at_switch(self):

@@ -7,27 +7,46 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symbandit import dp
+from symbandit.core import check_game, reward_table, terminal_payoff
 from symbandit.strategy import (
     MyopicStrategy,
     TabularStrategy,
     UniformStrategy,
     brute_force_minimax,
     minimax_pair_solve,
-    tree_expected_regret,
 )
+
+
+def tree_expected_regret(T, eps, strategy, safe_arm=1):
+    """Exact expected final regret by full outcome-tree enumeration.
+
+    Exponential in T; a desk oracle for the full-lattice dynamic program
+    at tiny horizons, sharing none of its code.
+    """
+    check_game(T, eps, safe_arm)
+    outcomes = reward_table(eps, safe_arm)
+
+    def walk(t, eta, xi_h, xi_r, prob):
+        if t == 0:
+            return prob * terminal_payoff(eta, xi_h, xi_r)
+        p1 = float(strategy.p1_batch(t, np.array([xi_r]))[0])
+        total = 0.0
+        for g1, g2, pr in outcomes:
+            if p1 > 0.0:
+                total += walk(t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1,
+                              prob * pr * p1)
+            if p1 < 1.0:
+                total += walk(t + 1, eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2,
+                              prob * pr * (1.0 - p1))
+        return total
+
+    return walk(-T, 0, 0, 0, 1.0)
 
 
 class TestMyopic:
     def test_rule(self):
-        s = MyopicStrategy()
-        assert s.p1(-5, 3) == 1.0
-        assert s.p1(-5, 0) == 0.5
-        assert s.p1(-5, -1) == 0.0
-
-    def test_batch_matches_scalar(self):
-        s = MyopicStrategy()
-        xs = np.array([-4, -1, 0, 1, 6])
-        assert list(s.p1_batch(-3, xs)) == [s.p1(-3, int(x)) for x in xs]
+        p1 = MyopicStrategy().p1_batch(-5, np.array([3, 0, -1]))
+        assert p1.tolist() == [1.0, 0.5, 0.0]
 
     def test_decision_validation(self):
         with pytest.raises(ValueError):
@@ -39,7 +58,7 @@ class TestLikelihoodRatio:
     def test_argmax_agreement_with_myopic(self, xi_r, eps):
         # odds that arm 1 is safe given the revealed difference xi_r
         ratio = ((1.0 + eps) / (1.0 - eps)) ** xi_r
-        p1 = MyopicStrategy().p1(-1, xi_r)
+        p1 = MyopicStrategy().p1_batch(-1, np.array([xi_r]))[0]
         if ratio > 1.0:
             assert p1 == 1.0
         elif ratio < 1.0:
@@ -98,8 +117,8 @@ class TestTabular:
 
     def test_undefined_class_raises(self):
         s = TabularStrategy({(-1, 0): 0.5})
-        with pytest.raises(ValueError):
-            s.p1(-1, 2)
+        with pytest.raises(ValueError, match=r"\(t=-1, xi_r=2\)"):
+            s.p1_batch(-1, np.array([0, 2]))
 
 
 class TestOutcomeTree:
