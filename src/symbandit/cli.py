@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp, experiments, pde
-from .core import check_gap
+from .core import check_game, check_gap
 from .env import play_episodes
 from .experiments import (
     ARTIFACT_VERSION,
@@ -68,18 +68,27 @@ def _resolve_eps(args, T: int) -> float:
 def _cmd_dp(args) -> int:
     T = args.T
     eps = _resolve_eps(args, T)
-    v, vbar = dp.values(T, eps)
-    print(f"v = {_fmt(v, args.round3)}")
-    print(f"vbar = {_fmt(vbar, args.round3)}")
+    check_game(T, eps)
+    # one pass gives every horizon: the printed values and the trace rows
+    v, vbar = dp._origin_values(T, eps)
+    print(f"v = {_fmt(float(v[-1]), args.round3)}")
+    print(f"vbar = {_fmt(float(vbar[-1]), args.round3)}")
     if args.trace:
-        rows = [
-            {"t": t, "v": val, "vbar": vbar_val}
-            for t, val, vbar_val in dp.value_trace(T, eps)
-        ]
         cfg = RunConfig("dp", {"T": T, "eps": repr(eps)})
-        write_csv(args.trace, ["t", "v", "vbar"], rows, cfg.meta())
+        write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), cfg.meta())
         print(f"trace written to {args.trace}")
     return 0
+
+
+def _trace_rows(v, vbar, chunk: int = 1 << 16):
+    """The rows of `dp.value_trace`, from its arrays a chunk at a time."""
+    T = len(v) - 1
+    v, vbar = v[::-1], vbar[::-1]
+    for start in range(0, T + 1, chunk):
+        stop = min(start + chunk, T + 1)
+        for t, val, vbar_val in zip(range(start - T, stop - T), v[start:stop].tolist(),
+                                    vbar[start:stop].tolist()):
+            yield {"t": t, "v": val, "vbar": vbar_val}
 
 
 def _cmd_pde(args) -> int:

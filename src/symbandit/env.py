@@ -5,6 +5,18 @@ One vectorized round loop plays every episode: Monte Carlo batches keep
 only the final payoff and the risky pulls, audit episodes also keep
 their per-round choices and rewards.
 
+The loop is branch-free. With p = 1 if arm 1 is pulled and 0 otherwise
+(the pick mask viewed as int8) and s = 1 - 2p, one round updates
+
+    eta  += s * (g1 - g2)          (= g1 + g2 - 2 * g_chosen)
+    xi_r += p * (g1 + g2) - g2     (arm 1 reveals +g1, arm 2 reveals -g2)
+    zeta += g1 - g2                (whatever the choice)
+
+and counts the arm-1 pulls, which become the risky pulls once at the end
+(T minus them when arm 1 is safe, them when arm 2 is). Selecting the
+chosen reward with a mask (`np.where`) costs a branch misprediction per
+random element; the int8 arithmetic does not.
+
 Randomness convention: every round consumes three uniforms per episode,
 in the order choice coin, g1, g2. A Monte Carlo batch draws them as one
 (3, n) array per round from a single generator. An audit episode owns a
@@ -32,31 +44,32 @@ AUDIT_DRAW_ROUNDS = 4096
 
 
 def _play_rounds(T, eps, strategy, n, draws, safe_arm, record=None):
-    """Play n episodes through T rounds.
+    """Play n episodes through T rounds, by the update rules above.
 
     `draws` yields T arrays of shape (3, n): choice coins, g1 uniforms
-    and g2 uniforms. Arm 1 reveals g1 (xi_r += g1), arm 2 reveals g2
-    (xi_r -= g2); eta += g1 + g2 - 2*g_chosen and zeta = xi_r + xi_h moves
-    by g1 - g2 whatever the choice. When `record` is given, round k's
-    arm-1 picks, g1 and g2 go into row k of its three (T, n) arrays.
-    Returns (final payoff mu, risky pulls).
+    and g2 uniforms. When `record` is given, round k's arm-1 picks, g1
+    and g2 go into row k of its three (T, n) arrays. Returns (final
+    payoff mu, risky pulls).
     """
     p_g1, p_g2 = arm_probs(eps, safe_arm)
     eta = np.zeros(n, dtype=np.int64)
     xi_r = np.zeros(n, dtype=np.int64)
     zeta = np.zeros(n, dtype=np.int64)
-    risky = np.zeros(n, dtype=np.int64)
+    picks = np.zeros(n, dtype=np.int64)
     for k, (coin, u1, u2) in enumerate(draws):
         pick1 = coin < strategy.p1_batch(k - T, xi_r)
         # rewards are +-1; int8 keeps the per-round temporaries small
-        g1 = 2 * (u1 < p_g1).astype(np.int8) - 1
-        g2 = 2 * (u2 < p_g2).astype(np.int8) - 1
-        eta += g1 + g2 - 2 * np.where(pick1, g1, g2)
-        xi_r += np.where(pick1, g1, -g2)
-        zeta += g1 - g2
-        risky += pick1 if safe_arm == 2 else ~pick1
+        p = pick1.view(np.int8)
+        g1 = 2 * (u1 < p_g1).view(np.int8) - 1
+        g2 = 2 * (u2 < p_g2).view(np.int8) - 1
+        d = g1 - g2
+        eta += (1 - 2 * p) * d
+        xi_r += p * (g1 + g2) - g2
+        zeta += d
+        picks += p
         if record is not None:
             record[0][k], record[1][k], record[2][k] = pick1, g1, g2
+    risky = picks if safe_arm == 2 else T - picks
     return 0.5 * (eta + np.abs(zeta)), risky
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -329,19 +330,19 @@ def maximize_prefactor_cached(which: str) -> tuple[float, float]:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def write_csv(path, columns: list[str], rows: list[dict], meta: dict) -> None:
+def write_csv(path, columns: list[str], rows: Iterable[dict], meta: dict) -> None:
     """Versioned CSV: '# key=value' comment lines, then header, then rows.
 
-    No timestamps, so identical configs reproduce identical bytes.
+    No timestamps, so identical configs reproduce identical bytes. Rows
+    are written as they come, so a generator of rows is never held whole.
     """
-    lines = [f"# symbandit_version={ARTIFACT_VERSION}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(col)) for col in columns))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# symbandit_version={ARTIFACT_VERSION}\n")
+        for key in sorted(meta):
+            fh.write(f"# {key}={meta[key]}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([_fmt_cell(row.get(col)) for col in columns]) + "\n")
 
 
 def _fmt_cell(value) -> str:

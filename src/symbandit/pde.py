@@ -315,38 +315,32 @@ def prefactor_c_bar(gamma: float) -> float:
             - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _prefactor_c_bar_slope(gamma: float) -> float:
+    """cbar'(g) = 1 - (1 + 1/g^2) erf(g/sqrt2) + sqrt(2/pi) e^{-g^2/2}/g."""
+    g = gamma
+    return (1.0 - (1.0 + 1.0 / (g * g)) * erf(g / SQRT2)
+            + math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g) / g)
+
+
+def _prefactor_c_slope(gamma: float) -> float:
+    """c'(g) = cbar'(g) - erfc(g): the added terms of c have slope -erfc(g)."""
+    return _prefactor_c_bar_slope(gamma) - erfc(gamma)
 
 
 def maximize_prefactor(which: str) -> tuple[float, float]:
     """Argmax and max of c or cbar over gamma > 0.
 
-    Coarse geometric scan over (1e-3, 10) to bracket an interior peak,
-    then golden-section refinement; |gamma error| <= 1e-6 guaranteed by
-    the bracket width. Fails loudly if the scan peak sits on the scan
-    boundary.
+    A coarse geometric scan over (1e-3, 10) brackets the interior peak;
+    bisection of the analytic derivative inside the bracket then finds
+    the argmax to the last bits. The function itself is flat to second
+    order at its peak, so comparing its values could place the argmax
+    only to about the square root of its rounding. Fails loudly if the
+    scan peak sits on the scan boundary.
     """
     if which == "c":
-        f = prefactor_c
+        f, slope = prefactor_c, _prefactor_c_slope
     elif which == "c_bar":
-        f = prefactor_c_bar
+        f, slope = prefactor_c_bar, _prefactor_c_bar_slope
     else:
         raise ValueError(f"which must be 'c' or 'c_bar', got {which!r}")
     n = 2000
@@ -356,4 +350,10 @@ def maximize_prefactor(which: str) -> tuple[float, float]:
     k = max(range(n), key=vals.__getitem__)
     if k == 0 or k == n - 1:
         raise RuntimeError("coarse scan found no interior bracket for the maximizer")
-    return golden_section_max(f, xs[k - 1], xs[k + 1], tol=1e-10)
+    lo, hi = xs[k - 1], xs[k + 1]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, f(mid)

@@ -25,7 +25,7 @@ class MyopicStrategy:
     """Arm 1 iff xi_r > 0, arm 2 iff xi_r < 0, fair coin at xi_r = 0."""
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        return np.where(xi_r > 0, 1.0, np.where(xi_r < 0, 0.0, 0.5))
+        return (xi_r > 0) + 0.5 * (xi_r == 0)
 
 
 class UniformStrategy:
@@ -39,20 +39,42 @@ class TabularStrategy:
     """Explicit (t, xi_r) -> p1 table, loadable from a plain-text file.
 
     File format: one `t xi_r p1` triple per line, '#' starts a comment.
+    The table is held as one dense array over the rectangle of its keys'
+    t and xi_r ranges, with NaN where the table has no entry, so a
+    decision is one row lookup. It costs 8 bytes per cell of that
+    rectangle: about 16 per entry for a table of the reachable states.
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
         for (t, x), p in table.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
-        self.table = dict(table)
+        ts = [t for t, _ in table] or [0]
+        xs = [x for _, x in table] or [0]
+        self._t0, self._x0 = min(ts), min(xs)
+        self._p1 = np.full((max(ts) - self._t0 + 1, max(xs) - self._x0 + 1), np.nan)
+        for (t, x), p in table.items():
+            self._p1[t - self._t0, x - self._x0] = p
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        try:
-            return np.array([self.table[(t, x)] for x in xi_r.tolist()], dtype=float)
-        except KeyError as exc:
-            _, x = exc.args[0]
-            raise ValueError(f"strategy table has no entry for (t={t}, xi_r={x})") from None
+        row, col = t - self._t0, xi_r - self._x0
+        rows, cols = self._p1.shape
+        # bounds first: a negative column would wrap around to the far end
+        if 0 <= row < rows and col.min(initial=0) >= 0 and col.max(initial=0) < cols:
+            p1 = self._p1[row][col]
+        else:
+            p1 = np.array([self._entry(t, x) for x in xi_r.tolist()], dtype=float)
+        holes = np.isnan(p1)
+        if holes.any():
+            x = xi_r[holes.argmax()]
+            raise ValueError(f"strategy table has no entry for (t={t}, xi_r={x})")
+        return p1
+
+    def _entry(self, t: int, x: int) -> float:
+        """p1 at one state; NaN outside the table."""
+        row, col = t - self._t0, x - self._x0
+        rows, cols = self._p1.shape
+        return self._p1[row, col] if 0 <= row < rows and 0 <= col < cols else np.nan
 
     @classmethod
     def from_text(cls, text: str) -> "TabularStrategy":

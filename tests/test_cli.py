@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from symbandit import dp
-from symbandit.cli import _parse_sweep_config, _verify_checks, main
-from symbandit.experiments import read_csv
+from symbandit.cli import _parse_sweep_config, _trace_rows, _verify_checks, main
+from symbandit.experiments import read_csv, write_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,6 +55,21 @@ class TestDp:
         assert cells[0][0] == -8
         assert cells[0][1] == pytest.approx(float(printed["v"]), rel=1e-11)
         assert cells[0][2] == pytest.approx(float(printed["vbar"]), rel=1e-11)
+
+    @pytest.mark.parametrize("T, eps", [(8, 0.2), (13, 0.05)])
+    def test_trace_bytes_match_value_trace(self, capsys, tmp_path, T, eps):
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        assert run(capsys, "dp", "--T", str(T), "--eps", str(eps), "--trace", str(path))[0] == 0
+        rows = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
+        write_csv(ref, ["t", "v", "vbar"], rows, {"config": f"dp T={T} eps={eps!r}"})
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_trace_rows_across_chunks(self):
+        T, eps = 10, 0.3
+        want = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
+        v, vbar = dp._origin_values(T, eps)
+        for chunk in (1, 3, 11, 12):
+            assert list(_trace_rows(v, vbar, chunk)) == want
 
 
 class TestUsageErrors:

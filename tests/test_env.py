@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _round_oracle import _play_rounds as oracle_rounds
 from symbandit import env
 from symbandit.core import terminal_payoff
 from symbandit.env import EpisodeLog, play_episode, play_episodes, simulate_batch
-from symbandit.strategy import MyopicStrategy, UniformStrategy
+from symbandit.experiments import mc_estimate
+from symbandit.strategy import MyopicStrategy, TabularStrategy, UniformStrategy
 
 
 def replay(choices, rewards):
@@ -127,3 +129,41 @@ class TestEpisodes:
         # pseudoregret weight 2*eps vanishes; pulls still counted
         assert 0 <= s2.min() and s2.max() <= 10
         assert abs(float(s2.mean()) - 5.0) < 0.2
+
+
+def reachable(T):
+    """The (t, xi_r) decision states of a T-round game."""
+    return [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
+
+
+class TestBranchFreeLoop:
+    """The production round loop against the np.where loop it replaced."""
+
+    @given(T=st.integers(1, 9), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           eps=st.sampled_from([0.0, 0.1, 0.45, 0.9]), safe_arm=st.sampled_from([1, 2]),
+           record=st.booleans())
+    def test_matches_oracle_bit_for_bit(self, T, n, seed, eps, safe_arm, record):
+        rng = np.random.default_rng(seed)
+        states = reachable(T)
+        # the sure and tie decisions 0, 1/2, 1 and an interior probability
+        p1 = rng.choice([0.0, 0.5, 1.0, rng.random()], len(states))
+        table = TabularStrategy(dict(zip(states, p1.tolist())))
+        draws = [rng.random((3, n)) for _ in range(T)]
+        outs = []
+        for play in (env._play_rounds, oracle_rounds):
+            rec = ((np.empty((T, n), bool), np.empty((T, n), np.int8),
+                    np.empty((T, n), np.int8)) if record else None)
+            mu, risky = play(T, eps, table, n, iter(draws), safe_arm, rec)
+            outs.append((mu, risky) + (rec or ()))
+        for new, old in zip(*outs):
+            assert new.dtype == old.dtype
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("safe_arm", [1, 2])
+    def test_myopic_table_plays_like_myopic(self, safe_arm):
+        T, eps = 12, 0.2
+        table = TabularStrategy({(t, x): 1.0 if x > 0 else 0.0 if x < 0 else 0.5
+                                 for t, x in reachable(T)})
+        runs = [mc_estimate(s, T, eps, 3000, seed=8, safe_arm=safe_arm)
+                for s in (MyopicStrategy(), table)]
+        assert runs[0] == runs[1]

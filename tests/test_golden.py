@@ -3,11 +3,14 @@
 The files in tests/golden/ were written by the per-round scalar episode
 loop and the three-draws-per-round batch loop that the single vectorized
 simulator replaced, so these tests pin that the replacement reproduces
-them byte for byte. Regenerate a file only for an intended change of
-output: run the case's argv through `symbandit.cli.main` and copy what
-it writes over the file.
+them byte for byte. simulate_table.json was written by the np.where
+round loop now kept as tests/_round_oracle.py, before the branch-free
+loop and the dense table lookup replaced it. Regenerate a file only for
+an intended change of output: run the case's argv through
+`symbandit.cli.main` and copy what it writes over the file.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -26,6 +29,12 @@ SIMULATE_JSON = {
                               "--seed", "7", "--strategy", "uniform", "--safe-arm", "2",
                               "--json"],
 }
+
+# a table player through the Monte Carlo batch path; the JSON's config
+# embeds the table's path, so the numbers are compared, not the bytes
+SIMULATE_TABLE = ["simulate", "--T", "8", "--eps", "0.3", "--episodes", "3000", "--seed", "11",
+                  "--strategy", f"table:{TABLE}", "--json"]
+MC_FIELDS = ["regret_mean", "regret_se", "pseudo_mean", "pseudo_se", "episodes"]
 
 # name -> (strategy, safe_arm, T, audit episodes); 150 episodes span
 # several audit blocks
@@ -64,6 +73,13 @@ def test_simulate_json(name, capsys):
     assert main(SIMULATE_JSON[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_simulate_table_json(capsys):
+    assert main(SIMULATE_TABLE) == 0
+    out = json.loads(capsys.readouterr().out)
+    gold = json.loads((GOLDEN / "simulate_table.json").read_text())
+    assert [out[k] for k in MC_FIELDS] == [gold[k] for k in MC_FIELDS]
 
 
 @pytest.mark.parametrize("name", sorted(AUDIT))

@@ -16,7 +16,6 @@ from symbandit.pde import (
     bar_phi_hat,
     bar_u_total,
     folded_normal_mean,
-    golden_section_max,
     maximize_prefactor,
     pde_residual,
     phi_deriv,
@@ -400,6 +399,13 @@ class TestPrefactors:
             )
             assert interior_maxima == 1
 
-    def test_golden_section_on_parabola(self):
-        x, v = golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0)
-        assert abs(x - 2.0) < 1e-9 and abs(v) < 1e-15
+    # roots of c'(g) = erf(g) - (1 + 1/g^2) erf(g/sqrt2) + sqrt(2/pi) e^(-g^2/2)/g
+    # and cbar'(g) = c'(g) + erfc(g), by mpmath 1.3 at mp.dps = 40:
+    # mp.findroot(derivative, 0.7) and mp.findroot(derivative, 1.25)
+    ROOTS = {"c": 0.7068298607046078688417560323508897423436,
+             "c_bar": 1.246858674624610653077331835519289316594}
+
+    @pytest.mark.parametrize("which", sorted(ROOTS))
+    def test_maximizer_is_the_root_of_the_derivative(self, which):
+        gstar, _ = maximize_prefactor(which)
+        assert abs(gstar - self.ROOTS[which]) <= 1e-13

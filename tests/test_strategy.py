@@ -111,9 +111,33 @@ class TestTabular:
     def test_from_text(self):
         text = "# t xi_r p1\n-2 0 0.5\n-1 1 1.0  # sure\n\n-1 -1 0.25\n"
         s = TabularStrategy.from_text(text)
-        assert s.table == {(-2, 0): 0.5, (-1, 1): 1.0, (-1, -1): 0.25}
+        assert s.p1_batch(-2, np.array([0])).tolist() == [0.5]
+        assert s.p1_batch(-1, np.array([1, -1, 1])).tolist() == [1.0, 0.25, 1.0]
         with pytest.raises(ValueError, match="line 2"):
             TabularStrategy.from_text("-2 0 0.5\n-1 1\n")
+
+    # the table's keys span t in [-2, -1] and xi_r in [-1, 3], with a hole
+    # at (-1, 1) and t = -2 holding only xi_r = 0
+    TABLE = {(-2, 0): 0.5, (-1, -1): 0.0, (-1, 3): 1.0}
+
+    @pytest.mark.parametrize("t, xi_r, missing", [
+        (-1, [3, 1, -1], 1),     # a hole inside the range
+        (-1, [-1, 3, 4], 4),     # above the largest key
+        (-1, [3, -2], -2),       # below the smallest: column -1 would wrap to xi_r 3
+        (-1, [3, -7], -7),       # further below: past the row's start
+        (-2, [0, 3], 3),         # a hole in another row
+        (-3, [0, -1], 0),        # t before the table
+        (0, [-1], -1),           # t after it
+    ])
+    def test_missing_state_raises(self, t, xi_r, missing):
+        s = TabularStrategy(self.TABLE)
+        with pytest.raises(ValueError, match=rf"\(t={t}, xi_r={missing}\)"):
+            s.p1_batch(t, np.array(xi_r, dtype=np.int64))
+
+    def test_lookup(self):
+        s = TabularStrategy(self.TABLE)
+        assert s.p1_batch(-1, np.array([3, -1, 3])).tolist() == [1.0, 0.0, 1.0]
+        assert s.p1_batch(-2, np.array([0, 0])).tolist() == [0.5, 0.5]
 
     def test_undefined_class_raises(self):
         s = TabularStrategy({(-1, 0): 0.5})
