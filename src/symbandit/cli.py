@@ -5,6 +5,11 @@ Usage errors exit 2 (argparse); numeric precondition violations exit 1
 with the violated condition named. Every output file embeds the artifact
 version, the full run configuration, and the seed, so re-running the
 printed config reproduces the file byte-for-byte.
+
+Each subcommand prints what a public entry point of the library returns,
+without recomputing it: `dp` the arrays of `dp.origin_values`, `pde` the
+closed forms of `pde`, and `sweep` reads and renders its config through
+`experiments.SweepSpec`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dp, experiments, pde
-from .core import check_game, check_gap
+from .core import check_gap
 from .env import play_episodes
 from .experiments import (
     ARTIFACT_VERSION,
@@ -27,30 +31,10 @@ from .experiments import (
     FIGURE_COLUMNS,
     MC_COLUMNS,
     SweepSpec,
+    run_meta,
     write_csv,
 )
-from .strategy import (
-    MyopicStrategy,
-    TabularStrategy,
-    UniformStrategy,
-    brute_force_minimax,
-    minimax_pair_solve,
-)
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters; canonical string goes into output metadata."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-
-    def meta(self) -> dict:
-        canon = " ".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        out = {"config": f"{self.subcommand} {canon}".strip()}
-        if "seed" in self.params:
-            out["seed"] = str(self.params["seed"])
-        return out
+from .strategy import MyopicStrategy, TabularStrategy, UniformStrategy, brute_force_minimax
 
 
 def _fmt(x: float, round3: bool) -> str:
@@ -68,14 +52,13 @@ def _resolve_eps(args, T: int) -> float:
 def _cmd_dp(args) -> int:
     T = args.T
     eps = _resolve_eps(args, T)
-    check_game(T, eps)
     # one pass gives every horizon: the printed values and the trace rows
-    v, vbar = dp._origin_values(T, eps)
+    v, vbar = dp.origin_values(T, eps)
     print(f"v = {_fmt(float(v[-1]), args.round3)}")
     print(f"vbar = {_fmt(float(vbar[-1]), args.round3)}")
     if args.trace:
-        cfg = RunConfig("dp", {"T": T, "eps": repr(eps)})
-        write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), cfg.meta())
+        meta = run_meta("dp", {"T": T, "eps": repr(eps)})
+        write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), meta)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -98,15 +81,11 @@ def _cmd_pde(args) -> int:
         raise ValueError("closed-form branches need eps > 0; pass --eps or --gamma > 0")
     cf = pde.ClosedForm.make(args.branch, eps)
     t = -float(T)
-    u_h = pde.u_h(args.eta, args.xi_h, args.xi_r, t, cf)
-    phi = pde.phi_fn(args.xi_r, cf)
-    phi_hat = pde.phi_hat(args.xi_r, t, cf)
-    u = u_h + phi - phi_hat
-    print(f"u = {_fmt(u, args.round3)}")
-    print(f"u_h = {_fmt(u_h, args.round3)}")
-    print(f"phi = {_fmt(phi, args.round3)}")
-    print(f"phi_hat = {_fmt(phi_hat, args.round3)}")
-    print(f"u_n = {_fmt(phi - phi_hat, args.round3)}")
+    print(f"u = {_fmt(pde.u_total(args.eta, args.xi_h, args.xi_r, t, cf), args.round3)}")
+    print(f"u_h = {_fmt(pde.u_h(args.eta, args.xi_h, args.xi_r, t, cf), args.round3)}")
+    print(f"phi = {_fmt(pde.phi_fn(args.xi_r, cf), args.round3)}")
+    print(f"phi_hat = {_fmt(pde.phi_hat(args.xi_r, t, cf), args.round3)}")
+    print(f"u_n = {_fmt(pde.u_n(args.xi_r, t, cf), args.round3)}")
     ubar = pde.bar_u_total(args.xi_r, args.s2, t, cf)
     print(f"ubar = {_fmt(ubar, args.round3)}")
     print(f"bar_phi = {_fmt(pde.bar_phi(args.xi_r, cf), args.round3)}")
@@ -147,11 +126,11 @@ def _cmd_simulate(args) -> int:
     if args.json:
         payload = {
             "version": ARTIFACT_VERSION,
-            "config": RunConfig("simulate", {
+            "config": run_meta("simulate", {
                 "T": T, "eps": repr(eps), "episodes": args.episodes,
                 "seed": args.seed, "strategy": args.strategy,
                 "safe_arm": args.safe_arm,
-            }).meta()["config"],
+            })["config"],
             "seed": args.seed,
             "regret_mean": res.regret_mean,
             "regret_se": res.regret_se,
@@ -176,72 +155,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-# sweep config key -> parser of its value
-_SWEEP_KEYS = {
-    "regime": str, "T_list": _ints, "gamma": float, "power": float,
-    "eps_list": _floats, "branch": str, "seed": int, "replications": int,
-    "episodes": int,
-}
-
-
-def _parse_sweep_config(path: str) -> SweepSpec:
-    """Key = value file -> SweepSpec; '#' starts a comment."""
-    kwargs = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            k, v = (part.strip() for part in body.split("=", 1))
-            if k not in _SWEEP_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
-                                 f"known keys: {', '.join(_SWEEP_KEYS)}")
-            try:
-                kwargs[k] = _SWEEP_KEYS[k](v)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
-    missing = {"regime", "T_list"} - set(kwargs)
-    if missing:
-        raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
-    return SweepSpec(**kwargs)
-
-
-def _spec_params(spec: SweepSpec) -> dict:
-    return {
-        "regime": spec.regime,
-        "T_list": ",".join(map(str, spec.T_list)),
-        "gamma": spec.gamma,
-        "power": spec.power,
-        "eps_list": None if spec.eps_list is None else ",".join(map(repr, spec.eps_list)),
-        "branch": spec.branch,
-        "seed": spec.seed,
-        "replications": spec.replications,
-        "episodes": spec.episodes,
-    }
-
-
 def _cmd_sweep(args) -> int:
-    spec = _parse_sweep_config(args.config)
-    cfg = RunConfig(f"sweep:{args.kind}", _spec_params(spec))
+    spec = SweepSpec.from_file(args.config)
+    meta = spec.meta(args.kind)
     if args.kind == "convergence":
         rows = experiments.convergence_sweep(spec)
         cols = list(CONVERGENCE_COLUMNS)
         if rows and "mc_regret_mean" in rows[0]:
             cols += MC_COLUMNS
-        write_csv(args.out, cols, rows, cfg.meta())
+        write_csv(args.out, cols, rows, meta)
     else:
         rows, fit = experiments.error_scaling(spec)
-        meta = cfg.meta()
         meta["fit_slope"] = repr(fit.slope)
         meta["fit_intercept"] = repr(fit.intercept)
         meta["fit_r2"] = repr(fit.r2)
@@ -266,8 +190,7 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_figure(args) -> int:
     grid = _parse_grid(args.grid)
     rows = experiments.figure_data(grid)
-    cfg = RunConfig("figure", {"grid": args.grid})
-    write_csv(args.out, FIGURE_COLUMNS, rows, cfg.meta())
+    write_csv(args.out, FIGURE_COLUMNS, rows, run_meta("figure", {"grid": args.grid}))
     print(f"{len(rows)} rows written to {args.out}")
     return 0
 
@@ -289,7 +212,7 @@ def _verify_checks():
     for T in (4, 8):
         for eps in (0.0, 0.3, 0.7):
             d = abs(dp.regret_value(T, eps) - dp.regret_value_full(T, eps))
-            add(f"reduced==full T={T} eps={eps}", d <= 1e-12, f"|diff|={d:.2e}")
+            add(f"production==full T={T} eps={eps}", d <= 1e-12, f"|diff|={d:.2e}")
 
     # the production route is label-symmetric by construction; the lattice plays the swap
     d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)
@@ -304,17 +227,6 @@ def _verify_checks():
             cert.achieved_by_myopic,
             f"grid min {cert.value:.6f}, myopic {cert.myopic_value:.6f}, "
             f"tol {cert.tolerance:.4f}")
-
-    rng = np.random.default_rng(7)
-    ok = True
-    for _ in range(20):
-        a = rng.random(4)
-        b = rng.random(4)
-        x, y, _ = minimax_pair_solve(a, b)
-        lhs = float(np.dot(x, a) + np.dot(y, b))
-        rhs = float(-np.dot(x, b) - np.dot(y, a))
-        ok = ok and abs(lhs - rhs) <= 1e-12
-    add("minimax pair: objective branches equal at optimum", ok)
 
     for eps in (0.1, 0.3):
         cf1 = pde.ClosedForm.c1(eps)

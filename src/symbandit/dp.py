@@ -5,9 +5,10 @@ Two routes compute the same values at two scales:
 * ``regret_value_full`` / ``pseudoregret_value_full`` -- backward
   induction on the raw (eta, xi_h, xi_r) and (xi_r, s2) lattices,
   T <= 12. Transparent dict-based oracles that play both safe-arm labels.
-* ``regret_value`` / ``pseudoregret_value`` / ``value_trace`` -- the
-  production route, O(T) time and memory, from one array of central
-  binomial probabilities.
+* ``origin_values`` -- the production route, O(T) time and memory, from
+  one array of central binomial probabilities: the values of every
+  horizon up to T at once. ``values``, ``regret_value``,
+  ``pseudoregret_value`` and ``value_trace`` read them off its arrays.
 
 The production route rests on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
@@ -200,8 +201,10 @@ def _prefix_sums(x: np.ndarray, vanishing: bool) -> np.ndarray:
     return s
 
 
-def _origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (v_k, vbar_k), k = 0..T: the values of every horizon up to T."""
+def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (v_k, vbar_k), k = 0..T: the exact values at the origin of
+    every horizon up to T, from one O(T) pass."""
+    check_game(T, eps)
     _, q = arm_probs(eps)
     deep = eps * eps * T >= _DEEP_TAIL
     n = T + math.ceil(_TAIL_PAD / (eps * eps)) if deep else T
@@ -214,13 +217,14 @@ def _origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     behind[1::2] = (lower_even + q * a)[: T // 2]
     vbar = 2.0 * eps * _prefix_sums(behind, False)
     g = _prefix_sums(q * q * a - eps * lower_even, deep)[: T + 1]  # E[(k - X)^+]
-    return vbar + 2.0 * g, vbar
+    # just short of the far-end tail path, the forward sum can end a few
+    # ulps of its peak below 0; g >= 0, so the clamp only removes error
+    return vbar + 2.0 * np.maximum(g, 0.0), vbar
 
 
 def values(T: int, eps: float) -> tuple[float, float]:
     """Exact (v, vbar) at the origin of the T-round game, O(T) time and memory."""
-    check_game(T, eps)
-    v, vbar = _origin_values(T, eps)
+    v, vbar = origin_values(T, eps)
     return float(v[-1]), float(vbar[-1])
 
 
@@ -240,6 +244,5 @@ def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
     The recursions are time homogeneous, so the value at the origin with
     k rounds left is the value of the k-round game.
     """
-    check_game(T, eps)
-    v, vbar = _origin_values(T, eps)
+    v, vbar = origin_values(T, eps)
     return list(zip(range(-T, 1), v[::-1].tolist(), vbar[::-1].tolist()))

@@ -8,11 +8,11 @@ chunk order, so output is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
+import typing
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -130,6 +130,9 @@ class SweepSpec:
     * ``gamma``    -- eps = gamma / sqrt(T)   (medium regime)
     * ``power``    -- eps = T ** -power       (small / large regimes)
     * ``eps_list`` -- explicit grid, requires a single T (branch fits)
+
+    The fields are the keys of a sweep config file (`from_file`) and of
+    the canonical config string of its output (`meta`).
     """
 
     regime: str
@@ -170,6 +173,52 @@ class SweepSpec:
         if self.power is not None:
             return [(T, T ** -self.power) for T in self.T_list]
         return [(self.T_list[0], e) for e in self.eps_list]
+
+    @classmethod
+    def from_file(cls, path) -> "SweepSpec":
+        """Key = value file -> SweepSpec; '#' starts a comment.
+
+        Each key is a field, its value parsed by the field's type; a list
+        takes comma-separated items. Errors name the file and line.
+        """
+        types = typing.get_type_hints(cls)
+        kwargs = {}
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                if "=" not in body:
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                k, v = (part.strip() for part in body.split("=", 1))
+                if k not in types:
+                    raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
+                                     f"known keys: {', '.join(types)}")
+                try:
+                    kwargs[k] = _parse_value(types[k], v)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
+        if missing:
+            raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
+        return cls(**kwargs)
+
+    def meta(self, kind: str) -> dict:
+        """Output metadata of a sweep of this kind: every field, lists
+        comma-joined, in the canonical config string."""
+        return run_meta(f"sweep:{kind}", {k: ",".join(map(repr, v)) if isinstance(v, list) else v
+                                          for k, v in asdict(self).items()})
+
+
+def _parse_value(tp, text: str):
+    """`text` as a value of type `tp`: `X | None` parses as X, a list
+    as comma-separated items."""
+    if type(None) in typing.get_args(tp):
+        tp, _ = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        item, = typing.get_args(tp)
+        return [item(x) for x in text.split(",") if x.strip()]
+    return tp(text)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +354,8 @@ def figure_data(gamma_grid) -> list[dict]:
     for g in grid:
         if not 0.0 < g <= 5.0:
             raise ValueError(f"gamma grid must lie in (0, 5], got {g}")
-    gstar_c, _ = maximize_prefactor_cached("c")
-    gstar_cb, _ = maximize_prefactor_cached("c_bar")
+    gstar_c, _ = pde.maximize_prefactor("c")
+    gstar_cb, _ = pde.maximize_prefactor("c_bar")
     i_c = min(range(len(grid)), key=lambda i: abs(grid[i] - gstar_c))
     i_cb = min(range(len(grid)), key=lambda i: abs(grid[i] - gstar_cb))
     return [
@@ -321,14 +370,19 @@ def figure_data(gamma_grid) -> list[dict]:
     ]
 
 
-@functools.cache
-def maximize_prefactor_cached(which: str) -> tuple[float, float]:
-    return pde.maximize_prefactor(which)
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
+
+def run_meta(command: str, params: dict) -> dict:
+    """Output metadata of a run: the canonical config string, the command
+    then `key=value` in sorted key order, and the seed if it has one."""
+    canon = " ".join(f"{k}={params[k]}" for k in sorted(params))
+    meta = {"config": f"{command} {canon}".strip()}
+    if "seed" in params:
+        meta["seed"] = str(params["seed"])
+    return meta
+
 
 def write_csv(path, columns: list[str], rows: Iterable[dict], meta: dict) -> None:
     """Versioned CSV: '# key=value' comment lines, then header, then rows.

@@ -330,12 +330,12 @@ def _prefactor_c_slope(gamma: float) -> float:
 def maximize_prefactor(which: str) -> tuple[float, float]:
     """Argmax and max of c or cbar over gamma > 0.
 
-    A coarse geometric scan over (1e-3, 10) brackets the interior peak;
-    bisection of the analytic derivative inside the bracket then finds
-    the argmax to the last bits. The function itself is flat to second
-    order at its peak, so comparing its values could place the argmax
-    only to about the square root of its rounding. Fails loudly if the
-    scan peak sits on the scan boundary.
+    Each prefactor rises to one peak, at 0.707 for c and 1.247 for cbar,
+    and falls back like 1/gamma. Its analytic slope changes sign once on
+    the fixed bracket (1e-3, 10), checked at both ends, and bisection of
+    that slope finds the argmax to adjacent floats. The function itself
+    is flat to second order at its peak, so comparing its values could
+    place the argmax only to about the square root of its rounding.
     """
     if which == "c":
         f, slope = prefactor_c, _prefactor_c_slope
@@ -343,14 +343,9 @@ def maximize_prefactor(which: str) -> tuple[float, float]:
         f, slope = prefactor_c_bar, _prefactor_c_bar_slope
     else:
         raise ValueError(f"which must be 'c' or 'c_bar', got {which!r}")
-    n = 2000
-    ratio = (10.0 / 1e-3) ** (1.0 / (n - 1))
-    xs = [1e-3 * ratio**i for i in range(n)]
-    vals = [f(x) for x in xs]
-    k = max(range(n), key=vals.__getitem__)
-    if k == 0 or k == n - 1:
-        raise RuntimeError("coarse scan found no interior bracket for the maximizer")
-    lo, hi = xs[k - 1], xs[k + 1]
+    lo, hi = 1e-3, 10.0
+    if not slope(lo) > 0.0 > slope(hi):
+        raise RuntimeError(f"the slope of {which} does not change sign on ({lo}, {hi})")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if slope(mid) > 0.0:
             lo = mid

@@ -62,19 +62,15 @@ class TabularStrategy:
         # bounds first: a negative column would wrap around to the far end
         if 0 <= row < rows and col.min(initial=0) >= 0 and col.max(initial=0) < cols:
             p1 = self._p1[row][col]
-        else:
-            p1 = np.array([self._entry(t, x) for x in xi_r.tolist()], dtype=float)
+        else:  # NaN off the table, so the first missing state is named below
+            inside = (0 <= row < rows) & (col >= 0) & (col < cols)
+            p1 = np.where(inside, self._p1[min(max(row, 0), rows - 1)][col.clip(0, cols - 1)],
+                          np.nan)
         holes = np.isnan(p1)
         if holes.any():
             x = xi_r[holes.argmax()]
             raise ValueError(f"strategy table has no entry for (t={t}, xi_r={x})")
         return p1
-
-    def _entry(self, t: int, x: int) -> float:
-        """p1 at one state; NaN outside the table."""
-        row, col = t - self._t0, x - self._x0
-        rows, cols = self._p1.shape
-        return self._p1[row, col] if 0 <= row < rows and 0 <= col < cols else np.nan
 
     @classmethod
     def from_text(cls, text: str) -> "TabularStrategy":
@@ -90,26 +86,6 @@ class TabularStrategy:
         return cls(table)
 
 
-def minimax_pair_solve(
-    a, b
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve min over x, y in [-1/2, 1/2]^d of max(<x,a>+<y,b>, -<x,b>-<y,a>).
-
-    Case rule per coordinate: (x, y) = (-1/2, +1/2) if a_i > b_i, the
-    antisymmetric pair x_i + y_i = 0 (we return zeros) if a_i = b_i, and
-    (+1/2, -1/2) if a_i < b_i. Both max branches are equal at the optimum
-    and the value is -(1/2) * sum |a_i - b_i|.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"a and b must be 1-d of equal length, got {a.shape} vs {b.shape}")
-    x = np.where(a > b, -0.5, np.where(a < b, 0.5, 0.0))
-    y = -x
-    value = 0.5 * float(np.dot(x - y, a - b))
-    return x, y, value
-
-
 @dataclass(frozen=True)
 class BruteForceCertificate:
     """Result of the exhaustive grid search over tabular strategies."""
@@ -118,8 +94,6 @@ class BruteForceCertificate:
     myopic_value: float         # worst-case regret of the myopic player
     achieved_by_myopic: bool    # myopic within `tolerance` of the grid minimum
     tolerance: float            # conservative grid-resolution (Lipschitz) bound
-    n_decision_classes: int
-    grid: int
 
 
 def _decision_classes_xi_r(T: int) -> list[tuple[int, int]]:
@@ -217,6 +191,4 @@ def brute_force_minimax(
         myopic_value=myopic_value,
         achieved_by_myopic=achieved,
         tolerance=tolerance,
-        n_decision_classes=n,
-        grid=grid,
     )

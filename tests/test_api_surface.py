@@ -1,9 +1,12 @@
-"""The design rule that every public name has a caller in the program.
+"""Two design rules on the names of `symbandit`.
 
-A public module-level function or class of `symbandit`, or a public
-method of one of its classes, must be referenced by word somewhere in
-`src/` outside its own definition, or in `bench/`. A name that only its
-own test calls belongs in that test.
+Every public name has a caller in the program: a public module-level
+function or class, or a public method of one of its classes, must be
+referenced by word somewhere in `src/` outside its own definition, or in
+`bench/`. A name that only its own test calls belongs in that test.
+
+No module uses another module's private name, as `mod._name` or
+`from mod import _name`: what one module needs of another is public.
 """
 
 import ast
@@ -42,3 +45,26 @@ def test_every_public_name_has_a_program_caller():
                     or any(word.search("\n".join(text)) for text in elsewhere)):
                 orphans.append(f"{path.name}:{first} {name}")
     assert not orphans, "no caller in the program: " + ", ".join(orphans)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_uses_another_modules_private_name():
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        imported = {alias.asname or alias.name for node in imports for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if _is_private(name.rpartition(".")[2])]
+    assert not uses, "private names of another module: " + ", ".join(uses)

@@ -1,12 +1,13 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from symbandit import dp
-from symbandit.cli import _parse_sweep_config, _trace_rows, _verify_checks, main
-from symbandit.experiments import read_csv, write_csv
+from symbandit import dp, pde
+from symbandit.cli import _trace_rows, _verify_checks, main
+from symbandit.experiments import SweepSpec, read_csv, write_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,7 +68,7 @@ class TestDp:
     def test_trace_rows_across_chunks(self):
         T, eps = 10, 0.3
         want = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
-        v, vbar = dp._origin_values(T, eps)
+        v, vbar = dp.origin_values(T, eps)
         for chunk in (1, 3, 11, 12):
             assert list(_trace_rows(v, vbar, chunk)) == want
 
@@ -101,6 +102,27 @@ class TestPde:
         assert code == 0
         for key in ("u =", "u_h =", "phi =", "phi_hat =", "ubar ="):
             assert key in out
+
+    # the last three cells print u or u_n one digit apart when the CLI
+    # sums the components itself
+    @pytest.mark.parametrize("T, gamma, branch, eta, xi_h, xi_r", [
+        (400, 0.707, "C1", 0.4, -1.2, 0.0),
+        (400, 0.707, "C0", 0.4, -1.2, 0.0),
+        (1600, 0.707, "C0", 16.0, 10.4, -7.3),
+        (100, 1.0, "C1", -15.5, 18.8, 18.7),
+        (100, 2.0, "C0", -18.4, -6.0, 19.1),
+    ])
+    def test_prints_the_library_values(self, capsys, T, gamma, branch, eta, xi_h, xi_r):
+        s2 = 2.0
+        code, out, _ = run(capsys, "pde", "--T", str(T), "--gamma", str(gamma),
+                           "--branch", branch, "--eta", str(eta), "--xi-h", str(xi_h),
+                           "--xi-r", str(xi_r), "--s2", str(s2))
+        assert code == 0
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        cf, t = pde.ClosedForm.make(branch, gamma / math.sqrt(T)), -float(T)
+        assert printed["u"] == f"{pde.u_total(eta, xi_h, xi_r, t, cf):.12g}"
+        assert printed["u_n"] == f"{pde.u_n(xi_r, t, cf):.12g}"
+        assert printed["ubar"] == f"{pde.bar_u_total(xi_r, s2, t, cf):.12g}"
 
     def test_zero_gap_rejected(self, capsys):
         code, _, err = run(capsys, "pde", "--T", "10", "--eps", "0")
@@ -210,7 +232,7 @@ class TestSweep:
         for i, block in enumerate(blocks):
             cfg = tmp_path / f"readme{i}.cfg"
             cfg.write_text(block)
-            _parse_sweep_config(str(cfg))
+            SweepSpec.from_file(str(cfg))
 
 
 class TestFigure:

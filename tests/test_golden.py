@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from symbandit.cli import main
-from symbandit.experiments import read_csv
+from symbandit.experiments import SweepSpec, read_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE = GOLDEN / "strategy_T8.txt"
@@ -104,3 +104,9 @@ def test_sweep_mc_columns(capsys, tmp_path):
         for c in SWEEP_CLOSED:
             assert math.isclose(float(row[c]), float(gold[c]), rel_tol=1e-11, abs_tol=1e-12), c
 
+
+def test_sweep_spec_renders_the_golden_config():
+    # the spec SWEEP_CONFIG parses to, built without the parser
+    spec = SweepSpec("medium", [16, 64], gamma=0.707, seed=5, replications=3, episodes=400)
+    gold_meta, _ = read_csv(GOLDEN / "sweep_mc.csv")
+    assert spec.meta("convergence") == {"config": gold_meta["config"], "seed": "5"}

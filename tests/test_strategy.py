@@ -13,7 +13,6 @@ from symbandit.strategy import (
     TabularStrategy,
     UniformStrategy,
     brute_force_minimax,
-    minimax_pair_solve,
 )
 
 
@@ -65,46 +64,6 @@ class TestLikelihoodRatio:
             assert p1 == 0.0
         else:
             assert p1 == 0.5
-
-
-class TestMinimaxPair:
-    def test_tie_coordinate(self):
-        x, y, value = minimax_pair_solve([1.0], [1.0])
-        assert value == 0.0
-        assert x[0] + y[0] == 0.0
-
-    def test_single_coordinate(self):
-        x, y, value = minimax_pair_solve([2.0], [1.0])
-        assert (x[0], y[0]) == (-0.5, 0.5)
-        assert value == -0.5
-
-    def test_two_coordinates_against_grid(self):
-        a, b = np.array([2.0, 1.0]), np.array([1.0, 3.0])
-        x, y, value = minimax_pair_solve(a, b)
-        assert value == pytest.approx(-1.5, abs=1e-15)
-        # grid oracle over all four variables; +-1/2 corners are on the grid,
-        # so the grid minimum is the exact minimum
-        levels = np.linspace(-0.5, 0.5, 21)
-        x1, x2, y1, y2 = np.meshgrid(levels, levels, levels, levels, indexing="ij")
-        f = np.maximum(
-            x1 * a[0] + x2 * a[1] + y1 * b[0] + y2 * b[1],
-            -(x1 * b[0] + x2 * b[1]) - (y1 * a[0] + y2 * a[1]),
-        )
-        assert value == pytest.approx(float(f.min()), abs=1e-12)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            minimax_pair_solve([1.0, 2.0], [1.0])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=6),
-           st.data())
-    def test_branches_equal_at_optimum(self, a, data):
-        b = data.draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
-                               min_size=len(a), max_size=len(a)))
-        x, y, _ = minimax_pair_solve(a, b)
-        lhs = float(np.dot(x, a) + np.dot(y, b))
-        rhs = float(-np.dot(x, np.asarray(b)) - np.dot(y, np.asarray(a)))
-        assert abs(lhs - rhs) <= 1e-12
 
 
 class TestTabular:
