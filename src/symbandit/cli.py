@@ -10,6 +10,11 @@ Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the arrays of `dp.origin_values`, `pde` the
 closed forms of `pde`, and `sweep` reads and renders its config through
 `experiments.SweepSpec`.
+
+Only the standard library, `core` and `pde` load with this module; each
+handler imports the numpy layers (`dp`, `env`, `strategy`) and
+`experiments` it runs, so the closed-form commands `pde`, `prefactor`
+and `figure` start without numpy.
 """
 
 from __future__ import annotations
@@ -19,22 +24,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dp, experiments, pde
+from . import pde
 from .core import check_gap
-from .env import play_episodes
-from .experiments import (
-    ARTIFACT_VERSION,
-    CONVERGENCE_COLUMNS,
-    ERROR_SCALING_COLUMNS,
-    FIGURE_COLUMNS,
-    MC_COLUMNS,
-    SweepSpec,
-    run_meta,
-    write_csv,
-)
-from .strategy import MyopicStrategy, TabularStrategy, UniformStrategy, brute_force_minimax
 
 
 def _fmt(x: float, round3: bool) -> str:
@@ -50,6 +41,8 @@ def _resolve_eps(args, T: int) -> float:
 
 
 def _cmd_dp(args) -> int:
+    from . import dp
+
     T = args.T
     eps = _resolve_eps(args, T)
     # one pass gives every horizon: the printed values and the trace rows
@@ -57,8 +50,10 @@ def _cmd_dp(args) -> int:
     print(f"v = {_fmt(float(v[-1]), args.round3)}")
     print(f"vbar = {_fmt(float(vbar[-1]), args.round3)}")
     if args.trace:
-        meta = run_meta("dp", {"T": T, "eps": repr(eps)})
-        write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), meta)
+        from . import experiments
+
+        meta = experiments.run_meta("dp", {"T": T, "eps": repr(eps)})
+        experiments.write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), meta)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -105,6 +100,8 @@ def _cmd_prefactor(args) -> int:
 
 
 def _make_strategy(name: str):
+    from .strategy import MyopicStrategy, TabularStrategy, UniformStrategy
+
     if name == "myopic":
         return MyopicStrategy()
     if name == "uniform":
@@ -116,6 +113,11 @@ def _make_strategy(name: str):
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import experiments
+    from .env import play_episodes
+
     T = args.T
     eps = _resolve_eps(args, T)
     strategy = _make_strategy(args.strategy)
@@ -125,8 +127,8 @@ def _cmd_simulate(args) -> int:
     )
     if args.json:
         payload = {
-            "version": ARTIFACT_VERSION,
-            "config": run_meta("simulate", {
+            "version": experiments.ARTIFACT_VERSION,
+            "config": experiments.run_meta("simulate", {
                 "T": T, "eps": repr(eps), "episodes": args.episodes,
                 "seed": args.seed, "strategy": args.strategy,
                 "safe_arm": args.safe_arm,
@@ -156,21 +158,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec.from_file(args.config)
+    from . import experiments
+
+    spec = experiments.SweepSpec.from_file(args.config)
     meta = spec.meta(args.kind)
     if args.kind == "convergence":
         rows = experiments.convergence_sweep(spec)
-        cols = list(CONVERGENCE_COLUMNS)
+        cols = list(experiments.CONVERGENCE_COLUMNS)
         if rows and "mc_regret_mean" in rows[0]:
-            cols += MC_COLUMNS
-        write_csv(args.out, cols, rows, meta)
+            cols += experiments.MC_COLUMNS
+        experiments.write_csv(args.out, cols, rows, meta)
     else:
         rows, fit = experiments.error_scaling(spec)
         meta["fit_slope"] = repr(fit.slope)
         meta["fit_intercept"] = repr(fit.intercept)
         meta["fit_r2"] = repr(fit.r2)
         meta["fit_x_axis"] = fit.x_axis
-        write_csv(args.out, ERROR_SCALING_COLUMNS, rows, meta)
+        experiments.write_csv(args.out, experiments.ERROR_SCALING_COLUMNS, rows, meta)
         print(f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g})")
     print(f"{len(rows)} rows written to {args.out}")
     return 0
@@ -188,15 +192,21 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_figure(args) -> int:
+    from . import experiments
+
     grid = _parse_grid(args.grid)
     rows = experiments.figure_data(grid)
-    write_csv(args.out, FIGURE_COLUMNS, rows, run_meta("figure", {"grid": args.grid}))
+    experiments.write_csv(args.out, experiments.FIGURE_COLUMNS, rows,
+                          experiments.run_meta("figure", {"grid": args.grid}))
     print(f"{len(rows)} rows written to {args.out}")
     return 0
 
 
 def _verify_checks():
     """(name, ok, detail) triples for the invariant suite."""
+    from . import dp
+    from .strategy import brute_force_minimax
+
     checks = []
 
     def add(name, ok, detail=""):

@@ -4,6 +4,11 @@ Reproducibility rule used everywhere: the master seed feeds
 ``numpy.random.SeedSequence(seed, spawn_key=(...))``; Monte Carlo chunk i
 of replication r uses spawn_key (r, i). Results are assembled in fixed
 chunk order, so output is bit-identical for any worker count.
+
+numpy, `dp`, `env` and `strategy` are imported by the functions that run
+them, and the process pool only when more than one worker has chunks to
+share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
+command) start without numpy, and a serial run without `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -11,15 +16,10 @@ from __future__ import annotations
 import math
 import typing
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
-import numpy as np
-
-from . import __version__, dp, pde
+from . import __version__, pde
 from .core import check_gap
-from .env import simulate_batch
-from .strategy import MyopicStrategy
 
 ARTIFACT_VERSION = __version__
 
@@ -46,6 +46,10 @@ class MCResult:
 
 
 def _mc_chunk(args) -> tuple[int, float, float, float, float]:
+    import numpy as np
+
+    from .env import simulate_batch
+
     strategy, T, eps, n, safe_arm, seed, spawn_key = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     mu, s2 = simulate_batch(T, eps, strategy, n, rng, safe_arm=safe_arm)
@@ -86,6 +90,8 @@ def mc_estimate(
         for i in range(n_chunks)
     ]
     if workers > 1 and n_chunks > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             parts = list(pool.map(_mc_chunk, jobs))
     else:
@@ -231,6 +237,11 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
     With spec.episodes > 0 and spec.replications > 0, appends Monte Carlo
     columns estimated with the myopic player.
     """
+    import numpy as np
+
+    from . import dp
+    from .strategy import MyopicStrategy
+
     rows = []
     for idx, (T, eps) in enumerate(spec.cells()):
         sqT = math.sqrt(T)
@@ -312,8 +323,14 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     power).
 
     Fixed-T sweeps (eps_list) fit against log(eps); power-rule sweeps fit
-    against log of the dominant predictor.
+    against log of the dominant predictor. Refuses cells that give fewer
+    than two distinct x values (x values within 1e-9 count as one), as a
+    single cell or a `gamma` rule with C1 (predictor gamma^2) does.
     """
+    import numpy as np
+
+    from . import dp
+
     cells = spec.cells()
     dom, rest = _dominant_and_rest(*max(cells, key=lambda c: c[1]), spec.branch)
     if dom < rest:
@@ -333,12 +350,17 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
         xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
         # log of true zero: clamp to the smallest subnormal
         ys.append(math.log(row["abs_diff"] or 5e-324))
+    x_axis = "log_eps" if spec.eps_list is not None else "log_predictor"
+    if max(xs) - min(xs) <= 1e-9:
+        raise ValueError(
+            f"a fit needs at least two distinct {x_axis} values; "
+            f"the {len(cells)} cell(s) all give {x_axis} = {xs[0]:.6g}"
+        )
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = np.polyval([slope, intercept], xs)
     ss_res = float(np.sum((np.array(ys) - fitted) ** 2))
     ss_tot = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    x_axis = "log_eps" if spec.eps_list is not None else "log_predictor"
     return rows, ScalingFit(float(slope), float(intercept), r2, x_axis)
 
 

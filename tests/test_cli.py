@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,13 @@ from symbandit import dp, pde
 from symbandit.cli import _trace_rows, _verify_checks, main
 from symbandit.experiments import SweepSpec, read_csv, write_csv
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def readme_configs():
+    """The bodies of the README's ```ini blocks."""
+    return re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
 
 
 def run(capsys, *argv):
@@ -205,6 +214,19 @@ class TestSweep:
         assert "fit_slope" in meta
         assert len(rows) == 3
 
+    def test_error_scaling_refuses_a_constant_predictor(self, capsys, tmp_path):
+        # a gamma rule makes every C1 predictor eps^2 T = gamma^2: no line to fit
+        cfg = tmp_path / "convergence_pseudoregret.cfg"
+        cfg.write_text(next(block for block in readme_configs()
+                            if block.startswith(f"# {cfg.name}\n")))
+        out = tmp_path / "fit.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", str(cfg),
+                                "--kind", "error-scaling", "--out", str(out))
+        assert code == 1
+        assert "slope" not in stdout
+        assert "at least two distinct log_predictor values" in err
+        assert not out.exists()
+
     def test_bad_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for text, message in [
@@ -227,7 +249,7 @@ class TestSweep:
             assert message in err
 
     def test_readme_configs_parse(self, tmp_path):
-        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        blocks = readme_configs()
         assert len(blocks) >= 4
         for i, block in enumerate(blocks):
             cfg = tmp_path / f"readme{i}.cfg"
@@ -277,3 +299,40 @@ class TestVerify:
                             full(T, eps, safe_arm) + 1e-9 * (safe_arm == 2))
         checks = {name: ok for name, ok, _ in _verify_checks()}
         assert checks[check] is False
+
+
+def modules_loaded_by(argvs, cwd):
+    """Which of numpy and the process-pool modules a fresh interpreter has
+    loaded after importing `cli` and `experiments` and running `main` on
+    each argv."""
+    watched = ["numpy", "multiprocessing", "concurrent.futures.process"]
+    script = (
+        "import json, sys\n"
+        "import symbandit.experiments\n"
+        "from symbandit.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_closed_form_commands_load_no_numpy(self, tmp_path):
+        argvs = [["pde", "--T", "100", "--gamma", "0.707"],
+                 ["prefactor", "--which", "c"],
+                 ["figure", "--grid", "0.5:2:0.5", "--out", str(tmp_path / "figure.csv")]]
+        assert modules_loaded_by(argvs, tmp_path) == []
+
+    def test_serial_runs_load_no_process_pool(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("regime = medium\nT_list = 16, 64\ngamma = 0.4\n"
+                       "replications = 2\nepisodes = 100\n")
+        argvs = [["simulate", "--T", "20", "--eps", "0.1", "--episodes", "100",
+                  "--seed", "1", "--workers", "1"],
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]]
+        assert modules_loaded_by(argvs, tmp_path) == ["numpy"]

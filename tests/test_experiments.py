@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -48,7 +49,8 @@ class TestMCEstimate:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # the pool is imported from concurrent.futures when it is needed
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         kw = dict(T=2, eps=0.1, episodes=2 * (1 << 16) + 1, seed=4)  # three chunks
         pooled = mc_estimate(MyopicStrategy(), workers=5000, **kw)
         assert asked == [3]
@@ -136,6 +138,17 @@ class TestErrorScalingFit:
     def test_refuses_small_gap_rule(self):
         spec = SweepSpec(regime="small", T_list=[1000], power=0.75, branch="C1")
         with pytest.raises(ValueError, match="dominance"):
+            error_scaling(spec)
+
+    @pytest.mark.parametrize("spec, x_axis", [
+        # C1 under a gamma rule: every predictor eps^2 T is gamma^2, up to
+        # its last bits at T = 7000
+        (SweepSpec(regime="medium", T_list=[100, 400, 1600, 6400], gamma=1.274), "log_predictor"),
+        (SweepSpec(regime="medium", T_list=[1000, 3000, 7000], gamma=2.2), "log_predictor"),
+        (SweepSpec(regime="large", T_list=[256], eps_list=[0.2], branch="C1"), "log_eps"),
+    ])
+    def test_refuses_fewer_than_two_distinct_x_values(self, spec, x_axis):
+        with pytest.raises(ValueError, match=f"at least two distinct {x_axis} values"):
             error_scaling(spec)
 
     def test_fixed_horizon_fit_runs(self):
