@@ -9,18 +9,19 @@ printed config reproduces the file byte-for-byte.
 Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the arrays of `dp.origin_values`, `pde` the
 closed forms of `pde`, and `sweep` reads and renders its config through
-`experiments.SweepSpec`.
+`experiments.SweepSpec`. `simulate --json` writes the fields of
+`experiments.MCResult` by name, and the error-scaling header those of
+`experiments.ScalingFit` as `fit_<name>`.
 
 Only the standard library, `core` and `pde` load with this module; each
-handler imports the numpy layers (`dp`, `env`, `strategy`) and
-`experiments` it runs, so the closed-form commands `pde`, `prefactor`
-and `figure` start without numpy.
+handler imports the numpy layers (`dp`, `env`, `strategy`),
+`experiments` and `json` it runs, so the closed-form commands `pde`,
+`prefactor` and `figure` start without numpy or `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -113,6 +114,8 @@ def _make_strategy(name: str):
 
 
 def _cmd_simulate(args) -> int:
+    import json
+
     import numpy as np
 
     from . import experiments
@@ -134,11 +137,7 @@ def _cmd_simulate(args) -> int:
                 "safe_arm": args.safe_arm,
             })["config"],
             "seed": args.seed,
-            "regret_mean": res.regret_mean,
-            "regret_se": res.regret_se,
-            "pseudo_mean": res.pseudo_mean,
-            "pseudo_se": res.pseudo_se,
-            "episodes": res.episodes,
+            **vars(res),
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -164,18 +163,14 @@ def _cmd_sweep(args) -> int:
     meta = spec.meta(args.kind)
     if args.kind == "convergence":
         rows = experiments.convergence_sweep(spec)
-        cols = list(experiments.CONVERGENCE_COLUMNS)
-        if rows and "mc_regret_mean" in rows[0]:
-            cols += experiments.MC_COLUMNS
-        experiments.write_csv(args.out, cols, rows, meta)
+        mc = experiments.MC_COLUMNS if spec.replications > 0 else []
+        experiments.write_csv(args.out, experiments.CONVERGENCE_COLUMNS + mc, rows, meta)
     else:
         rows, fit = experiments.error_scaling(spec)
-        meta["fit_slope"] = repr(fit.slope)
-        meta["fit_intercept"] = repr(fit.intercept)
-        meta["fit_r2"] = repr(fit.r2)
-        meta["fit_x_axis"] = fit.x_axis
+        meta.update({f"fit_{name}": value for name, value in vars(fit).items()})
         experiments.write_csv(args.out, experiments.ERROR_SCALING_COLUMNS, rows, meta)
-        print(f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g})")
+        print(f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g}, "
+              f"{fit.cells} of {len(rows)} cells fitted)")
     print(f"{len(rows)} rows written to {args.out}")
     return 0
 

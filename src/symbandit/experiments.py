@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import typing
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import __version__, pde
 from .core import check_gap
@@ -298,12 +298,16 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
 
 @dataclass
 class ScalingFit:
-    """Least-squares line through the log-log points of an error sweep."""
+    """Least-squares line through the log-log points of `cells` cells."""
 
     slope: float
     intercept: float
     r2: float
     x_axis: str
+    cells: int
+
+
+_ROUNDING_ULPS = 64  # ulps of eps*T + sqrt(T), the size of the terms whose difference is u
 
 
 def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
@@ -314,22 +318,20 @@ def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
 
 
 def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
-    """Per-cell |u - v| rows and the fit of log|u - v| against the
-    varying scale of the sweep.
+    """The convergence sweep's rows, Monte Carlo off, with |u - v| as
+    `abs_diff` and the `predictor`, and the fit of log|u - v| against
+    log(eps) (eps_list sweeps) or log of the dominant predictor.
 
-    Refuses to fit when the branch's dominant envelope term, evaluated
-    with unit constants, does not exceed the remaining terms at the
-    largest-gap cell (a fit there would measure the mixture, not the
-    power).
-
-    Fixed-T sweeps (eps_list) fit against log(eps); power-rule sweeps fit
-    against log of the dominant predictor. Refuses cells that give fewer
-    than two distinct x values (x values within 1e-9 count as one), as a
-    single cell or a `gamma` rule with C1 (predictor gamma^2) does.
+    The fit leaves out each cell whose |u - v| lies below the rounding
+    floor of u, 64 ulps of eps*T + sqrt(T). Refuses a zero
+    gap; refuses when the branch's dominant envelope term, with unit
+    constants, does not exceed the remaining terms at the largest-gap
+    cell (a fit would measure the mixture, not the power); and refuses
+    fitted cells with fewer than two distinct x values (within 1e-9 count
+    as one), as a single cell or a `gamma` rule with C1 (predictor
+    gamma^2) gives.
     """
     import numpy as np
-
-    from . import dp
 
     cells = spec.cells()
     dom, rest = _dominant_and_rest(*max(cells, key=lambda c: c[1]), spec.branch)
@@ -339,29 +341,30 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
             f"dominant envelope term {dom:.3g} < remaining terms {rest:.3g} "
             f"at the largest gap; slope fit would be meaningless"
         )
+    if min(eps for _, eps in cells) == 0.0:
+        raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
     power = 2 if spec.branch == "C1" else 3
-    rows, xs, ys = [], [], []
-    for T, eps in cells:
-        u = pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.make(spec.branch, eps))
-        v = dp.regret_value(T, eps)
-        row = {"T": T, "eps": eps, "branch": spec.branch, "v": v, "u": u,
-               "abs_diff": abs(u - v), "predictor": eps**power * T}
-        rows.append(row)
-        xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
-        # log of true zero: clamp to the smallest subnormal
-        ys.append(math.log(row["abs_diff"] or 5e-324))
+    rows = convergence_sweep(replace(spec, replications=0, episodes=0))
+    xs, ys = [], []
+    for row in rows:
+        T, eps = row["T"], row["eps"]
+        row.update(abs_diff=abs(row["u_minus_v"]), predictor=eps**power * T)
+        if row["abs_diff"] >= _ROUNDING_ULPS * math.ulp(eps * T + math.sqrt(T)):
+            xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
+            ys.append(math.log(row["abs_diff"]))
     x_axis = "log_eps" if spec.eps_list is not None else "log_predictor"
-    if max(xs) - min(xs) <= 1e-9:
+    if not xs or max(xs) - min(xs) <= 1e-9:
         raise ValueError(
-            f"a fit needs at least two distinct {x_axis} values; "
-            f"the {len(cells)} cell(s) all give {x_axis} = {xs[0]:.6g}"
+            f"a fit needs at least two distinct {x_axis} values; {len(xs)} of the "
+            f"{len(cells)} cell(s) lie above the rounding floor of u"
+            + (f", all at {x_axis} = {xs[0]:.6g}" if xs else "")
         )
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = np.polyval([slope, intercept], xs)
     ss_res = float(np.sum((np.array(ys) - fitted) ** 2))
     ss_tot = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return rows, ScalingFit(float(slope), float(intercept), r2, x_axis)
+    return rows, ScalingFit(float(slope), float(intercept), r2, x_axis, len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,10 @@ def run_meta(command: str, params: dict) -> dict:
 def write_csv(path, columns: list[str], rows: Iterable[dict], meta: dict) -> None:
     """Versioned CSV: '# key=value' comment lines, then header, then rows.
 
-    No timestamps, so identical configs reproduce identical bytes. Rows
-    are written as they come, so a generator of rows is never held whole.
+    No timestamps, so identical configs reproduce identical bytes. Each
+    cell is `str(row[col])`, a float's shortest round-tripping repr; a
+    row without one of the columns raises KeyError. Rows are written as
+    they come, so a generator of rows is never held whole.
     """
     with open(path, "w") as fh:
         fh.write(f"# symbandit_version={ARTIFACT_VERSION}\n")
@@ -418,15 +423,7 @@ def write_csv(path, columns: list[str], rows: Iterable[dict], meta: dict) -> Non
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join([_fmt_cell(row.get(col)) for col in columns]) + "\n")
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+            fh.write(",".join([str(row[col]) for col in columns]) + "\n")
 
 
 def read_csv(path) -> tuple[dict, list[dict]]:

@@ -39,14 +39,20 @@ class TabularStrategy:
     """Explicit (t, xi_r) -> p1 table, loadable from a plain-text file.
 
     File format: one `t xi_r p1` triple per line, '#' starts a comment.
+    A key no game reaches is refused: t >= 0, or |xi_r| > t - t_min for
+    the earliest key's t_min.
     The table is held as one dense array over the rectangle of its keys'
     t and xi_r ranges, with NaN where the table has no entry, so a
-    decision is one row lookup. It costs 8 bytes per cell of that
-    rectangle: about 16 per entry for a table of the reachable states.
+    decision is one row lookup. With T = -t_min the rectangle has at most
+    T * (2T - 1) cells of 8 bytes, about 32 bytes per reachable state.
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
+        t_min = min((t for t, _ in table), default=0)
         for (t, x), p in table.items():
+            if t >= 0 or abs(x) > t - t_min:
+                raise ValueError(f"table key ({t}, {x}) is unreachable: a game from "
+                                 f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
         ts = [t for t, _ in table] or [0]

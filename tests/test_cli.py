@@ -212,7 +212,18 @@ class TestSweep:
         assert "slope =" in stdout
         meta, rows = read_csv(out)
         assert "fit_slope" in meta
+        assert meta["fit_cells"] == "3"
         assert len(rows) == 3
+
+    def test_error_scaling_refuses_a_zero_gap(self, capsys, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("regime = large\nT_list = 256\neps_list = 0, 0.2, 0.4\n")
+        out = tmp_path / "fit.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--kind", "error-scaling", "--out", str(out))
+        assert code == 1
+        assert "eps > 0" in err
+        assert not out.exists()
 
     def test_error_scaling_refuses_a_constant_predictor(self, capsys, tmp_path):
         # a gamma rule makes every C1 predictor eps^2 T = gamma^2: no line to fit
@@ -301,18 +312,19 @@ class TestVerify:
         assert checks[check] is False
 
 
-def modules_loaded_by(argvs, cwd):
-    """Which of numpy and the process-pool modules a fresh interpreter has
-    loaded after importing `cli` and `experiments` and running `main` on
-    each argv."""
-    watched = ["numpy", "multiprocessing", "concurrent.futures.process"]
+def modules_loaded_by(argvs, cwd, watched=("numpy", "multiprocessing",
+                                           "concurrent.futures.process")):
+    """Which of the `watched` modules a fresh interpreter has loaded after
+    importing `cli` and `experiments` and running `main` on each argv."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "import symbandit.experiments\n"
         "from symbandit.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
+        f"loaded = [m for m in {list(watched)!r} if m in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
@@ -326,7 +338,8 @@ class TestStartup:
         argvs = [["pde", "--T", "100", "--gamma", "0.707"],
                  ["prefactor", "--which", "c"],
                  ["figure", "--grid", "0.5:2:0.5", "--out", str(tmp_path / "figure.csv")]]
-        assert modules_loaded_by(argvs, tmp_path) == []
+        watched = ["numpy", "multiprocessing", "concurrent.futures.process", "json"]
+        assert modules_loaded_by(argvs, tmp_path, watched) == []
 
     def test_serial_runs_load_no_process_pool(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -166,9 +166,22 @@ class TestErrorScalingFit:
         assert [r["eps"] for r in rows] == [0.2, 0.4]
         assert all(r["abs_diff"] >= 0 for r in rows)
         # the fit is the least-squares line through the rows' log-log points
-        ys = [math.log(r["abs_diff"] or 5e-324) for r in rows]
+        ys = [math.log(r["abs_diff"]) for r in rows]
         xs = [math.log(r["eps"]) for r in rows]
         assert fit.slope == pytest.approx((ys[1] - ys[0]) / (xs[1] - xs[0]), rel=1e-9)
+        assert fit.cells == 2
+
+    def test_cells_below_the_rounding_floor_are_not_fitted(self):
+        # at T = 4096 the C1 cell at eps = 0.2 has |u - v| = 0 exactly, and
+        # the one at 0.1 about 5,500 ulps of eps*T
+        spec = SweepSpec(regime="large", T_list=[4096], eps_list=[0.05, 0.1, 0.2],
+                         branch="C1")
+        rows, fit = error_scaling(spec)
+        assert [r["eps"] for r in rows] == [0.05, 0.1, 0.2]
+        assert rows[2]["abs_diff"] == 0.0
+        assert fit.cells == 2
+        ys = [math.log(r["abs_diff"]) for r in rows[:2]]
+        assert fit.slope == pytest.approx((ys[1] - ys[0]) / math.log(2.0), rel=1e-9)
 
 
 class TestRegimeLaws:
@@ -217,6 +230,15 @@ class TestCSVRoundTrip:
         write_csv(p1, ["a", "b"], rows, meta)
         write_csv(p2, ["a", "b"], rows, meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_scalars_are_written_as_numbers(self, tmp_path):
+        path = tmp_path / "np.csv"
+        write_csv(path, ["x", "n"], [{"x": np.float64(0.5), "n": np.int64(3)}], {})
+        assert path.read_text().splitlines()[-1] == "0.5,3"
+
+    def test_missing_column_raises(self, tmp_path):
+        with pytest.raises(KeyError, match="b"):
+            write_csv(tmp_path / "m.csv", ["a", "b"], [{"a": 1}], {})
 
     def test_floats_roundtrip_exactly(self, tmp_path):
         rows = [{"x": 1.0 / 3.0}]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,9 +76,10 @@ class TestTabular:
         with pytest.raises(ValueError, match="line 2"):
             TabularStrategy.from_text("-2 0 0.5\n-1 1\n")
 
-    # the table's keys span t in [-2, -1] and xi_r in [-1, 3], with a hole
-    # at (-1, 1) and t = -2 holding only xi_r = 0
-    TABLE = {(-2, 0): 0.5, (-1, -1): 0.0, (-1, 3): 1.0}
+    # the table's keys span t in [-4, -1] and xi_r in [-1, 3], all reachable
+    # from t = -4, with a hole at (-1, 1), t = -4 and -2 holding only
+    # xi_r = 0, and t = -3 no entry
+    TABLE = {(-4, 0): 0.5, (-2, 0): 0.5, (-1, -1): 0.0, (-1, 3): 1.0}
 
     @pytest.mark.parametrize("t, xi_r, missing", [
         (-1, [3, 1, -1], 1),     # a hole inside the range
@@ -85,8 +87,9 @@ class TestTabular:
         (-1, [3, -2], -2),       # below the smallest: column -1 would wrap to xi_r 3
         (-1, [3, -7], -7),       # further below: past the row's start
         (-2, [0, 3], 3),         # a hole in another row
-        (-3, [0, -1], 0),        # t before the table
-        (0, [-1], -1),           # t after it
+        (-3, [0, -1], 0),        # a row without entries
+        (0, [-1], -1),           # t after the table
+        (-5, [0, -1], 0),        # t before it
     ])
     def test_missing_state_raises(self, t, xi_r, missing):
         s = TabularStrategy(self.TABLE)
@@ -97,6 +100,19 @@ class TestTabular:
         s = TabularStrategy(self.TABLE)
         assert s.p1_batch(-1, np.array([3, -1, 3])).tolist() == [1.0, 0.0, 1.0]
         assert s.p1_batch(-2, np.array([0, 0])).tolist() == [0.5, 0.5]
+        assert s.p1_batch(-4, np.array([0])).tolist() == [0.5]
+
+    @pytest.mark.parametrize("table, key", [
+        # a game from t = -100 has |xi_r| <= 99 at t = -1: the rectangle
+        # up to xi_r = 100000 would take 80 MB
+        ({(-100, 0): 0.5, (-1, 100000): 0.5}, (-1, 100000)),
+        ({(-2, 0): 0.5, (-1, -2): 0.5}, (-1, -2)),  # below the reachable range
+        ({(-2, 0): 0.5, (-2, 1): 0.5}, (-2, 1)),    # off the origin at the first round
+        ({(-1, 0): 0.5, (0, 0): 0.5}, (0, 0)),      # t = 0 is after the last round
+    ])
+    def test_unreachable_key_raises(self, table, key):
+        with pytest.raises(ValueError, match=re.escape(f"table key {key} is unreachable")):
+            TabularStrategy(table)
 
     def test_undefined_class_raises(self):
         s = TabularStrategy({(-1, 0): 0.5})
