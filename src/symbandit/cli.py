@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: dp, pde, prefactor, simulate, sweep, figure, verify.
-Usage errors exit 2 (argparse); numeric precondition violations exit 1
-with the violated condition named. Every output file embeds the artifact
-version, the full run configuration, and the seed, so re-running the
-printed config reproduces the file byte-for-byte.
+Usage errors exit 2 (argparse); numeric precondition violations and
+files that cannot be read or written exit 1 with the cause named. Every
+output file embeds the artifact version, the full run configuration, and
+the seed, so re-running the printed config reproduces the file
+byte-for-byte.
 
 Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the arrays of `dp.origin_values`, `pde` the
@@ -26,7 +27,7 @@ import math
 import sys
 
 from . import pde
-from .core import check_gap
+from .core import check_game, check_gap
 
 
 def _fmt(x: float, round3: bool) -> str:
@@ -37,6 +38,7 @@ def _resolve_eps(args, T: int) -> float:
     given = (args.eps is not None) + (args.gamma is not None)
     if given != 1:
         raise ValueError("exactly one of --eps or --gamma must be provided")
+    check_game(T, 0.0)  # the horizon first: --gamma divides by sqrt(T)
     eps = args.eps if args.eps is not None else args.gamma / math.sqrt(T)
     return check_gap(eps)
 
@@ -223,7 +225,9 @@ def _verify_checks():
     d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)
             - dp.regret_value_full(10, 0.25, safe_arm=2))
     add("indifference under safe-arm swap", d <= 1e-12, f"|diff|={d:.2e}")
-    d = abs(dp.bayesian_pseudoregret_check(12, 0.2) - dp.pseudoregret_value(12, 0.2))
+    # a uniform prior on the label: the lattice average equals the minimax value
+    vbar = [dp.pseudoregret_value_full(12, 0.2, safe_arm=a) for a in (1, 2)]
+    d = abs(0.5 * (vbar[0] + vbar[1]) - dp.pseudoregret_value(12, 0.2))
     add("uniform-prior pseudoregret equals minimax", d <= 1e-12, f"|diff|={d:.2e}")
 
     for T in (1, 2):
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -127,14 +127,6 @@ def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
     return pseudoregret_tables_full(T, eps, safe_arm)[-1][(0, 0)]
 
 
-def bayesian_pseudoregret_check(T: int, eps: float) -> float:
-    """Pseudoregret under a uniform prior on the safe-arm label, (vbar(safe=1)
-    + vbar(safe=2)) / 2 on the unreduced lattice, which plays both labels;
-    equals the minimax value as the myopic player is indifferent to the label."""
-    return 0.5 * (pseudoregret_value_full(T, eps, safe_arm=1)
-                  + pseudoregret_value_full(T, eps, safe_arm=2))
-
-
 # ---------------------------------------------------------------------------
 # Production route: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------

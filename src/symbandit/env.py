@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,32 +100,23 @@ class EpisodeLog:
     choices: list[int] = field(default_factory=list)
     rewards: list[tuple[int, int]] = field(default_factory=list)
     final_regret: float = 0.0
-    risky_pulls: int = 0
+    s2: int = 0  # risky-arm pulls
 
     def to_line(self) -> str:
-        rec = {
-            "seed": self.seed,
-            "safe_arm": self.safe_arm,
-            "eps": self.eps,
-            "choices": self.choices,
-            "rewards": self.rewards,
-            "final_regret": self.final_regret,
-            "s2": self.risky_pulls,
-        }
-        return json.dumps(rec, separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))
 
     @classmethod
     def from_line(cls, line: str) -> "EpisodeLog":
         rec = json.loads(line)
-        choices = list(rec["choices"])
-        rewards = [(g1, g2) for g1, g2 in rec["rewards"]]
-        if any(c not in (1, 2) for c in choices):
-            raise ValueError(f"choices must be 1 or 2, got {choices}")
-        if any(g not in (-1, 1) for pair in rewards for g in pair):
-            raise ValueError(f"rewards must be +-1, got {rewards}")
-        return cls(seed=rec["seed"], safe_arm=rec["safe_arm"], eps=rec["eps"],
-                   choices=choices, rewards=rewards,
-                   final_regret=rec["final_regret"], risky_pulls=rec["s2"])
+        keys = [f.name for f in fields(cls)]
+        if rec.keys() != set(keys):
+            raise ValueError(f"audit record keys must be {keys}, got {list(rec)}")
+        rec["rewards"] = [(g1, g2) for g1, g2 in rec["rewards"]]
+        if any(c not in (1, 2) for c in rec["choices"]):
+            raise ValueError(f"choices must be 1 or 2, got {rec['choices']}")
+        if any(g not in (-1, 1) for pair in rec["rewards"] for g in pair):
+            raise ValueError(f"rewards must be +-1, got {rec['rewards']}")
+        return cls(**rec)
 
 
 def _episode_draws(rngs, T):
@@ -162,7 +153,7 @@ def play_episodes(T: int, eps: float, strategy, seeds, safe_arm: int = 1):
                 choices=np.where(picks[:, j], 1, 2).tolist(),
                 rewards=list(zip(g1[:, j].tolist(), g2[:, j].tolist())),
                 final_regret=float(mu[j]),
-                risky_pulls=int(risky[j]),
+                s2=int(risky[j]),
             )
 
 

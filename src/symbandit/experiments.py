@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import __version__, pde
-from .core import check_gap
+from .core import check_game, check_gap
 
 ARTIFACT_VERSION = __version__
 
@@ -170,6 +170,8 @@ class SweepSpec:
             raise ValueError("Monte Carlo columns need both replications and episodes "
                              f"positive, or neither; got replications={self.replications}, "
                              f"episodes={self.episodes}")
+        for T in self.T_list:  # the horizon first: cells() divides by T or raises it
+            check_game(T, 0.0)
         for T, eps in self.cells():
             check_gap(eps)  # the rule must keep every cell feasible
 

@@ -25,7 +25,6 @@ u_n = bar_u_n + eps t: each regret piece is one line over its twin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import erf, erfc
 
 from .core import SQRT_PI, SQRT_TWO_PI, check_gap
@@ -34,15 +33,18 @@ SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class ClosedForm:
-    """Gap, branch constant b, and derived kappa = 2(1 + eps^2)."""
+    """Gap, branch constant b, and derived kappa = 2(1 + eps^2).
 
-    eps: float
-    b: float
+    A plain class rather than a dataclass, so that importing `pde` (and
+    the closed-form commands) does not load `dataclasses`.
+    """
 
-    def __post_init__(self) -> None:
-        check_gap(self.eps)
+    __slots__ = ("eps", "b")
+
+    def __init__(self, eps: float, b: float) -> None:
+        self.eps = check_gap(eps)
+        self.b = b
 
     @property
     def kappa(self) -> float:

@@ -4,7 +4,11 @@ The myopic player picks the arm with the larger revealed cumulative
 reward difference xi_r (a maximum-likelihood guess of the safe arm) and
 splits 1/2 - 1/2 on a tie. The brute-force search certifies, at tiny
 horizons, that no strategy on a probability grid beats it by more than a
-grid-resolution bound.
+grid-resolution bound. It values every grid strategy at once by one
+backward recursion over the outcome tree: a leaf is the terminal payoff,
+a node the outcome-weighted mix p * (arm 1) + (1 - p) * (arm 2) of its
+children, where p is a numpy array broadcast along its decision class's
+own axis of the strategy grid.
 
 Each player has one decision method, p1_batch(t, xi_r): the probability
 of pulling arm 1 at round t, for every revealed difference in an array.
@@ -102,61 +106,19 @@ class BruteForceCertificate:
     tolerance: float            # conservative grid-resolution (Lipschitz) bound
 
 
-def _decision_classes_xi_r(T: int) -> list[tuple[int, int]]:
-    classes = []
-    for t in range(-T, 0):
-        k = T + t  # rounds elapsed when the decision is made
-        for x in range(-k, k + 1, 2):
-            classes.append((t, x))
-    return classes
-
-
-def _decision_classes_history(T: int) -> list[tuple]:
-    """Observable histories: tuples of (choice, revealed reward) pairs."""
-    classes: list[tuple] = []
-    for rounds in range(T):
-        for hist in itertools.product([(1, 1), (1, -1), (2, 1), (2, -1)], repeat=rounds):
-            classes.append(hist)
-    return classes
-
-
-def _grid_tree_values(T, eps, safe_arm, class_index, mesh, full_shape, observable):
-    """Expected regret of every grid strategy at once, by outcome-tree walk.
-
-    `mesh[k]` broadcasts the k-th decision probability along its own axis;
-    partial factor products stay small until the leaf accumulation.
-    """
-    outcomes = reward_table(eps, safe_arm)
-    acc = np.zeros(full_shape)
-
-    def walk(t, eta, xi_h, xi_r, hist, prob, factor):
-        nonlocal acc
-        if t == 0:
-            acc += (prob * terminal_payoff(eta, xi_h, xi_r)) * factor
-            return
-        key = (t, xi_r) if observable == "xi_r" else hist
-        p1 = mesh[class_index[key]]
-        for g1, g2, pr in outcomes:
-            walk(t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1,
-                 hist + ((1, g1),), prob * pr, factor * p1)
-            walk(t + 1, eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2,
-                 hist + ((2, g2),), prob * pr, factor * (1.0 - p1))
-
-    walk(-T, 0, 0, 0, (), 1.0, np.ones(()))
-    return acc
-
-
 def brute_force_minimax(
     T: int, eps: float, grid: int, observable: str = "xi_r"
 ) -> BruteForceCertificate:
     """Exhaustive minimax search over tabular strategies on a probability grid.
 
-    Enumerates every strategy assigning one of `grid` evenly spaced
-    probabilities to each observable decision class, evaluates its exact
-    worst-case expected regret over the two safe-arm labels by outcome-tree
-    enumeration, and reports whether the myopic player, valued on the full
-    (eta, xi_h, xi_r) lattice of each label, attains the grid minimum
-    within one conservative Lipschitz bound (2 * classes / grid).
+    Every strategy assigns one of `grid` evenly spaced probabilities to
+    each observable decision class; class k's probability varies along
+    axis k of the strategy grid. One backward recursion over the outcome
+    tree gives the exact expected regret of every grid strategy at once
+    for each safe-arm label. The myopic player, valued on the full
+    (eta, xi_h, xi_r) lattice of each label, must attain the grid minimum
+    of the worse label within one conservative Lipschitz bound
+    (2 * classes / grid).
     """
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
@@ -166,35 +128,39 @@ def brute_force_minimax(
         raise ValueError(f"observable must be 'xi_r' or 'history', got {observable!r}")
     check_game(T, eps)
 
-    if observable == "xi_r":
-        classes = _decision_classes_xi_r(T)
-    else:
-        classes = _decision_classes_history(T)
+    if observable == "xi_r":  # (t, xi_r), with T + t rounds elapsed
+        classes = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
+    else:  # observable histories: tuples of (choice, revealed reward) pairs
+        classes = [hist for rounds in range(T) for hist in
+                   itertools.product([(1, 1), (1, -1), (2, 1), (2, -1)], repeat=rounds)]
     n = len(classes)
     if grid**n > 4e6:
         raise ValueError(
             f"strategy grid too large: {grid}^{n} points; lower `grid` or T"
         )
-    class_index = {c: k for k, c in enumerate(classes)}
     levels = np.linspace(0.0, 1.0, grid)
-    mesh = [
-        levels.reshape((1,) * k + (grid,) + (1,) * (n - 1 - k)) for k in range(n)
-    ]
-    full_shape = (grid,) * n
+    # trailing axes only: a later class has fewer, so deep subtrees stay small
+    p1 = {c: levels.reshape((grid,) + (1,) * (n - 1 - k)) for k, c in enumerate(classes)}
 
-    worst = None
-    for safe_arm in (1, 2):
-        ev = _grid_tree_values(T, eps, safe_arm, class_index, mesh, full_shape, observable)
-        worst = ev if worst is None else np.maximum(worst, ev)
-    value = float(worst.min())
+    def value(outcomes, t, eta, xi_h, xi_r, hist):
+        """Expected final regret from this node, for every grid strategy."""
+        if t == 0:
+            return terminal_payoff(eta, xi_h, xi_r)
+        p = p1[(t, xi_r) if observable == "xi_r" else hist]
+        return sum(pr * (p * value(outcomes, t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2,
+                                   xi_r + g1, hist + ((1, g1),))
+                         + (1.0 - p) * value(outcomes, t + 1, eta + g1 + g2 - 2 * g2,
+                                             xi_h + g1, xi_r - g2, hist + ((2, g2),)))
+                   for g1, g2, pr in outcomes)
 
+    grid_min = float(np.maximum(value(reward_table(eps, 1), -T, 0, 0, 0, ()),
+                                value(reward_table(eps, 2), -T, 0, 0, 0, ())).min())
     myopic_value = max(dp.regret_value_full(T, eps, safe_arm=1),
                        dp.regret_value_full(T, eps, safe_arm=2))
     tolerance = 2.0 * n / grid
-    achieved = myopic_value <= value + tolerance + 1e-12
     return BruteForceCertificate(
-        value=value,
+        value=grid_min,
         myopic_value=myopic_value,
-        achieved_by_myopic=achieved,
+        achieved_by_myopic=myopic_value <= grid_min + tolerance + 1e-12,
         tolerance=tolerance,
     )

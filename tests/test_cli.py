@@ -51,6 +51,15 @@ class TestDp:
         assert code == 1
         assert "horizon" in err
 
+    @pytest.mark.parametrize("cmd", [["dp"], ["pde"],
+                                     ["simulate", "--episodes", "10", "--seed", "1"]])
+    @pytest.mark.parametrize("T", ["0", "-4"])
+    def test_non_positive_horizon_is_named(self, capsys, cmd, T):
+        # --gamma divides by sqrt(T): the horizon is checked first
+        code, _, err = run(capsys, cmd[0], "--T", T, "--gamma", "1", *cmd[1:])
+        assert code == 1
+        assert f"horizon must be a positive integer, got {T}" in err
+
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, out, _ = run(capsys, "dp", "--T", "8", "--eps", "0.2",
@@ -177,6 +186,13 @@ class TestSimulate:
         assert code == 0
         assert "regret_mean" in out
 
+    def test_missing_table_file_exits_1(self, capsys, tmp_path):
+        table = tmp_path / "absent.txt"
+        code, _, err = run(capsys, "simulate", "--T", "3", "--eps", "0.2", "--episodes", "5",
+                           "--seed", "2", "--strategy", f"table:{table}")
+        assert code == 1
+        assert err.startswith("error: ") and str(table) in err
+
 
 class TestSweep:
     def test_convergence_sweep_reproducible(self, capsys, tmp_path):
@@ -259,6 +275,23 @@ class TestSweep:
             assert code == 1
             assert message in err
 
+    @pytest.mark.parametrize("rule", ["gamma = 0.4", "power = 0.3"])
+    def test_non_positive_horizon_is_named(self, capsys, tmp_path, rule):
+        # each gap rule divides by T or raises it to a negative power
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"regime = small\nT_list = 0, 16\n{rule}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "horizon must be a positive integer, got 0" in err
+
+    def test_missing_config_file_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "absent.cfg"
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and str(cfg) in err
+
     def test_readme_configs_parse(self, tmp_path):
         blocks = readme_configs()
         assert len(blocks) >= 4
@@ -313,13 +346,14 @@ class TestVerify:
 
 
 def modules_loaded_by(argvs, cwd, watched=("numpy", "multiprocessing",
-                                           "concurrent.futures.process")):
+                                           "concurrent.futures.process"),
+                      preload=("symbandit.experiments",)):
     """Which of the `watched` modules a fresh interpreter has loaded after
-    importing `cli` and `experiments` and running `main` on each argv."""
+    importing the `preload` modules and `cli` and running `main` on each argv."""
     script = (
         "import sys\n"
-        "import symbandit.experiments\n"
-        "from symbandit.cli import main\n"
+        + "".join(f"import {name}\n" for name in preload)
+        + "from symbandit.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         f"loaded = [m for m in {list(watched)!r} if m in sys.modules]\n"
@@ -340,6 +374,11 @@ class TestStartup:
                  ["figure", "--grid", "0.5:2:0.5", "--out", str(tmp_path / "figure.csv")]]
         watched = ["numpy", "multiprocessing", "concurrent.futures.process", "json"]
         assert modules_loaded_by(argvs, tmp_path, watched) == []
+
+    def test_closed_form_commands_load_no_dataclasses(self, tmp_path):
+        # `dataclasses` pulls in `inspect`, a third of what `cli` takes to import
+        argvs = [["pde", "--T", "100", "--gamma", "0.707"], ["prefactor", "--which", "c"]]
+        assert modules_loaded_by(argvs, tmp_path, ["dataclasses"], preload=()) == []
 
     def test_serial_runs_load_no_process_pool(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

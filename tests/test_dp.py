@@ -107,10 +107,12 @@ class TestStructuralInvariants:
                        - dp.regret_value_full(T, eps, safe_arm=2)) <= 1e-12
 
     def test_bayesian_check_equals_minimax(self):
-        # the check plays both labels on the lattice, so T <= FULL_TABLE_MAX_T
+        # a uniform prior on the label, both labels played on the lattice,
+        # so T <= FULL_TABLE_MAX_T
         for T, eps in [(1, 0.4), (12, 0.1), (10, 0.0)]:
-            assert abs(dp.bayesian_pseudoregret_check(T, eps)
-                       - dp.pseudoregret_value(T, eps)) <= 1e-12
+            bayes = 0.5 * (dp.pseudoregret_value_full(T, eps, safe_arm=1)
+                           + dp.pseudoregret_value_full(T, eps, safe_arm=2))
+            assert abs(bayes - dp.pseudoregret_value(T, eps)) <= 1e-12
 
     def test_zero_gap_pseudoregret_vanishes(self):
         assert dp.pseudoregret_value(200, 0.0) == 0.0

@@ -44,6 +44,8 @@ def test_reward_pair_validation():
         EpisodeLog.from_line(line.replace('"rewards":[[', '"rewards":[[0,1],['))
     with pytest.raises(ValueError):
         EpisodeLog.from_line(line.replace('"choices":[', '"choices":[3,'))
+    with pytest.raises(ValueError, match="audit record keys"):  # a record without s2
+        EpisodeLog.from_line(line.replace(',"s2":', ',"risky_pulls":'))
 
 
 class TestSampleRewards:
@@ -100,7 +102,7 @@ class TestEpisodes:
     def test_log_consistency(self):
         log = play_episode(50, 0.3, MyopicStrategy(), seed=7)
         assert len(log.choices) == len(log.rewards) == 50
-        assert (log.final_regret, log.risky_pulls) == replay(log.choices, log.rewards)
+        assert (log.final_regret, log.s2) == replay(log.choices, log.rewards)
 
     def test_roundtrip_serialization(self):
         log = play_episode(12, 0.25, UniformStrategy(), seed=3)

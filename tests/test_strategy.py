@@ -159,6 +159,18 @@ class TestBruteForce:
         assert full.value >= fine.value - 1e-12
         assert full.achieved_by_myopic
 
+    @pytest.mark.parametrize("T,eps,grid", list(itertools.product([1, 2], [0.0, 0.15, 0.3, 0.8],
+                                                                  [2, 3])))
+    def test_value_is_the_min_over_every_tabular_strategy(self, T, eps, grid):
+        # one outcome-tree walk per grid strategy and label, sharing no code
+        # with the broadcast recursion
+        states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
+        want = min(
+            max(tree_expected_regret(T, eps, TabularStrategy(dict(zip(states, p1s))), safe_arm=a)
+                for a in (1, 2))
+            for p1s in itertools.product(np.linspace(0.0, 1.0, grid), repeat=len(states)))
+        assert abs(brute_force_minimax(T, eps, grid).value - want) <= 1e-15
+
     def test_guards(self):
         with pytest.raises(ValueError):
             brute_force_minimax(4, 0.2, grid=5)
