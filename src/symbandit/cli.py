@@ -220,6 +220,11 @@ def _verify_checks():
         for eps in (0.0, 0.3, 0.7):
             d = abs(dp.regret_value(T, eps) - dp.regret_value_full(T, eps))
             add(f"production==full T={T} eps={eps}", d <= 1e-12, f"|diff|={d:.2e}")
+    # at eps = 0 the regret is the mean absolute deviation of Bin(2T, 1/2)
+    T = 1000
+    exact = T * math.comb(2 * T, T) / 4**T
+    rel = abs(dp.regret_value(T, 0.0) - exact) / exact
+    add(f"zero-gap regret equals T C(2T,T)/4^T T={T}", rel <= 1e-15, f"rel diff={rel:.2e}")
 
     # the production route is label-symmetric by construction; the lattice plays the swap
     d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)

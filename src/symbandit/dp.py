@@ -20,19 +20,19 @@ is behind (a fair coin at W = 0). So, with q = 1 - p,
   payoff adds |zeta/2|, and zeta/2 is the simple walk seen at even times
   (a lazy walk with steps +1, 0, -1 w.p. p^2, 2pq, q^2) with mean eps*k.
 
-Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m, computed from
-Loader's Stirling-error terms (C. Loader, "Fast and Accurate Computation
-of Binomial Probabilities", 2000) so that each a_m is accurate to a few
-ulps at any m. L_2m = P(W_2m < 0) is a prefix sum of its exact two-step
-increment a_m q (q - eps m)/(m + 1), L_2m+1 = L_2m + q a_m, and
-g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every prefix sum is compensated
-for the rounding of its additions. When gamma = eps sqrt(T) is large, L
-and g fall towards zero inside the horizon; their tails are then summed
-from the far end, so they keep their relative accuracy and v >= vbar
-holds in floating point too. The tests hold the route to 1e-13 relative
-of an exact rational oracle (measured 7.4e-16) and check it against the
-O(T^2) walk decomposition and the O(T^3) reduced lattice kept under
-tests/.
+Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m, the product of
+(1 - 1/(2j)) over j <= m times (1 - eps^2)^m: the exp of a compensated
+running sum of log1p(-1/(2j)) times exp(m log1p(-eps^2)), within 3 ulps
+for m <= 1e7 plus the rounding of m log1p(-eps^2). L_2m = P(W_2m < 0) is
+a prefix sum of its exact two-step increment a_m q (q - eps m)/(m + 1),
+L_2m+1 = L_2m + q a_m, and g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every
+prefix sum is compensated for the rounding of its additions. When
+gamma = eps sqrt(T) is large, L and g fall towards zero inside the
+horizon; their tails are then summed from the far end, so they keep
+their relative accuracy and v >= vbar holds in floating point too. The
+tests hold the route to 1e-13 relative of an exact rational oracle
+(measured 7.4e-16) and check it against the O(T^2) walk decomposition
+and the O(T^3) reduced lattice kept under tests/.
 
 The value does not depend on which arm is safe, so the production route
 takes no safe-arm label. The full-lattice oracles play both labels, and
@@ -131,33 +131,25 @@ def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
 # Production route: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------
 
-# Loader's Stirling error delta(n) = log(n!) - (n log n - n + log(2 pi n)/2)
-# for n = 0..15 (entry 0 is unused), and the coefficients of its
-# asymptotic series above that, accurate to ~1e-16 absolute from n = 16.
-_STIRLERR_SMALL = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
-
-
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """Loader's delta(n) for a float array of integers n >= 1."""
-    r = 1.0 / (n * n)
-    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / n
-    small = n < len(_STIRLERR_SMALL)
-    out[small] = _STIRLERR_SMALL[n[small].astype(np.intp)]
-    return out
+def _cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of x, each corrected by the running sum of the
+    rounding errors of the additions (Knuth's TwoSum, vectorized)."""
+    s = np.cumsum(x)
+    prev = np.empty_like(s)
+    prev[:1], prev[1:] = 0.0, s[:-1]  # slices: x may be empty
+    step = s - prev
+    # the errors (prev - (s - step)) + (x - step), in place: four fewer temporaries
+    err = np.subtract(prev, s - step, out=prev)
+    err += np.subtract(x, step, out=step)
+    return np.add(s, np.cumsum(err, out=err), out=s)
 
 
 def _central_binomial(n: int, eps: float) -> np.ndarray:
     """a_m = C(2m, m) (pq)^m = P(W_2m = 0) for m = 0..n-1."""
     m = np.arange(1.0, n)
-    log_a = _stirlerr(2.0 * m) - 2.0 * _stirlerr(m) + m * math.log1p(-eps * eps)
-    return np.concatenate(([1.0], np.exp(log_a) / np.sqrt(math.pi * m)))
+    # two exps: adding the logs first would round their sum once more
+    a = np.exp(_cumsum(np.log1p(-0.5 / m))) * np.exp(m * math.log1p(-eps * eps))
+    return np.concatenate(([1.0], a))
 
 
 # Once T*eps^2 passes _DEEP_TAIL, L_2m and g(k) fall below the round-off
@@ -165,16 +157,6 @@ def _central_binomial(n: int, eps: float) -> np.ndarray:
 # so their tails are summed from the far end of _TAIL_PAD/eps^2 extra terms.
 _DEEP_TAIL = 30.0
 _TAIL_PAD = 40.0
-
-
-def _cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums of x, each corrected by the running sum of the
-    rounding errors of the additions (Knuth's TwoSum, vectorized)."""
-    s = np.cumsum(x)
-    prev = np.empty_like(s)
-    prev[0], prev[1:] = 0.0, s[:-1]
-    step = s - prev
-    return s + np.cumsum((prev - (s - step)) + (x - step))
 
 
 def _prefix_sums(x: np.ndarray, vanishing: bool) -> np.ndarray:

@@ -111,6 +111,10 @@ class EpisodeLog:
         keys = [f.name for f in fields(cls)]
         if rec.keys() != set(keys):
             raise ValueError(f"audit record keys must be {keys}, got {list(rec)}")
+        check_game(len(rec["choices"]), rec["eps"], rec["safe_arm"])
+        if len(rec["rewards"]) != len(rec["choices"]):
+            raise ValueError(f"rewards must hold one pair per choice, got "
+                             f"{len(rec['rewards'])} pairs for {len(rec['choices'])} choices")
         rec["rewards"] = [(g1, g2) for g1, g2 in rec["rewards"]]
         if any(c not in (1, 2) for c in rec["choices"]):
             raise ValueError(f"choices must be 1 or 2, got {rec['choices']}")

@@ -202,6 +202,8 @@ class SweepSpec:
                 if k not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
                                      f"known keys: {', '.join(types)}")
+                if k in kwargs:
+                    raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
                 try:
                     kwargs[k] = _parse_value(types[k], v)
                 except ValueError as exc:

@@ -304,8 +304,8 @@ def prefactor_c_bar(gamma: float) -> float:
     gamma = 8 the erfc complements do, where the direct form loses the
     1/gamma answer to cancellation.
     """
-    if not gamma > 0.0:  # also rejects nan
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:  # also rejects nan
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     g = gamma
     if g < 0.01:
         g2 = g * g

@@ -46,9 +46,11 @@ class TabularStrategy:
     A key no game reaches is refused: t >= 0, or |xi_r| > t - t_min for
     the earliest key's t_min.
     The table is held as one dense array over the rectangle of its keys'
-    t and xi_r ranges, with NaN where the table has no entry, so a
-    decision is one row lookup. With T = -t_min the rectangle has at most
-    T * (2T - 1) cells of 8 bytes, about 32 bytes per reachable state.
+    t and xi_r ranges, with NaN where the table has no entry, plus a NaN
+    row past the last t and a NaN column each side: a decision is one row
+    lookup clipped into that border, so no index wraps around. With
+    T = -t_min that is at most (T + 1) * (2T + 1) cells of 8 bytes, about
+    32 bytes per reachable state.
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
@@ -61,21 +63,15 @@ class TabularStrategy:
                 raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
         ts = [t for t, _ in table] or [0]
         xs = [x for _, x in table] or [0]
-        self._t0, self._x0 = min(ts), min(xs)
-        self._p1 = np.full((max(ts) - self._t0 + 1, max(xs) - self._x0 + 1), np.nan)
+        self._t0, self._x0 = min(ts), min(xs) - 1  # column 0 is the left border
+        self._p1 = np.full((max(ts) - self._t0 + 2, max(xs) - self._x0 + 2), np.nan)
         for (t, x), p in table.items():
             self._p1[t - self._t0, x - self._x0] = p
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        row, col = t - self._t0, xi_r - self._x0
-        rows, cols = self._p1.shape
-        # bounds first: a negative column would wrap around to the far end
-        if 0 <= row < rows and col.min(initial=0) >= 0 and col.max(initial=0) < cols:
-            p1 = self._p1[row][col]
-        else:  # NaN off the table, so the first missing state is named below
-            inside = (0 <= row < rows) & (col >= 0) & (col < cols)
-            p1 = np.where(inside, self._p1[min(max(row, 0), rows - 1)][col.clip(0, cols - 1)],
-                          np.nan)
+        row = t - self._t0
+        row = row if 0 <= row < len(self._p1) - 1 else -1  # -1: the border row
+        p1 = self._p1[row].take(xi_r - self._x0, mode="clip")
         holes = np.isnan(p1)
         if holes.any():
             x = xi_r[holes.argmax()]
@@ -92,7 +88,15 @@ class TabularStrategy:
             parts = body.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 't xi_r p1', got {line!r}")
-            table[(int(parts[0]), int(parts[1]))] = float(parts[2])
+            try:
+                key, p1 = (int(parts[0]), int(parts[1])), float(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers t and xi_r and a "
+                                 f"number p1, got {line!r}") from None
+            if key in table:
+                raise ValueError(f"line {lineno}: state (t={key[0]}, xi_r={key[1]}) "
+                                 "is listed twice")
+            table[key] = p1
         return cls(table)
 
 

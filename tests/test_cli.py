@@ -112,6 +112,13 @@ class TestPrefactor:
         assert code == 0
         assert "0.530" in out
 
+    @pytest.mark.parametrize("which", ["c", "c_bar"])
+    def test_infinite_gamma_exits_1(self, capsys, which):
+        code, out, err = run(capsys, "prefactor", "--which", which, "--gamma", "inf")
+        assert code == 1
+        assert "nan" not in out
+        assert "gamma must be positive" in err
+
 
 class TestPde:
     def test_components_printed(self, capsys):
@@ -263,6 +270,9 @@ class TestSweep:
              "replication = 3\n", f"{cfg}:5: unknown key 'replication'"),
             # a value of the wrong type names its line and key
             ("regime = medium\nT_list = 16\nseed = 1.5\n", f"{cfg}:3: bad value for 'seed'"),
+            # a key given twice must not quietly keep the last value
+            ("regime = medium\nT_list = 16\ngamma = 0.7\ngamma = 0.9\n",
+             f"{cfg}:4: key 'gamma' is set twice"),
             # one Monte Carlo key alone must not quietly write no MC columns
             ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
              "replications=3, episodes=0"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -46,6 +47,14 @@ def test_reward_pair_validation():
         EpisodeLog.from_line(line.replace('"choices":[', '"choices":[3,'))
     with pytest.raises(ValueError, match="audit record keys"):  # a record without s2
         EpisodeLog.from_line(line.replace(',"s2":', ',"risky_pulls":'))
+    with pytest.raises(ValueError, match="safe_arm must be 1 or 2, got 7"):
+        EpisodeLog.from_line(line.replace('"safe_arm":1', '"safe_arm":7'))
+    with pytest.raises(ValueError, match="eps=3.0"):
+        EpisodeLog.from_line(line.replace('"eps":0.2', '"eps":3.0'))
+    rec = json.loads(line)
+    rec["choices"] = rec["choices"][:1]  # one choice against three reward pairs
+    with pytest.raises(ValueError, match="rewards must hold one pair per choice"):
+        EpisodeLog.from_line(json.dumps(rec))
 
 
 class TestSampleRewards:

@@ -40,14 +40,24 @@ def test_oracle_equals_full_lattice():
 
 
 def test_central_binomial_to_a_few_ulps():
-    # covers Loader's table (n <= 15) and the series past it; the rounding
-    # of the exponent m*log1p(-eps^2) adds its size in ulps
-    for eps in (Fraction(0), Fraction(1, 8), Fraction(3, 5)):
-        a = dp._central_binomial(80, float(eps))
+    # the product's first 80 terms and two far along it; the rounding of
+    # the exponent m*log1p(-eps^2) adds its size in ulps
+    cases = [(eps, range(80)) for eps in (Fraction(0), Fraction(1, 8), Fraction(3, 5))]
+    cases += [(eps, (10**3, 10**4)) for eps in (Fraction(0), Fraction(1, 8))]
+    for eps, ms in cases:
+        a = dp._central_binomial(max(ms) + 1, float(eps))
         pq = (1 - eps * eps) / 4
-        for m in range(80):
+        for m in ms:
             ulps = 4.0 + abs(m * math.log1p(-float(eps * eps)))
             assert relative_error(float(a[m]), math.comb(2 * m, m) * pq**m) <= ulps * 2.0**-52
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 1000, 10**4])
+def test_zero_gap_regret_is_the_binomial_mean_absolute_deviation(T):
+    # at eps = 0, v = E|X - T| for X ~ Bin(2T, 1/2), which is T C(2T, T)/4^T;
+    # the value sums every a_m up to T, and the int/int division rounds once
+    exact = T * math.comb(2 * T, T) / 4**T
+    assert abs(dp.regret_value(T, 0.0) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("T", GRID_T)

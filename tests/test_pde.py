@@ -378,6 +378,12 @@ class TestPrefactors:
             with pytest.raises(ValueError):
                 f(math.nan)
 
+    @pytest.mark.parametrize("f", [prefactor_c, prefactor_c_bar])
+    def test_rejects_infinite(self, f):
+        # the erf forms give inf - inf = nan there
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            f(math.inf)
+
     def test_maximizer_c(self):
         gstar, val = maximize_prefactor("c")
         assert round(gstar, 3) == 0.707

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbandit import dp
@@ -76,6 +76,18 @@ class TestTabular:
         with pytest.raises(ValueError, match="line 2"):
             TabularStrategy.from_text("-2 0 0.5\n-1 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("-2 0 0.5\n-1.5 1 1.0\n", "line 2: expected integers t and xi_r"),
+        ("-2 0 0.5\n-1 x 1.0\n", "line 2: expected integers t and xi_r"),
+        ("-2 0 0.5\n-1 1 half\n", "line 2: expected integers t and xi_r"),
+        # a state given twice must not quietly keep the last line
+        ("-2 0 0.5\n-1 1 1.0\n# again\n-1 1 0.0\n",
+         "line 4: state (t=-1, xi_r=1) is listed twice"),
+    ])
+    def test_malformed_line_is_named(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabularStrategy.from_text(text)
+
     # the table's keys span t in [-4, -1] and xi_r in [-1, 3], all reachable
     # from t = -4, with a hole at (-1, 1), t = -4 and -2 holding only
     # xi_r = 0, and t = -3 no entry
@@ -95,6 +107,27 @@ class TestTabular:
         s = TabularStrategy(self.TABLE)
         with pytest.raises(ValueError, match=rf"\(t={t}, xi_r={missing}\)"):
             s.p1_batch(t, np.array(xi_r, dtype=np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(1, 6), data=st.data())
+    def test_lookup_equals_a_dict(self, T, data):
+        # a random table over the states a game from t = -T reaches, with
+        # holes, queried on and off its rectangle: each answer is the
+        # dict's, or the first miss is named
+        states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1)]
+        table = data.draw(st.dictionaries(st.sampled_from(states), st.floats(0.0, 1.0)))
+        table[(-T, 0)] = data.draw(st.floats(0.0, 1.0))  # the origin fixes t_min
+        t = data.draw(st.integers(-T - 2, 1))
+        xi_r = np.array(data.draw(st.lists(st.integers(-T - 3, T + 3), max_size=12)),
+                        dtype=np.int64)
+        s = TabularStrategy(table)
+        expected = [table.get((t, x)) for x in xi_r.tolist()]
+        if None in expected:
+            missing = xi_r[expected.index(None)]
+            with pytest.raises(ValueError, match=rf"\(t={t}, xi_r={missing}\)"):
+                s.p1_batch(t, xi_r)
+        else:
+            assert s.p1_batch(t, xi_r).tolist() == expected
 
     def test_lookup(self):
         s = TabularStrategy(self.TABLE)
