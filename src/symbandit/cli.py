@@ -148,11 +148,10 @@ def _cmd_simulate(args) -> int:
         print(f"pseudo_mean = {_fmt(res.pseudo_mean, args.round3)} "
               f"(se {_fmt(res.pseudo_se, args.round3)})")
     if args.audit:
-        seeds = (np.random.SeedSequence(args.seed, spawn_key=(9999, i))
+        seeds = (np.random.SeedSequence(args.seed, spawn_key=(experiments.AUDIT, i))
                  for i in range(args.audit_episodes))
         with open(args.audit, "w") as fh:
             for log in play_episodes(T, eps, strategy, seeds, safe_arm=args.safe_arm):
-                log.seed = args.seed
                 fh.write(log.to_line() + "\n")
         print(f"audit log written to {args.audit}")
     return 0
@@ -165,7 +164,7 @@ def _cmd_sweep(args) -> int:
     meta = spec.meta(args.kind)
     if args.kind == "convergence":
         rows = experiments.convergence_sweep(spec)
-        mc = experiments.MC_COLUMNS if spec.replications > 0 else []
+        mc = experiments.MC_COLUMNS if spec.episodes > 0 else []
         experiments.write_csv(args.out, experiments.CONVERGENCE_COLUMNS + mc, rows, meta)
     else:
         rows, fit = experiments.error_scaling(spec)

@@ -131,25 +131,38 @@ def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
 # Production route: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------
 
-def _cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums of x, each corrected by the running sum of the
-    rounding errors of the additions (Knuth's TwoSum, vectorized)."""
-    s = np.cumsum(x)
-    prev = np.empty_like(s)
-    prev[:1], prev[1:] = 0.0, s[:-1]  # slices: x may be empty
-    step = s - prev
-    # the errors (prev - (s - step)) + (x - step), in place: four fewer temporaries
-    err = np.subtract(prev, s - step, out=prev)
+def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
+    """s_k = sum_{j<k} x_j for k = 0..len(x), each corrected by the
+    running sum of the rounding errors of its additions (Knuth's TwoSum,
+    vectorized).
+
+    With `vanishing`, the terms change sign once and sum to zero up to a
+    negligible remainder: past the peak of s each entry is minus the sum
+    of the remaining terms, the same sums of the reversed terms. Both
+    sides are then sums of one-signed terms, so the tail keeps its
+    relative accuracy as it falls to zero.
+    """
+    s = np.zeros(len(x) + 1)
+    prev, cur = s[:-1], s[1:]
+    np.cumsum(x, out=cur)
+    step = cur - prev
+    # the errors (prev - (cur - step)) + (x - step), in place
+    err = np.subtract(cur, step)
+    np.subtract(prev, err, out=err)
     err += np.subtract(x, step, out=step)
-    return np.add(s, np.cumsum(err, out=err), out=s)
+    cur += np.cumsum(err, out=err)
+    if vanishing:
+        rest = _prefix_sums(x[::-1])[::-1]
+        past = np.arange(len(s)) > np.argmax(s)
+        s[past] = -rest[past]
+    return s
 
 
 def _central_binomial(n: int, eps: float) -> np.ndarray:
     """a_m = C(2m, m) (pq)^m = P(W_2m = 0) for m = 0..n-1."""
-    m = np.arange(1.0, n)
+    log_prod = _prefix_sums(np.log1p(-0.5 / np.arange(1.0, n)))
     # two exps: adding the logs first would round their sum once more
-    a = np.exp(_cumsum(np.log1p(-0.5 / m))) * np.exp(m * math.log1p(-eps * eps))
-    return np.concatenate(([1.0], a))
+    return np.exp(log_prod) * np.exp(np.arange(n) * math.log1p(-eps * eps))
 
 
 # Once T*eps^2 passes _DEEP_TAIL, L_2m and g(k) fall below the round-off
@@ -157,22 +170,6 @@ def _central_binomial(n: int, eps: float) -> np.ndarray:
 # so their tails are summed from the far end of _TAIL_PAD/eps^2 extra terms.
 _DEEP_TAIL = 30.0
 _TAIL_PAD = 40.0
-
-
-def _prefix_sums(x: np.ndarray, vanishing: bool) -> np.ndarray:
-    """s_k = sum_{j<k} x_j for k = 0..len(x).
-
-    With `vanishing`, the terms change sign once and sum to zero up to a
-    negligible remainder: past the peak of s each entry is minus the sum
-    of the remaining terms. Both sides are then sums of one-signed terms,
-    so the tail keeps its relative accuracy as it falls to zero.
-    """
-    s = np.concatenate(([0.0], _cumsum(x)))
-    if vanishing:
-        rest = np.concatenate((_cumsum(x[::-1])[::-1], [0.0]))
-        past = np.arange(len(s)) > np.argmax(s)
-        s[past] = -rest[past]
-    return s
 
 
 def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +186,7 @@ def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     behind = np.empty(T)
     behind[0::2] = (lower_even + 0.5 * a)[: (T + 1) // 2]
     behind[1::2] = (lower_even + q * a)[: T // 2]
-    vbar = 2.0 * eps * _prefix_sums(behind, False)
+    vbar = 2.0 * eps * _prefix_sums(behind)
     g = _prefix_sums(q * q * a - eps * lower_even, deep)[: T + 1]  # E[(k - X)^+]
     # just short of the far-end tail path, the forward sum can end a few
     # ulps of its peak below 0; g >= 0, so the clamp only removes error

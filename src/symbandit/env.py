@@ -90,6 +90,16 @@ def simulate_batch(
     return _play_rounds(T, eps, strategy, n, draws, safe_arm)
 
 
+# the JSON types of an audit record's scalar fields
+_NUMBER_FIELDS = {"seed": (int,), "safe_arm": (int,), "eps": (float, int),
+                  "final_regret": (float, int), "s2": (int,)}
+
+
+def _ints_in(items, allowed) -> bool:
+    """Whether `items` is a JSON list of integers, each one in `allowed`."""
+    return type(items) is list and all(type(x) is int and x in allowed for x in items)
+
+
 @dataclass
 class EpisodeLog:
     """One simulated play-through, serializable one-per-line for audit."""
@@ -107,19 +117,39 @@ class EpisodeLog:
 
     @classmethod
     def from_line(cls, line: str) -> "EpisodeLog":
+        """The record of one audit line, refused unless `play_episodes`
+        could have written it: each field of its JSON type (a bool is no
+        number), and the final regret and risky pulls those that replaying
+        the choices and rewards gives."""
         rec = json.loads(line)
         keys = [f.name for f in fields(cls)]
         if rec.keys() != set(keys):
             raise ValueError(f"audit record keys must be {keys}, got {list(rec)}")
-        check_game(len(rec["choices"]), rec["eps"], rec["safe_arm"])
-        if len(rec["rewards"]) != len(rec["choices"]):
+        for key, types in _NUMBER_FIELDS.items():
+            if type(rec[key]) not in types:
+                raise ValueError(f"audit field {key!r} must be of type "
+                                 f"{' or '.join(t.__name__ for t in types)}, got {rec[key]!r}")
+        choices, rewards = rec["choices"], rec["rewards"]
+        if not _ints_in(choices, (1, 2)):
+            raise ValueError(f"choices must be a list of 1s and 2s, got {choices!r}")
+        if type(rewards) is not list or not all(_ints_in(pair, (-1, 1)) and len(pair) == 2
+                                                for pair in rewards):
+            raise ValueError(f"rewards must be a list of pairs of +-1, got {rewards!r}")
+        check_game(len(choices), rec["eps"], rec["safe_arm"])
+        if len(rewards) != len(choices):
             raise ValueError(f"rewards must hold one pair per choice, got "
-                             f"{len(rec['rewards'])} pairs for {len(rec['choices'])} choices")
-        rec["rewards"] = [(g1, g2) for g1, g2 in rec["rewards"]]
-        if any(c not in (1, 2) for c in rec["choices"]):
-            raise ValueError(f"choices must be 1 or 2, got {rec['choices']}")
-        if any(g not in (-1, 1) for pair in rec["rewards"] for g in pair):
-            raise ValueError(f"rewards must be +-1, got {rec['rewards']}")
+                             f"{len(rewards)} pairs for {len(choices)} choices")
+        eta = zeta = 0
+        for choice, (g1, g2) in zip(choices, rewards):
+            eta += g1 + g2 - 2 * (g1 if choice == 1 else g2)
+            zeta += g1 - g2
+        replayed = {"final_regret": 0.5 * (eta + abs(zeta)),
+                    "s2": sum(c != rec["safe_arm"] for c in choices)}
+        for key, value in replayed.items():
+            if rec[key] != value:
+                raise ValueError(f"audit field {key!r} is {rec[key]!r}, but the choices "
+                                 f"and rewards give {value!r}")
+        rec["rewards"] = [tuple(pair) for pair in rewards]
         return cls(**rec)
 
 
@@ -138,7 +168,8 @@ def play_episodes(T: int, eps: float, strategy, seeds, safe_arm: int = 1):
     """Yield one EpisodeLog per seed, AUDIT_BLOCK episodes at a time.
 
     Each seed (an int or a SeedSequence) drives its own generator, so an
-    episode does not depend on the others played with it. `strategy`
+    episode does not depend on the others played with it; the log records
+    the int, or the SeedSequence's master seed (its `entropy`). `strategy`
     needs p1_batch(t, xi_r array).
     """
     check_game(T, eps, safe_arm)
@@ -151,7 +182,7 @@ def play_episodes(T: int, eps: float, strategy, seeds, safe_arm: int = 1):
         picks, g1, g2 = record
         for j, seed in enumerate(block):
             yield EpisodeLog(
-                seed=seed if isinstance(seed, int) else -1,
+                seed=seed if isinstance(seed, int) else seed.entropy,
                 safe_arm=safe_arm,
                 eps=eps,
                 choices=np.where(picks[:, j], 1, 2).tolist(),

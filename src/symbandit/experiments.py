@@ -1,9 +1,12 @@
 """Monte Carlo estimation, convergence sweeps, scaling fits, figure data.
 
-Reproducibility rule used everywhere: the master seed feeds
-``numpy.random.SeedSequence(seed, spawn_key=(...))``; Monte Carlo chunk i
-of replication r uses spawn_key (r, i). Results are assembled in fixed
-chunk order, so output is bit-identical for any worker count.
+Reproducibility rule used everywhere: every generator is seeded by
+``numpy.random.SeedSequence(seed, spawn_key=(purpose, ...))``, the key
+headed by one of the purposes below, so no two purposes share a stream.
+`simulate`'s Monte Carlo chunk i uses (SIMULATE, i), chunk i of sweep
+cell c uses (SWEEP, c, i), and audit episode i uses (AUDIT, i). Results
+are assembled in fixed chunk order, so output is bit-identical for any
+worker count.
 
 numpy, `dp`, `env` and `strategy` are imported by the functions that run
 them, and the process pool only when more than one worker has chunks to
@@ -31,6 +34,11 @@ MC_COLUMNS = ["mc_regret_mean", "mc_regret_se", "mc_pseudo_mean", "mc_pseudo_se"
 FIGURE_COLUMNS = ["gamma", "c", "c_bar", "is_max_c", "is_max_c_bar"]
 ERROR_SCALING_COLUMNS = ["T", "eps", "branch", "v", "u", "abs_diff", "predictor"]
 
+# the head of each purpose's spawn keys
+SIMULATE = 0
+SWEEP = 1
+AUDIT = 9999
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -45,7 +53,7 @@ class MCResult:
     episodes: int
 
 
-def _mc_chunk(args) -> tuple[int, float, float, float, float]:
+def _mc_chunk(args) -> tuple[float, float, float, float]:
     import numpy as np
 
     from .env import simulate_batch
@@ -54,7 +62,7 @@ def _mc_chunk(args) -> tuple[int, float, float, float, float]:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     mu, s2 = simulate_batch(T, eps, strategy, n, rng, safe_arm=safe_arm)
     pseudo = 2.0 * eps * s2
-    return (n, float(mu.sum()), float((mu * mu).sum()),
+    return (float(mu.sum()), float((mu * mu).sum()),
             float(pseudo.sum()), float((pseudo * pseudo).sum()))
 
 
@@ -70,12 +78,15 @@ def mc_estimate(
     seed: int,
     workers: int = 1,
     safe_arm: int = 1,
-    replication: int = 0,
+    stream: tuple[int, ...] = (SIMULATE,),
 ) -> MCResult:
-    """Unbiased sample means of the final payoff and of 2*eps*s2.
+    """Unbiased sample means of the final payoff and of 2*eps*s2, with
+    their standard errors over the episodes.
 
-    Deterministic in (seed, episodes, replication) no matter how many
-    workers run the chunks; no more workers start than there are chunks.
+    Chunk i of CHUNK_SIZE episodes draws from spawn key (*stream, i), so
+    the result is deterministic in (seed, episodes, stream) no matter how
+    many workers run the chunks; no more workers start than there are
+    chunks.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -83,12 +94,8 @@ def mc_estimate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_gap(eps)
     n_chunks = (episodes + CHUNK_SIZE - 1) // CHUNK_SIZE
-    jobs = [
-        (strategy, T, eps,
-         min(CHUNK_SIZE, episodes - i * CHUNK_SIZE), safe_arm, seed,
-         (replication, i))
-        for i in range(n_chunks)
-    ]
+    jobs = [(strategy, T, eps, min(CHUNK_SIZE, episodes - i * CHUNK_SIZE), safe_arm, seed,
+             (*stream, i)) for i in range(n_chunks)]
     if workers > 1 and n_chunks > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -97,37 +104,23 @@ def mc_estimate(
     else:
         parts = [_mc_chunk(j) for j in jobs]
 
-    n = sum(p[0] for p in parts)
-    s_mu = sum(p[1] for p in parts)
-    s_mu2 = sum(p[2] for p in parts)
-    s_ps = sum(p[3] for p in parts)
-    s_ps2 = sum(p[4] for p in parts)
-    mean_mu = s_mu / n
-    mean_ps = s_ps / n
+    n = episodes
+    s_mu, s_mu2, s_ps, s_ps2 = map(sum, zip(*parts))
+    mean_mu, mean_ps = s_mu / n, s_ps / n
 
-    def se(total, total_sq, mean):
+    def se(total_sq, mean):
         if n < 2:
             return float("nan")
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         return math.sqrt(var / n)
 
-    return MCResult(
-        regret_mean=mean_mu,
-        regret_se=se(s_mu, s_mu2, mean_mu),
-        pseudo_mean=mean_ps,
-        pseudo_se=se(s_ps, s_ps2, mean_ps),
-        episodes=n,
-    )
+    return MCResult(regret_mean=mean_mu, regret_se=se(s_mu2, mean_mu),
+                    pseudo_mean=mean_ps, pseudo_se=se(s_ps2, mean_ps), episodes=n)
 
 
 # ---------------------------------------------------------------------------
 # Sweep specification
 # ---------------------------------------------------------------------------
-
-# Monte Carlo replication r of sweep cell idx uses stream
-# REPLICATION_STRIDE * idx + r, so a cell holds at most this many.
-REPLICATION_STRIDE = 1000
-
 
 @dataclass
 class SweepSpec:
@@ -148,7 +141,6 @@ class SweepSpec:
     eps_list: list[float] | None = None
     branch: str = "C1"
     seed: int = 0
-    replications: int = 0
     episodes: int = 0
 
     def __post_init__(self) -> None:
@@ -163,13 +155,8 @@ class SweepSpec:
             raise ValueError("exactly one of gamma, power, eps_list must be set")
         if self.eps_list is not None and len(self.T_list) != 1:
             raise ValueError("eps_list mode requires a single horizon in T_list")
-        if not 0 <= self.replications <= REPLICATION_STRIDE:
-            raise ValueError(f"replications must be in [0, {REPLICATION_STRIDE}], "
-                             f"got {self.replications}")
-        if (self.replications > 0) != (self.episodes > 0):
-            raise ValueError("Monte Carlo columns need both replications and episodes "
-                             f"positive, or neither; got replications={self.replications}, "
-                             f"episodes={self.episodes}")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
         for T in self.T_list:  # the horizon first: cells() divides by T or raises it
             check_game(T, 0.0)
         for T, eps in self.cells():
@@ -238,11 +225,10 @@ def _parse_value(tp, text: str):
 def convergence_sweep(spec: SweepSpec) -> list[dict]:
     """Rows of exact values v, vbar and closed forms u, ubar per cell.
 
-    With spec.episodes > 0 and spec.replications > 0, appends Monte Carlo
-    columns estimated with the myopic player.
+    With spec.episodes > 0, appends Monte Carlo columns: one estimate per
+    cell over that many episodes of the myopic player, cell c drawing
+    from the streams (SWEEP, c, i).
     """
-    import numpy as np
-
     from . import dp
     from .strategy import MyopicStrategy
 
@@ -276,22 +262,11 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
             "u_norm": u / sqT,
             "ubar_norm": ubar / sqT,
         }
-        if spec.replications > 0:
-            means_r, means_p = [], []
-            for r in range(spec.replications):
-                res = mc_estimate(MyopicStrategy(), T, eps, spec.episodes,
-                                  seed=spec.seed,
-                                  replication=REPLICATION_STRIDE * idx + r)
-                means_r.append(res.regret_mean)
-                means_p.append(res.pseudo_mean)
-            row["mc_regret_mean"] = float(np.mean(means_r))
-            row["mc_pseudo_mean"] = float(np.mean(means_p))
-            if spec.replications > 1:
-                row["mc_regret_se"] = float(np.std(means_r, ddof=1) / math.sqrt(len(means_r)))
-                row["mc_pseudo_se"] = float(np.std(means_p, ddof=1) / math.sqrt(len(means_p)))
-            else:
-                row["mc_regret_se"] = res.regret_se
-                row["mc_pseudo_se"] = res.pseudo_se
+        if spec.episodes > 0:
+            res = mc_estimate(MyopicStrategy(), T, eps, spec.episodes, seed=spec.seed,
+                              stream=(SWEEP, idx))
+            row.update(mc_regret_mean=res.regret_mean, mc_regret_se=res.regret_se,
+                       mc_pseudo_mean=res.pseudo_mean, mc_pseudo_se=res.pseudo_se)
         rows.append(row)
     return rows
 
@@ -348,7 +323,7 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     if min(eps for _, eps in cells) == 0.0:
         raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
     power = 2 if spec.branch == "C1" else 3
-    rows = convergence_sweep(replace(spec, replications=0, episodes=0))
+    rows = convergence_sweep(replace(spec, episodes=0))
     xs, ys = [], []
     for row in rows:
         T, eps = row["T"], row["eps"]

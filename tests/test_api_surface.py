@@ -1,4 +1,4 @@
-"""Two design rules on the names of `symbandit`.
+"""Three design rules on the names of `symbandit`.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -7,6 +7,10 @@ referenced by word somewhere in `src/` outside its own definition, or in
 
 No module uses another module's private name, as `mod._name` or
 `from mod import _name`: what one module needs of another is public.
+
+No `spawn_key=` argument holds an integer literal: every random stream
+is headed by a named purpose of `experiments` (SIMULATE, SWEEP, AUDIT),
+so two purposes cannot share a stream by accident.
 """
 
 import ast
@@ -68,3 +72,13 @@ def test_no_module_uses_another_modules_private_name():
             uses += [f"{path.name}:{node.lineno} {name}" for name in names
                      if _is_private(name.rpartition(".")[2])]
     assert not uses, "private names of another module: " + ", ".join(uses)
+
+
+def test_every_spawn_key_is_headed_by_a_named_purpose():
+    literals = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "spawn_key":
+                literals += [f"{path.name}:{c.lineno} {c.value!r}" for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and type(c.value) is int]
+    assert not literals, "integer literals in spawn keys: " + ", ".join(literals)

@@ -273,11 +273,12 @@ class TestSweep:
             # a key given twice must not quietly keep the last value
             ("regime = medium\nT_list = 16\ngamma = 0.7\ngamma = 0.9\n",
              f"{cfg}:4: key 'gamma' is set twice"),
-            # one Monte Carlo key alone must not quietly write no MC columns
+            # a negative episode count must not quietly write no MC columns
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = -5\n",
+             "episodes must be >= 0, got -5"),
+            # each cell makes one estimate: a replication count is an unknown key
             ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
-             "replications=3, episodes=0"),
-            ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 100\n",
-             "replications=0, episodes=100"),
+             f"{cfg}:4: unknown key 'replications'"),
         ]:
             cfg.write_text(text)
             code, _, err = run(capsys, "sweep", "--config", str(cfg),
@@ -392,8 +393,7 @@ class TestStartup:
 
     def test_serial_runs_load_no_process_pool(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("regime = medium\nT_list = 16, 64\ngamma = 0.4\n"
-                       "replications = 2\nepisodes = 100\n")
+        cfg.write_text("regime = medium\nT_list = 16, 64\ngamma = 0.4\nepisodes = 200\n")
         argvs = [["simulate", "--T", "20", "--eps", "0.1", "--episodes", "100",
                   "--seed", "1", "--workers", "1"],
                  ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]]

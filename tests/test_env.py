@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ def test_reward_pair_validation():
     rec["choices"] = rec["choices"][:1]  # one choice against three reward pairs
     with pytest.raises(ValueError, match="rewards must hold one pair per choice"):
         EpisodeLog.from_line(json.dumps(rec))
+
+
+# one field of the record of play_episode(3, 0.2, MyopicStrategy(), seed=1),
+# whose choices [2, 2, 2] and rewards give final_regret 2.0 and s2 3
+@pytest.mark.parametrize("key, value, message", [
+    ("s2", -5, "'s2' is -5, but the choices and rewards give 3"),
+    ("final_regret", 99.0, "'final_regret' is 99.0, but the choices and rewards give 2.0"),
+    ("safe_arm", True, "'safe_arm' must be of type int, got True"),
+    ("choices", [True, 2, 2], r"choices must be a list of 1s and 2s, got \[True, 2, 2\]"),
+    ("eps", "x", "'eps' must be of type float or int, got 'x'"),
+], ids=["s2", "final_regret", "safe_arm_bool", "choice_bool", "eps_string"])
+def test_from_line_refuses_a_record_no_episode_writes(key, value, message):
+    rec = json.loads(play_episode(3, 0.2, MyopicStrategy(), seed=1).to_line())
+    assert (rec["choices"], rec["final_regret"], rec["s2"]) == ([2, 2, 2], 2.0, 3)
+    rec[key] = value
+    with pytest.raises(ValueError, match=message):
+        EpisodeLog.from_line(json.dumps(rec))
+
+
+def test_golden_audit_logs_load():
+    for path in sorted((Path(__file__).parent / "golden").glob("audit_*.jsonl")):
+        for line in path.read_text().splitlines():
+            assert EpisodeLog.from_line(line).to_line() == line
 
 
 class TestSampleRewards:

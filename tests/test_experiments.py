@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symbandit import dp, experiments
+from symbandit.cli import main
 from symbandit.experiments import (
     SweepSpec,
     convergence_sweep,
@@ -98,14 +99,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(regime="medium", T_list=[4], gamma=2.5)  # eps = 1.25
 
-    def test_replications_stay_inside_their_cell_streams(self):
-        # replication r of cell idx draws stream 1000*idx + r, so a 1001st
-        # replication of cell 0 would replay the first one of cell 1
-        kw = dict(regime="medium", T_list=[16, 64], gamma=0.4, episodes=10)
-        assert SweepSpec(replications=1000, **kw).replications == 1000
-        with pytest.raises(ValueError, match="replications"):
-            SweepSpec(replications=1001, **kw)
-
     def test_cells(self):
         spec = SweepSpec(regime="medium", T_list=[100, 400], gamma=0.8)
         assert spec.cells() == [(100, 0.08), (400, 0.04)]
@@ -127,11 +120,48 @@ class TestConvergenceSweep:
         assert devs[0] > devs[1] > devs[2]
 
     def test_mc_columns_present_when_requested(self):
-        spec = SweepSpec(regime="medium", T_list=[16], gamma=0.4,
-                         seed=11, replications=2, episodes=2000)
+        spec = SweepSpec(regime="medium", T_list=[16], gamma=0.4, seed=11, episodes=4000)
         rows = convergence_sweep(spec)
         assert "mc_regret_mean" in rows[0] and "mc_regret_se" in rows[0]
         assert abs(rows[0]["mc_regret_mean"] - rows[0]["v"]) <= 6 * rows[0]["mc_regret_se"]
+
+
+class TestStreams:
+    def test_purposes_draw_disjoint_streams(self, monkeypatch, tmp_path):
+        # record the spawn key of every SeedSequence the commands make
+        keys = []
+        seed_sequence = np.random.SeedSequence
+
+        def recording(*args, spawn_key=(), **kw):
+            keys.append(tuple(spawn_key))
+            return seed_sequence(*args, spawn_key=spawn_key, **kw)
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 64)
+
+        def used(*argv):
+            keys.clear()
+            assert main(list(argv)) == 0
+            return set(keys)
+
+        simulate = ["simulate", "--T", "6", "--eps", "0.2", "--episodes", "150", "--seed", "3"]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("regime = medium\nT_list = 4, 16\ngamma = 0.4\nseed = 3\n"
+                       "episodes = 100\n")
+        streams = {
+            "simulate": used(*simulate),
+            "sweep": used("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")),
+            # the audit's keys are those `simulate --audit` adds to `simulate`'s
+            "audit": used(*simulate, "--audit", str(tmp_path / "a.jsonl"),
+                          "--audit-episodes", "5") - used(*simulate),
+        }
+        assert streams == {
+            "simulate": {(experiments.SIMULATE, i) for i in range(3)},
+            "sweep": {(experiments.SWEEP, c, i) for c in range(2) for i in range(2)},
+            "audit": {(experiments.AUDIT, i) for i in range(5)},
+        }
+        sim, sweep, audit = streams.values()
+        assert not (sim & sweep or sim & audit or sweep & audit)
 
 
 class TestErrorScalingFit:

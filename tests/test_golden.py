@@ -5,9 +5,13 @@ loop and the three-draws-per-round batch loop that the single vectorized
 simulator replaced, so these tests pin that the replacement reproduces
 them byte for byte. simulate_table.json was written by the np.where
 round loop now kept as tests/_round_oracle.py, before the branch-free
-loop and the dense table lookup replaced it. Regenerate a file only for
-an intended change of output: run the case's argv through
-`symbandit.cli.main` and copy what it writes over the file.
+loop and the dense table lookup replaced it. sweep_mc.csv was written
+with one Monte Carlo estimate per cell, drawn from the sweep's own
+streams. Regenerate a file only for an intended change of output: run
+the case's argv through `symbandit.cli.main` and copy what it writes
+over the file. Each Monte Carlo golden is also held within 4 standard
+errors of its exact value, so a regenerated file is checked against
+more than itself.
 """
 
 import json
@@ -16,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from symbandit import dp
 from symbandit.cli import main
 from symbandit.experiments import SweepSpec, read_csv
 
@@ -52,8 +57,7 @@ SWEEP_CONFIG = (
     "T_list = 16, 64\n"
     "gamma = 0.707\n"
     "seed = 5\n"
-    "replications = 3\n"
-    "episodes = 400\n"
+    "episodes = 1200\n"
 )
 # columns computed by the exact walks and the simulator: byte-identical;
 # the closed-form columns go through erf and are held to 1e-11 relative
@@ -107,6 +111,36 @@ def test_sweep_mc_columns(capsys, tmp_path):
 
 def test_sweep_spec_renders_the_golden_config():
     # the spec SWEEP_CONFIG parses to, built without the parser
-    spec = SweepSpec("medium", [16, 64], gamma=0.707, seed=5, replications=3, episodes=400)
+    spec = SweepSpec("medium", [16, 64], gamma=0.707, seed=5, episodes=1200)
     gold_meta, _ = read_csv(GOLDEN / "sweep_mc.csv")
     assert spec.meta("convergence") == {"config": gold_meta["config"], "seed": "5"}
+
+
+def within_4se(mean, se, exact):
+    return abs(mean - exact) <= 4 * se
+
+
+def test_simulate_myopic_golden_against_exact_values():
+    gold = json.loads((GOLDEN / "simulate_myopic.json").read_text())
+    v, vbar = dp.values(20, 0.1)
+    assert within_4se(gold["regret_mean"], gold["regret_se"], v)
+    assert within_4se(gold["pseudo_mean"], gold["pseudo_se"], vbar)
+
+
+def test_simulate_uniform_golden_against_exact_values():
+    # the uniform player pulls the risky arm half the time: vbar = eps T;
+    # regret minus pseudoregret does not depend on the player, so its
+    # regret is eps T plus the myopic v - vbar
+    gold = json.loads((GOLDEN / "simulate_uniform_arm2.json").read_text())
+    T, eps = 15, 0.9 / math.sqrt(15)
+    v, vbar = dp.values(T, eps)
+    assert within_4se(gold["regret_mean"], gold["regret_se"], eps * T + (v - vbar))
+    assert within_4se(gold["pseudo_mean"], gold["pseudo_se"], eps * T)
+
+
+def test_sweep_mc_golden_against_exact_values():
+    _, rows = read_csv(GOLDEN / "sweep_mc.csv")
+    for row in rows:
+        row = {k: float(x) for k, x in row.items() if k != "branch"}
+        assert within_4se(row["mc_regret_mean"], row["mc_regret_se"], row["v"])
+        assert within_4se(row["mc_pseudo_mean"], row["mc_pseudo_se"], row["vbar"])
