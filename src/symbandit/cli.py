@@ -8,16 +8,19 @@ the seed, so re-running the printed config reproduces the file
 byte-for-byte.
 
 Each subcommand prints what a public entry point of the library returns,
-without recomputing it: `dp` the arrays of `dp.origin_values`, `pde` the
-closed forms of `pde`, and `sweep` reads and renders its config through
-`experiments.SweepSpec`. `simulate --json` writes the fields of
-`experiments.MCResult` by name, and the error-scaling header those of
-`experiments.ScalingFit` as `fit_<name>`.
+without recomputing it: `dp` the values of `dp.values` and its trace the
+arrays of `dp.origin_values`, `pde` the closed forms of `pde`, and
+`sweep` reads and renders its config through `experiments.SweepSpec`.
+`simulate --json` writes the fields of `experiments.MCResult` by name,
+and the error-scaling header those of `experiments.ScalingFit` as
+`fit_<name>`.
 
 Only the standard library, `core` and `pde` load with this module; each
-handler imports the numpy layers (`dp`, `env`, `strategy`),
-`experiments` and `json` it runs, so the closed-form commands `pde`,
-`prefactor` and `figure` start without numpy or `json`.
+handler imports the layers (`dp`, `env`, `strategy`), `experiments` and
+`json` it runs, so the closed-form commands `pde`, `prefactor` and
+`figure` start without numpy or `json`. `dp` loads numpy only for its
+O(T) route, so `dp` at a horizon inside its one-horizon window and an
+exact-only `sweep` of such cells start without numpy too.
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ def _cmd_dp(args) -> int:
 
     T = args.T
     eps = _resolve_eps(args, T)
-    # one pass gives every horizon: the printed values and the trace rows
-    v, vbar = dp.origin_values(T, eps)
-    print(f"v = {_fmt(float(v[-1]), args.round3)}")
-    print(f"vbar = {_fmt(float(vbar[-1]), args.round3)}")
+    v, vbar = dp.values(T, eps)
+    print(f"v = {_fmt(v, args.round3)}")
+    print(f"vbar = {_fmt(vbar, args.round3)}")
     if args.trace:
         from . import experiments
 
         meta = experiments.run_meta("dp", {"T": T, "eps": repr(eps)})
-        experiments.write_csv(args.trace, ["t", "v", "vbar"], _trace_rows(v, vbar), meta)
+        rows = _trace_rows(*dp.origin_values(T, eps))
+        experiments.write_csv(args.trace, ["t", "v", "vbar"], rows, meta)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -224,6 +227,21 @@ def _verify_checks():
     exact = T * math.comb(2 * T, T) / 4**T
     rel = abs(dp.regret_value(T, 0.0) - exact) / exact
     add(f"zero-gap regret equals T C(2T,T)/4^T T={T}", rel <= 1e-15, f"rel diff={rel:.2e}")
+
+    # a walk with drift eps expects q/eps^2 steps below 0: both values rise
+    # to 1/eps, within an ulp once T*eps^2 reaches 80
+    T, eps = 2000, 0.2
+    v, vbar = dp.origin_values(T, eps)
+    top = float(max(v.max(), vbar.max())) * eps - 1.0
+    low = 1.0 - float(vbar[-1]) * eps
+    add(f"regret rises to 1/eps T={T} eps={eps}", top <= 2.0**-52 and low <= 2.0**-52,
+        f"max eps*v - 1={top:.2e}, 1 - eps*vbar_T={low:.2e}")
+    T = 100_000
+    eps = 0.707 / math.sqrt(T)
+    v, vbar = dp.origin_values(T, eps)
+    rel = max(abs(x - float(y[-1])) / float(y[-1]) for x, y in zip(dp.values(T, eps), (v, vbar)))
+    add(f"one-horizon route equals O(T) route T={T} gamma=0.707", rel <= 1e-14,
+        f"rel diff={rel:.2e}")
 
     # the production route is label-symmetric by construction; the lattice plays the swap
     d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)

@@ -1,16 +1,19 @@
 """Exact values of the myopic player: regret v and pseudoregret vbar.
 
-Two routes compute the same values at two scales:
+Three routes compute the same values at three scales:
 
 * ``regret_value_full`` / ``pseudoregret_value_full`` -- backward
   induction on the raw (eta, xi_h, xi_r) and (xi_r, s2) lattices,
   T <= 12. Transparent dict-based oracles that play both safe-arm labels.
-* ``origin_values`` -- the production route, O(T) time and memory, from
-  one array of central binomial probabilities: the values of every
-  horizon up to T at once. ``values``, ``regret_value``,
-  ``pseudoregret_value`` and ``value_trace`` read them off its arrays.
+* ``origin_values`` -- O(T) time and memory, from one array of central
+  binomial probabilities: the values of every horizon up to T at once.
+  ``value_trace`` and ``symbandit dp --trace`` read its arrays, and
+  ``values`` reads their last entries outside the window below.
+* ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
+  and ``symbandit dp``) -- one horizon in O(1) time, without numpy, from
+  two incomplete-beta tails, for T >= 256 and T*eps^2 >= 0.09.
 
-The production route rests on the myopic player following xi_r, which
+Both production routes rest on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
 is the simple walk W from 0, and the player pulls the risky arm when W
 is behind (a fair coin at W = 0). So, with q = 1 - p,
@@ -20,30 +23,48 @@ is behind (a fair coin at W = 0). So, with q = 1 - p,
   payoff adds |zeta/2|, and zeta/2 is the simple walk seen at even times
   (a lazy walk with steps +1, 0, -1 w.p. p^2, 2pq, q^2) with mean eps*k.
 
-Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m, the product of
-(1 - 1/(2j)) over j <= m times (1 - eps^2)^m: the exp of a compensated
-running sum of log1p(-1/(2j)) times exp(m log1p(-eps^2)), within 3 ulps
-for m <= 1e7 plus the rounding of m log1p(-eps^2). L_2m = P(W_2m < 0) is
-a prefix sum of its exact two-step increment a_m q (q - eps m)/(m + 1),
-L_2m+1 = L_2m + q a_m, and g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every
-prefix sum is compensated for the rounding of its additions. When
-gamma = eps sqrt(T) is large, L and g fall towards zero inside the
-horizon; their tails are then summed from the far end, so they keep
-their relative accuracy and v >= vbar holds in floating point too. The
-tests hold the route to 1e-13 relative of an exact rational oracle
-(measured 7.4e-16) and check it against the O(T^2) walk decomposition
-and the O(T^3) reduced lattice kept under tests/.
+Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m. The O(T) route takes
+a_m as the product of (1 - 1/(2j)) over j <= m times (1 - eps^2)^m: the
+exp of a compensated running sum of log1p(-1/(2j)) times
+exp(m log1p(-eps^2)), within 3 ulps for m <= 1e7 plus the rounding of
+m log1p(-eps^2). L_2m = P(W_2m < 0) is a prefix sum of its exact
+two-step increment a_m q (q - eps m)/(m + 1), L_2m+1 = L_2m + q a_m, and
+g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every prefix sum is compensated
+for the rounding of its additions. When gamma = eps sqrt(T) is large, L
+and g fall towards zero inside the horizon; their tails are then summed
+from the far end, so they keep their relative accuracy and v >= vbar
+holds in floating point too.
 
-The value does not depend on which arm is safe, so the production route
-takes no safe-arm label. The full-lattice oracles play both labels, and
+The one-horizon route sums those series in closed form. With the
+negative-binomial tail R(k) = sum_{i>=k} a_i = I_{1-eps^2}(k, 1/2)/eps
+(R(0) = 1/eps) and M = T // 2, P(W_2k < 0) + P(W_2k = 0)/2 = eps R(k)/2
+and P(W_2k+1 < 0) = eps R(k + 1)/2, so
+
+* vbar_T = 1/eps - (1 - 2 eps^2 M) R(M) - 2 M a_M, plus eps^2 R(M) for odd T;
+* v_T = vbar_T + T (a_T - eps^2 R(T)).
+
+a_k is C(2k, k)/4^k from Loader's Stirling error (C. Loader, "Fast and
+Accurate Computation of Binomial Probabilities", 2000) times
+exp(k log1p(-eps^2)); I_x(k, 1/2) is Temme's uniform expansion as coded
+in BGRAT of DiDonato and Morris (ACM TOMS 18, 1992, Algorithm 708). Below
+the window the difference of 1/eps and R(M) cancels like 1/gamma; from
+T*eps^2 = 80 on both values equal their limit 1/eps within an ulp, so
+the route returns 1/eps. v(T, eps) <= 1/eps holds at every horizon.
+
+The tests hold the routes to 1e-13 relative of an exact rational oracle
+(measured 7.4e-16), the one-horizon route to 1e-14 of the O(T) route for
+T from 256 to 1e6 (measured 4.8e-15), and check the O(T) route against
+the O(T^2) walk decomposition and the O(T^3) reduced lattice kept under
+tests/.
+
+The value does not depend on which arm is safe, so the production routes
+take no safe-arm label. The full-lattice oracles play both labels, and
 they are the label-swap check.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .core import arm_probs, check_game, reward_table, terminal_payoff
 
@@ -128,7 +149,7 @@ def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Production route: one central-binomial array, O(T)
+# Every horizon up to T: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------
 
 def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
@@ -142,6 +163,8 @@ def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
     sides are then sums of one-signed terms, so the tail keeps its
     relative accuracy as it falls to zero.
     """
+    import numpy as np
+
     s = np.zeros(len(x) + 1)
     prev, cur = s[:-1], s[1:]
     np.cumsum(x, out=cur)
@@ -160,6 +183,8 @@ def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
 
 def _central_binomial(n: int, eps: float) -> np.ndarray:
     """a_m = C(2m, m) (pq)^m = P(W_2m = 0) for m = 0..n-1."""
+    import numpy as np
+
     log_prod = _prefix_sums(np.log1p(-0.5 / np.arange(1.0, n)))
     # two exps: adding the logs first would round their sum once more
     return np.exp(log_prod) * np.exp(np.arange(n) * math.log1p(-eps * eps))
@@ -175,6 +200,8 @@ _TAIL_PAD = 40.0
 def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (v_k, vbar_k), k = 0..T: the exact values at the origin of
     every horizon up to T, from one O(T) pass."""
+    import numpy as np
+
     check_game(T, eps)
     _, q = arm_probs(eps)
     deep = eps * eps * T >= _DEEP_TAIL
@@ -193,8 +220,112 @@ def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return vbar + 2.0 * np.maximum(g, 0.0), vbar
 
 
+# ---------------------------------------------------------------------------
+# One horizon: two incomplete-beta tails, O(1)
+# ---------------------------------------------------------------------------
+
+# Loader's Stirling error delta(n) = log(n!) - (n log n - n + log(2 pi n)/2):
+# the first five terms of its asymptotic series, within ~1e-16 absolute
+# for n >= 16
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+def _stirlerr(n: float) -> float:
+    r = 1.0 / (n * n)
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / n
+
+
+def _stirling_ratio(k: int) -> float:
+    """exp(delta(2k) - 2 delta(k)) = c_k sqrt(pi k), where c_k = C(2k, k)/4^k;
+    for k >= 16."""
+    return math.exp(_stirlerr(2.0 * k) - 2.0 * _stirlerr(float(k)))
+
+
+def _bgrat_coefficients(terms: int) -> list[float]:
+    """d_0..d_{terms-1} of BGRAT's expansion at b = 1/2: with
+    c_n = 1/(2n + 1)!, d_n = (b - 1) c_n + sum_{i<n} (b i - n) c_i d_{n-i} / n."""
+    c, d = [1.0], [1.0]
+    for n in range(1, terms):
+        c.append(c[-1] / (2 * n * (2 * n + 1)))
+        d.append(-0.5 * c[n] + sum((0.5 * i - n) * c[i] * d[n - i] for i in range(1, n)) / n)
+    return d
+
+
+# inside the window below, the expansion meets the rounding of its sum
+# after at most 7 terms (measured); the table holds twice that many
+_BGRAT_D = _bgrat_coefficients(16)
+
+
+def _central_and_tail(k: int, eps: float) -> tuple[float, float]:
+    """(a_k, R(k)): a_k = C(2k, k) (pq)^k, and the negative-binomial tail
+    R(k) = sum_{i>=k} a_i = I_x(k, 1/2)/eps with x = 1 - eps^2; k >= 128.
+
+    I_x(k, 1/2) is Temme's uniform expansion as DiDonato and Morris code
+    it in BGRAT (ACM TOMS 18, 1992, Algorithm 708), at b = 1/2. With
+    nu = k - 1/4 and z = -nu log x, it is G sum_n d_n H_n, where
+
+    * G = Gamma(k + 1/2)/(Gamma(k) sqrt(nu)) = _stirling_ratio(k) sqrt(k/nu);
+    * H_0 = Gamma(1/2, z)/Gamma(1/2) = erfc(sqrt(z));
+    * H_n = ((2n - 3/2)(2n - 1/2) H_{n-1} + (z + 2n - 1/2) r_n)/(4 nu^2),
+      with r_n = exp(-z) sqrt(z/pi) (log(x)^2/4)^(n-1).
+    """
+    log_x = math.log1p(-eps * eps)
+    ratio = _stirling_ratio(k)
+    # two exps: adding the logs first would round their sum once more
+    a = ratio / math.sqrt(math.pi * k) * math.exp(k * log_x)
+    nu = k - 0.25
+    z = -nu * log_x
+    power = math.exp(-z) * math.sqrt(z / math.pi)  # r_1
+    step, square = 0.25 / (nu * nu), 0.25 * log_x * log_x
+    h = total = math.erfc(math.sqrt(z))
+    for n, d in enumerate(_BGRAT_D[1:], 1):
+        h = ((2 * n - 1.5) * (2 * n - 0.5) * h + (z + 2 * n - 0.5) * power) * step
+        power *= square
+        total += d * h
+        if abs(d * h) <= 2.0**-53 * total:
+            break
+    return a, ratio * total / (eps * math.sqrt(1.0 - 0.25 / k))
+
+
+# The one-horizon window: T >= _ONE_HORIZON_MIN_T and T*eps^2 >=
+# _ONE_HORIZON_MIN_TE2 (gamma >= 0.3); the O(T) route serves the rest.
+# Below gamma 0.3, vbar is a difference of 1/eps and R(M) that cancels
+# like 1/gamma (1.3e-14 relative at gamma 0.1, 9e-13 at gamma 0.01); below
+# T = 256 the O(T) route costs under 0.1 ms. Inside the window the routes
+# agree within 5e-15 relative for T up to 1e6 and gamma up to 9, and the
+# one-horizon route is within 3.1e-15 of 50-digit values at T = 1e8..1e12.
+_ONE_HORIZON_MIN_T = 256
+_ONE_HORIZON_MIN_TE2 = 0.09
+# Both values rise to 1/eps: a walk with drift eps expects q/eps^2 steps
+# below 0, and E[(T - X)^+] -> 0. From T*eps^2 = _SATURATED_TE2 on they
+# equal 1/eps within an ulp, as 1/eps - v falls like exp(-T eps^2).
+_SATURATED_TE2 = 80.0
+
+
+def _one_horizon_values(T: int, eps: float) -> tuple[float, float]:
+    """(v, vbar) of the T-round game by the closed expressions of the module
+    docstring, from a_M, R(M), a_T and R(T), M = T // 2."""
+    limit = 1.0 / eps
+    if T * eps * eps >= _SATURATED_TE2:
+        return limit, limit
+    e2, half = eps * eps, T // 2
+    a_half, tail_half = _central_and_tail(half, eps)
+    a_T, tail_T = _central_and_tail(T, eps)
+    vbar = limit - ((1.0 - 2.0 * e2 * half) * tail_half + 2.0 * half * a_half)
+    if T % 2:
+        vbar += e2 * tail_half
+    vbar = min(vbar, limit)
+    v = vbar + T * (a_T - e2 * tail_T)
+    # both values rise to 1/eps, and v - vbar = 2 E[(T - X)^+] >= 0
+    return min(max(v, vbar), limit), vbar
+
+
 def values(T: int, eps: float) -> tuple[float, float]:
-    """Exact (v, vbar) at the origin of the T-round game, O(T) time and memory."""
+    """Exact (v, vbar) at the origin of the T-round game: O(1) inside the
+    one-horizon window, O(T) time and memory outside it."""
+    check_game(T, eps)
+    if T >= _ONE_HORIZON_MIN_T and T * eps * eps >= _ONE_HORIZON_MIN_TE2:
+        return _one_horizon_values(T, eps)
     v, vbar = origin_values(T, eps)
     return float(v[-1]), float(vbar[-1])
 

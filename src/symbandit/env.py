@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,7 +87,11 @@ def simulate_batch(
     `strategy` needs p1_batch(t, xi_r array).
     """
     check_game(T, eps, safe_arm)
-    draws = (rng.random((3, n)) for _ in range(T))
+    # every round refills one buffer: a fresh array per round kept the last
+    # round's alive while the next was drawn, so whether the peak grew by
+    # one such array depended on the heap's layout
+    buf = np.empty((3, n))
+    draws = (rng.random(out=buf) for _ in range(T))
     return _play_rounds(T, eps, strategy, n, draws, safe_arm)
 
 
@@ -164,25 +169,39 @@ def _episode_draws(rngs, T):
         yield from np.stack([r.random((rounds, 3)) for r in rngs], axis=2)
 
 
+def _logged_seed(seed) -> int:
+    """The int an audit log records for `seed`: the int itself, or a
+    SeedSequence's master seed (its `entropy`). `from_line` reads back
+    only an int, so any other seed is refused."""
+    logged = getattr(seed, "entropy", seed)
+    if isinstance(logged, bool) or not isinstance(logged, numbers.Integral):
+        raise ValueError(f"audit seed must be an int or a SeedSequence whose entropy is "
+                         f"an int, got {seed!r}")
+    return int(logged)
+
+
 def play_episodes(T: int, eps: float, strategy, seeds, safe_arm: int = 1):
     """Yield one EpisodeLog per seed, AUDIT_BLOCK episodes at a time.
 
     Each seed (an int or a SeedSequence) drives its own generator, so an
     episode does not depend on the others played with it; the log records
-    the int, or the SeedSequence's master seed (its `entropy`). `strategy`
-    needs p1_batch(t, xi_r array).
+    the int, or the SeedSequence's master seed (its `entropy`). A seed
+    whose log could not be read back, such as a SeedSequence built from a
+    list, is refused before its block is played. `strategy` needs
+    p1_batch(t, xi_r array).
     """
     check_game(T, eps, safe_arm)
     seeds = iter(seeds)
     while block := list(itertools.islice(seeds, AUDIT_BLOCK)):
+        logged = [_logged_seed(s) for s in block]
         n = len(block)
         record = (np.empty((T, n), bool), np.empty((T, n), np.int8), np.empty((T, n), np.int8))
         draws = _episode_draws([np.random.default_rng(s) for s in block], T)
         mu, risky = _play_rounds(T, eps, strategy, n, draws, safe_arm, record)
         picks, g1, g2 = record
-        for j, seed in enumerate(block):
+        for j, seed in enumerate(logged):
             yield EpisodeLog(
-                seed=seed if isinstance(seed, int) else seed.entropy,
+                seed=seed,
                 safe_arm=safe_arm,
                 eps=eps,
                 choices=np.where(picks[:, j], 1, 2).tolist(),

@@ -12,6 +12,8 @@ numpy, `dp`, `env` and `strategy` are imported by the functions that run
 them, and the process pool only when more than one worker has chunks to
 share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
 command) start without numpy, and a serial run without `multiprocessing`.
+An exact-only convergence sweep loads numpy only for cells outside the
+one-horizon window of `dp.values`.
 """
 
 from __future__ import annotations
@@ -230,7 +232,6 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
     from the streams (SWEEP, c, i).
     """
     from . import dp
-    from .strategy import MyopicStrategy
 
     rows = []
     for idx, (T, eps) in enumerate(spec.cells()):
@@ -263,6 +264,8 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
             "ubar_norm": ubar / sqT,
         }
         if spec.episodes > 0:
+            from .strategy import MyopicStrategy
+
             res = mc_estimate(MyopicStrategy(), T, eps, spec.episodes, seed=spec.seed,
                               stream=(SWEEP, idx))
             row.update(mc_regret_mean=res.regret_mean, mc_regret_se=res.regret_se,

@@ -398,3 +398,23 @@ class TestStartup:
                   "--seed", "1", "--workers", "1"],
                  ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]]
         assert modules_loaded_by(argvs, tmp_path) == ["numpy"]
+
+    def test_one_horizon_commands_load_no_numpy(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("regime = medium\nT_list = 1000, 1000000000\ngamma = 0.707\n")
+        argvs = [["dp", "--T", "2000", "--gamma", "0.9"],
+                 ["dp", "--T", "1000000000000", "--gamma", "0.707"],
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]]
+        assert modules_loaded_by(argvs, tmp_path, ["numpy"]) == []
+
+    def test_dp_trace_loads_numpy(self, tmp_path):
+        argv = ["dp", "--T", "2000", "--gamma", "0.9", "--trace", str(tmp_path / "t.csv")]
+        assert modules_loaded_by([argv], tmp_path, ["numpy"]) == ["numpy"]
+
+    @pytest.mark.parametrize("T,gamma", [(2000, 0.9), (100, 0.9), (3000, 10.0)])
+    def test_dp_prints_the_same_values_with_and_without_trace(self, capsys, tmp_path, T, gamma):
+        argv = ["dp", "--T", str(T), "--gamma", str(gamma)]
+        plain = run(capsys, *argv)
+        traced = run(capsys, *argv, "--trace", str(tmp_path / "t.csv"))
+        assert plain[0] == traced[0] == 0
+        assert traced[1].splitlines()[:2] == plain[1].splitlines()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symbandit import dp
+from symbandit import dp, pde
 from symbandit.core import terminal_payoff
 
 from _exact import shortfall
@@ -198,6 +198,79 @@ class TestProperties:
         assert abs(v_walk - walk_pseudoregret_value(T, eps) - gap) <= 2e-11 * v_walk
         v = dp.regret_value(T, eps)
         assert abs(v - dp.pseudoregret_value(T, eps) - gap) <= 1e-13 * v
+
+
+def relative(a, b):
+    return abs(a - b) / b
+
+
+# the one-horizon window: T >= 256 and 0.3 <= gamma, saturated from gamma^2 = 80 on
+window_gammas = st.floats(min_value=0.3, max_value=9.0)
+
+
+class TestOneHorizon:
+    def test_window_cells_skip_the_arrays(self, monkeypatch):
+        class ArrayRoute(Exception):
+            pass
+
+        def refused(T, eps):
+            raise ArrayRoute
+
+        monkeypatch.setattr(dp, "origin_values", refused)
+        # T = 257 at gamma 0.3 is just inside; T = 400 at eps 0.9 is saturated
+        for T, eps in [(256, 0.05), (257, 0.3 / 16), (400, 0.9), (10**12, 1e-6)]:
+            v, vbar = dp.values(T, eps)
+            assert 1.0 / eps >= v >= vbar > 0.0
+        for T, eps in [(255, 0.5), (1000, 0.29 / math.sqrt(1000)), (10**4, 0.0)]:
+            with pytest.raises(ArrayRoute):
+                dp.values(T, eps)
+
+    @pytest.mark.parametrize("T", [256, 1000, 10**4, 10**5, 10**6])
+    def test_equals_the_arrays_on_a_ladder(self, T):
+        # both parities from one array; gamma 9 is past the saturation cut
+        for gamma in (0.3, 0.5, 0.707, 1.0, 1.5, 3.0, 5.0, 8.0, 9.0):
+            eps = gamma / math.sqrt(T)
+            v, vbar = dp.origin_values(T + 1, eps)
+            for k in (T, T + 1):
+                got_v, got_vbar = dp.values(k, eps)
+                assert relative(got_v, v[k]) <= 1e-14, (k, gamma)
+                assert relative(got_vbar, vbar[k]) <= 1e-14, (k, gamma)
+                assert 1.0 / eps >= got_v >= got_vbar >= 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(T=st.integers(256, 10**6), gamma=window_gammas)
+    @example(T=10**6, gamma=0.3)
+    def test_equals_the_arrays_at_random_cells(self, T, gamma):
+        eps = gamma / math.sqrt(T)
+        v, vbar = dp.origin_values(T + 1, eps)
+        for k in (T, T + 1):
+            if k * eps * eps >= dp._ONE_HORIZON_MIN_TE2:
+                got_v, got_vbar = dp.values(k, eps)
+                assert relative(got_v, v[k]) <= 1e-14
+                assert relative(got_vbar, vbar[k]) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.3, 0.5])
+    def test_order_holds_across_the_saturation_cut(self, eps):
+        cut = math.ceil(dp._SATURATED_TE2 / eps**2)
+        rows = [dp.values(T, eps) for T in range(max(256, cut - 200), cut + 50)]
+        assert rows[-1] == (1.0 / eps, 1.0 / eps)
+        for (v, vbar), (v_next, vbar_next) in zip(rows, rows[1:]):
+            assert 1.0 / eps >= v >= vbar >= 0.0
+            assert v_next >= v and vbar_next >= vbar
+
+    def test_second_order_term_where_no_array_reaches(self):
+        # sqrt(T) (v - c(gamma) sqrt(T)) tends to d(gamma), 0.06976 at
+        # gamma = 0.707; T = 1e8 and 1e9 hold it within 1e-4 of T = 1e6
+        c = pde.prefactor_c(0.707)
+
+        def second_order(T):
+            v, _ = dp.values(T, 0.707 / math.sqrt(T))
+            return math.sqrt(T) * (v - c * math.sqrt(T))
+
+        d = second_order(10**6)
+        assert abs(d - 0.06976) <= 1e-5
+        for T in (10**8, 10**9):
+            assert abs(second_order(T) - d) <= 1e-4
 
 
 class TestGuards:

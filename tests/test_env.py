@@ -75,6 +75,18 @@ def test_from_line_refuses_a_record_no_episode_writes(key, value, message):
         EpisodeLog.from_line(json.dumps(rec))
 
 
+def test_play_episodes_refuses_a_seed_its_log_cannot_hold():
+    # a SeedSequence from a list has a list for entropy, which from_line
+    # refuses; it is refused by name before any episode of its block plays
+    seeds = [1, np.random.SeedSequence([1, 2])]
+    with pytest.raises(ValueError, match="seed must be an int"):
+        next(play_episodes(3, 0.2, MyopicStrategy(), seeds))
+    # a numpy integer logs as the int it is
+    for seed in (np.int64(4), np.random.SeedSequence(np.int64(4))):
+        log = next(play_episodes(3, 0.2, MyopicStrategy(), [seed]))
+        assert EpisodeLog.from_line(log.to_line()).seed == 4
+
+
 def test_golden_audit_logs_load():
     for path in sorted((Path(__file__).parent / "golden").glob("audit_*.jsonl")):
         for line in path.read_text().splitlines():

@@ -1,9 +1,12 @@
 """Error budgets of the exact routes, measured against exact arithmetic.
 
-* The O(T) production route in `symbandit.dp`: within 1e-13 relative of
-  the rational oracle in tests/_exact.py on a (T, eps) grid with T up to
-  400 and eps from 0 to 0.9, with v >= vbar holding exactly (measured
-  worst: 7.4e-16).
+* The production routes in `symbandit.dp`: within 1e-13 relative of the
+  rational oracle in tests/_exact.py on a (T, eps) grid with T up to 400
+  and eps from 0 to 0.9, with v >= vbar holding exactly (measured worst:
+  7.4e-16). The grid's T = 256 and T = 400 cells with eps >= 1/20 take
+  the one-horizon route, the others the O(T) route.
+* The central ratio C(2k, k)/4^k of the one-horizon route, from Loader's
+  Stirling error, within 2 ulps of exact integer arithmetic.
 * The retired O(T^2) walks in tests/_walk_oracle.py, against the
   production route up to T = 16000, gamma = eps*sqrt(T) <= 12: the
   pseudoregret walk within 2e-14 relative; the regret walk within 2e-11,
@@ -50,6 +53,23 @@ def test_central_binomial_to_a_few_ulps():
         for m in ms:
             ulps = 4.0 + abs(m * math.log1p(-float(eps * eps)))
             assert relative_error(float(a[m]), math.comb(2 * m, m) * pq**m) <= ulps * 2.0**-52
+
+
+def test_stirling_ratio_gives_the_central_ratio_to_two_ulps():
+    # c_k = C(2k, k)/4^k = exp(delta(2k) - 2 delta(k))/sqrt(pi k) for every k
+    # the one-horizon route reads (k >= 128) and down to the series' k = 16;
+    # the budget holds the rounding of the test's sqrt and division too
+    # (measured worst 1.12 ulps)
+    def ulps(k, exact):
+        num, den = (dp._stirling_ratio(k) / math.sqrt(math.pi * k)).as_integer_ratio()
+        return abs((num << 2 * k) - exact * den) / (exact * den) * 2.0**52
+
+    exact = math.comb(32, 16)
+    for k in range(16, 2001):
+        assert ulps(k, exact) <= 2.0, k
+        exact = exact * 2 * (2 * k + 1) // (k + 1)  # C(2k + 2, k + 1)
+    for k in (10**4, 10**5):
+        assert ulps(k, math.comb(2 * k, k)) <= 2.0, k
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 1000, 10**4])
