@@ -8,7 +8,8 @@ Three routes compute the same values at three scales:
 * ``origin_values`` -- O(T) time and memory, from one array of central
   binomial probabilities: the values of every horizon up to T at once.
   ``value_trace`` and ``symbandit dp --trace`` read its arrays, and
-  ``values`` reads their last entries outside the window below.
+  ``values`` reads their last entries outside the window below. It
+  refuses more than ``_MAX_TERMS`` (2e7) terms, about 1.8 GB of arrays.
 * ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
   and ``symbandit dp``) -- one horizon in O(1) time, without numpy, from
   two incomplete-beta tails, for T >= 256 and T*eps^2 >= 0.09.
@@ -195,17 +196,27 @@ def _central_binomial(n: int, eps: float) -> np.ndarray:
 # so their tails are summed from the far end of _TAIL_PAD/eps^2 extra terms.
 _DEEP_TAIL = 30.0
 _TAIL_PAD = 40.0
+# The pass holds its n terms in several n-long arrays at once, 72-89 bytes
+# per term (measured: 715 MB at T = 1e7, gamma 0.707), so _MAX_TERMS terms
+# take about 1.8 GB; beyond it the request is refused rather than left to
+# fail inside numpy or be killed. A chunked pass would lift the limit.
+_MAX_TERMS = 20_000_000
 
 
 def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (v_k, vbar_k), k = 0..T: the exact values at the origin of
-    every horizon up to T, from one O(T) pass."""
-    import numpy as np
-
+    every horizon up to T, from one O(T) pass. The pass sums T terms, plus
+    _TAIL_PAD/eps^2 on the deep-tail path; more than _MAX_TERMS is refused
+    with a ValueError before anything is allocated."""
     check_game(T, eps)
     _, q = arm_probs(eps)
     deep = eps * eps * T >= _DEEP_TAIL
     n = T + math.ceil(_TAIL_PAD / (eps * eps)) if deep else T
+    if n > _MAX_TERMS:
+        raise ValueError(f"the O(T) route would sum {n} terms at T={T}, eps={eps!r}, above "
+                         f"its limit of {_MAX_TERMS} terms (about 90 bytes each)")
+    import numpy as np
+
     a = _central_binomial(n, eps)
     m = np.arange(n)
     lower_even = _prefix_sums(a * q * (q - eps * m) / (m + 1), deep)[:n]  # L_2m

@@ -5,17 +5,33 @@ One vectorized round loop plays every episode: Monte Carlo batches keep
 only the final payoff and the risky pulls, audit episodes also keep
 their per-round choices and rewards.
 
-The loop is branch-free. With p = 1 if arm 1 is pulled and 0 otherwise
-(the pick mask viewed as int8) and s = 1 - 2p, one round updates
+The loop is branch-free and keeps its per-episode state narrow. With
+b1 = [u1 < P(g1 = +1)] and b2 likewise (so g = 2b - 1), and p = 1 if
+arm 1 is pulled and 0 otherwise, one round updates
 
-    eta  += s * (g1 - g2)          (= g1 + g2 - 2 * g_chosen)
-    xi_r += p * (g1 + g2) - g2     (arm 1 reveals +g1, arm 2 reveals -g2)
-    zeta += g1 - g2                (whatever the choice)
+    zeta/2 += b1 - b2              (= (g1 - g2)/2, whatever the choice)
+    gain   += p * (b1 - b2)        (the part of zeta/2 earned on arm-1 rounds)
+    xi_r   += 2c - 1               (c = b1 if p else not b2: arm 1 reveals
+                                    +g1, arm 2 reveals -g2)
+    picks  += p
 
-and counts the arm-1 pulls, which become the risky pulls once at the end
-(T minus them when arm 1 is safe, them when arm 2 is). Selecting the
-chosen reward with a mask (`np.where`) costs a branch misprediction per
-random element; the int8 arithmetic does not.
+The final payoff and risky pulls come once at the end. As
+
+    eta = sum (g1 + g2 - 2 g_chosen) = sum (1 - 2p)(g1 - g2) = 2 (zeta/2) - 4 gain,
+
+the payoff is mu = (eta + |zeta|)/2 = 2 (max(zeta/2, 0) - gain), exact in
+float64; the risky pulls are T minus the arm-1 pulls when arm 1 is safe,
+the arm-1 pulls when arm 2 is, in int64. Each round's steps are computed
+in place in a few preallocated bool and int8 scratch arrays; a select by
+mask (`np.where`) would cost a branch misprediction per random element.
+
+Each counter stays within +-T, so it is held in the narrowest signed
+integer dtype that holds +-T, from int16 up (`_state_dtype`): int16 up
+to T = 2^15 - 1, int32 above. The reason is the working set of a
+65,536-episode chunk, which every round streams through: its 1.5 MB
+draw buffer, 0.5 MB of int16 counters and 0.4 MB of scratch, where int64
+counters took 2 MB and their updates ran through int64 temporaries.
+Strategies receive xi_r in that dtype.
 
 Randomness convention: every round consumes three uniforms per episode,
 in the order choice coin, g1, g2. A Monte Carlo batch draws them as one
@@ -44,34 +60,50 @@ AUDIT_BLOCK = 64
 AUDIT_DRAW_ROUNDS = 4096
 
 
+def _state_dtype(T: int) -> type:
+    """The narrowest signed integer dtype that holds +-T, from int16 up:
+    every counter of the round loop stays within +-T. int8 is left out
+    because strategies receive xi_r in this dtype, and their own
+    arithmetic on it (2 * xi_r, say) would wrap from |xi_r| = 64."""
+    return np.int16 if T < 2**15 else np.int32 if T < 2**31 else np.int64
+
+
 def _play_rounds(T, eps, strategy, n, draws, safe_arm, record=None):
     """Play n episodes through T rounds, by the update rules above.
 
     `draws` yields T arrays of shape (3, n): choice coins, g1 uniforms
     and g2 uniforms. When `record` is given, round k's arm-1 picks, g1
     and g2 go into row k of its three (T, n) arrays. Returns (final
-    payoff mu, risky pulls).
+    payoff mu, risky pulls), float64 and int64.
     """
     p_g1, p_g2 = arm_probs(eps, safe_arm)
-    eta = np.zeros(n, dtype=np.int64)
-    xi_r = np.zeros(n, dtype=np.int64)
-    zeta = np.zeros(n, dtype=np.int64)
-    picks = np.zeros(n, dtype=np.int64)
+    half_zeta, gain, xi_r, picks = np.zeros((4, n), _state_dtype(T))
+    pick1, b1, b2, c = np.empty((4, n), bool)
+    p, b1_8, b2_8, c8 = (mask.view(np.int8) for mask in (pick1, b1, b2, c))
+    d, step = np.empty((2, n), np.int8)
     for k, (coin, u1, u2) in enumerate(draws):
-        pick1 = coin < strategy.p1_batch(k - T, xi_r)
-        # rewards are +-1; int8 keeps the per-round temporaries small
-        p = pick1.view(np.int8)
-        g1 = 2 * (u1 < p_g1).view(np.int8) - 1
-        g2 = 2 * (u2 < p_g2).view(np.int8) - 1
-        d = g1 - g2
-        eta += (1 - 2 * p) * d
-        xi_r += p * (g1 + g2) - g2
-        zeta += d
+        np.less(coin, strategy.p1_batch(k - T, xi_r), out=pick1)
+        np.less(u1, p_g1, out=b1)
+        np.less(u2, p_g2, out=b2)
+        np.subtract(b1_8, b2_8, out=d)
+        half_zeta += d
+        d *= p
+        gain += d
+        # c = (b1 == ((b1 ^ b2) | p)): b1 when p, not b2 when not p
+        np.logical_xor(b1, b2, out=c)
+        c |= pick1
+        np.equal(b1, c, out=c)
+        np.add(c8, c8, out=step)
+        step -= 1
+        xi_r += step
         picks += p
         if record is not None:
-            record[0][k], record[1][k], record[2][k] = pick1, g1, g2
-    risky = picks if safe_arm == 2 else T - picks
-    return 0.5 * (eta + np.abs(zeta)), risky
+            record[0][k], record[1][k], record[2][k] = pick1, 2 * b1_8 - 1, 2 * b2_8 - 1
+    mu = np.maximum(half_zeta, 0, dtype=np.float64)
+    mu -= gain
+    mu *= 2.0
+    risky = picks.astype(np.int64) if safe_arm == 2 else np.subtract(T, picks, dtype=np.int64)
+    return mu, risky
 
 
 def simulate_batch(

@@ -12,6 +12,8 @@ own axis of the strategy grid.
 
 Each player has one decision method, p1_batch(t, xi_r): the probability
 of pulling arm 1 at round t, for every revealed difference in an array.
+The simulator passes xi_r in the narrow signed integer dtype of its
+round loop (int16 up to T = 2^15 - 1, see `env`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ class TabularStrategy:
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
         row = t - self._t0
         row = row if 0 <= row < len(self._p1) - 1 else -1  # -1: the border row
-        p1 = self._p1[row].take(xi_r - self._x0, mode="clip")
+        # in intp whatever xi_r's dtype: in a narrow dtype the difference
+        # could wrap, or numpy 2 refuses an _x0 outside its range
+        p1 = self._p1[row].take(np.subtract(xi_r, self._x0, dtype=np.intp), mode="clip")
         holes = np.isnan(p1)
         if holes.any():
             x = xi_r[holes.argmax()]

@@ -51,6 +51,13 @@ class TestDp:
         assert code == 1
         assert "horizon" in err
 
+    def test_o_t_route_size_guard_exits_1(self, capsys):
+        # below the one-horizon window, T = 1e9 is refused by name, not
+        # handed to numpy as gigabytes of arrays
+        code, out, err = run(capsys, "dp", "--T", "1000000000", "--gamma", "0.1")
+        assert (code, out) == (1, "")
+        assert "T=1000000000" in err and "limit of 20000000 terms" in err
+
     @pytest.mark.parametrize("cmd", [["dp"], ["pde"],
                                      ["simulate", "--episodes", "10", "--seed", "1"]])
     @pytest.mark.parametrize("T", ["0", "-4"])

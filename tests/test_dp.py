@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,16 @@ class TestGuards:
     def test_reduced_2d_horizon_guard(self):
         with pytest.raises(ValueError):
             regret_value_reduced(513, 0.1)
+
+    def test_o_t_route_size_guard(self):
+        # gamma 0.1 is below the one-horizon window, so T = 1e9 would take
+        # the O(T) route: about 90 GB of arrays, refused before allocation
+        T = 10**9
+        eps = 0.1 / math.sqrt(T)
+        message = f"{T} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
+        for route in (dp.values, dp.origin_values, dp.value_trace):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                route(T, eps)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

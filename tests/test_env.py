@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,21 @@ class TestEpisodes:
         assert list(play_episodes(10, 0.3, MyopicStrategy(), seeds)) == whole
         assert [play_episode(10, 0.3, MyopicStrategy(), s) for s in seeds] == whole
 
+    def test_one_chunk_peak_memory(self):
+        # numpy reports its buffers to tracemalloc, so this peak, unlike
+        # ru_maxrss, does not move with the heap's layout. Measured: 3.44 MiB
+        # (1.5 MiB of draws, int16 counters, the returned arrays), against
+        # 5.32 MiB with int64 counters; the bound rounds up to 1/4 MiB.
+        args = (100, 0.0707, MyopicStrategy(), 65536, np.random.default_rng(1))
+        simulate_batch(*args)  # warm-up
+        tracemalloc.start()
+        try:
+            simulate_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
+
     def test_batch_risky_pulls_zero_gap_uniform(self):
         rng = np.random.default_rng(5)
         mu, s2 = simulate_batch(10, 0.0, UniformStrategy(), 5000, rng)
@@ -214,3 +230,27 @@ class TestBranchFreeLoop:
         runs = [mc_estimate(s, T, eps, 3000, seed=8, safe_arm=safe_arm)
                 for s in (MyopicStrategy(), table)]
         assert runs[0] == runs[1]
+
+    def test_counters_reach_plus_minus_T_past_int16(self):
+        # T = 2^15 + 1 is the first horizon past int16. At eps = 0 a uniform
+        # of 1/4 is an arm-1 coin or a +1 reward, 3/4 the opposite. Episode
+        # 0 (g1 = +1, g2 = -1) pulls arm 1 every round: xi_r, zeta/2 and the
+        # arm-1 gain end at +T, and the myopic player sees xi_r = 2^15 before
+        # the last round. Episode 1 (g1 = -1, g2 = +1) leaves arm 1 after the
+        # first round: xi_r and zeta/2 end at -T. A wrapped xi_r would flip
+        # the player's choice, a wrapped zeta/2 or gain the payoff.
+        T = 2**15 + 1
+        assert (env._state_dtype(T - 2), env._state_dtype(T)) == (np.int16, np.int32)
+        draws = np.full((T, 3, 2), 0.25)
+        draws[:, 2, 0] = draws[:, 1, 1] = 0.75
+        outs = []
+        for play in (env._play_rounds, oracle_rounds):
+            rec = (np.empty((T, 2), bool), np.empty((T, 2), np.int8), np.empty((T, 2), np.int8))
+            outs.append(play(T, 0.0, MyopicStrategy(), 2, iter(draws), 1, rec) + rec)
+        for new, old in zip(*outs):
+            assert new.dtype == old.dtype
+            assert np.array_equal(new, old)
+        mu, risky, picks = outs[0][:3]
+        # episode 0: eta = -2T, |zeta| = 2T; episode 1: eta = -2T + 4
+        assert mu.tolist() == [0.0, 2.0] and risky.tolist() == [0, T - 1]
+        assert picks[:, 0].all() and picks[0, 1] and not picks[1:, 1].any()

@@ -135,6 +135,19 @@ class TestTabular:
         assert s.p1_batch(-2, np.array([0, 0])).tolist() == [0.5, 0.5]
         assert s.p1_batch(-4, np.array([0])).tolist() == [0.5]
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_lookup_in_any_integer_dtype(self, dtype):
+        # the columns start at xi_r = -201, outside int8: the lookup indexes
+        # in intp, so a narrow xi_r neither overflows nor wraps into the NaN
+        # border. The simulator's int16 xi_r would meet the same fault only
+        # on a table of 2^15 rounds, an array of over 8 GB.
+        T = 200
+        s = TabularStrategy({(t, x): (x + T) / (2 * T)
+                             for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)})
+        xi_r = [-127, -1, 1, 127]  # int8's extremes, reachable at t = -73
+        assert (s.p1_batch(-73, np.array(xi_r, dtype=dtype)).tolist()
+                == [(x + T) / (2 * T) for x in xi_r])
+
     @pytest.mark.parametrize("table, key", [
         # a game from t = -100 has |xi_r| <= 99 at t = -1: the rectangle
         # up to xi_r = 100000 would take 80 MB
