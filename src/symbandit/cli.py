@@ -80,6 +80,10 @@ def _cmd_pde(args) -> int:
     eps = _resolve_eps(args, T)
     if eps <= 0.0:
         raise ValueError("closed-form branches need eps > 0; pass --eps or --gamma > 0")
+    for flag, x in (("--eta", args.eta), ("--xi-h", args.xi_h), ("--xi-r", args.xi_r),
+                    ("--s2", args.s2)):
+        if not math.isfinite(x):
+            raise ValueError(f"{flag} must be finite, got {x}")
     cf = pde.ClosedForm.make(args.branch, eps)
     t = -float(T)
     print(f"u = {_fmt(pde.u_total(args.eta, args.xi_h, args.xi_r, t, cf), args.round3)}")
@@ -128,6 +132,8 @@ def _cmd_simulate(args) -> int:
 
     T = args.T
     eps = _resolve_eps(args, T)
+    if args.audit_episodes < 1:
+        raise ValueError(f"--audit-episodes must be >= 1, got {args.audit_episodes}")
     strategy = _make_strategy(args.strategy)
     res = experiments.mc_estimate(
         strategy, T, eps, args.episodes, seed=args.seed,
@@ -179,13 +185,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# `figure` holds a row of five numbers per point in memory, about 250 bytes;
+# 1e5 points, a step of 5e-5 across the whole gamma domain (0, 5], take
+# about 25 MB and 0.3 s. Finer grids are refused before the list is built.
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         a, b, s = (float(x) for x in text.split(":"))
-    except Exception:
+    except ValueError:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, (a, b, s))):
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if s <= 0 or b < a:
         raise ValueError(f"grid must satisfy start <= stop, step > 0, got {text!r}")
+    if (b - a) / s >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     n = int(round((b - a) / s)) + 1
     return [round(a + i * s, 12) for i in range(n) if a + i * s <= b + 1e-12]
 

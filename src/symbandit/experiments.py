@@ -12,7 +12,8 @@ numpy, `dp`, `env` and `strategy` are imported by the functions that run
 them, and the process pool only when more than one worker has chunks to
 share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
 command) start without numpy, and a serial run without `multiprocessing`.
-An exact-only convergence sweep loads numpy only for cells outside the
+An exact-only convergence sweep, and an error-scaling sweep, which fits
+its line with `statistics`, load numpy only for cells outside the
 one-horizon window of `dp.values`.
 """
 
@@ -88,10 +89,10 @@ def mc_estimate(
     Chunk i of CHUNK_SIZE episodes draws from spawn key (*stream, i), so
     the result is deterministic in (seed, episodes, stream) no matter how
     many workers run the chunks; no more workers start than there are
-    chunks.
+    chunks. A standard error needs two episodes, so fewer are refused.
     """
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if episodes < 2:
+        raise ValueError(f"episodes must be >= 2 for a standard error, got {episodes}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_gap(eps)
@@ -111,8 +112,6 @@ def mc_estimate(
     mean_mu, mean_ps = s_mu / n, s_ps / n
 
     def se(total_sq, mean):
-        if n < 2:
-            return float("nan")
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         return math.sqrt(var / n)
 
@@ -159,6 +158,9 @@ class SweepSpec:
             raise ValueError("eps_list mode requires a single horizon in T_list")
         if self.episodes < 0:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        if self.episodes == 1:
+            raise ValueError("episodes must be 0 (no Monte Carlo) or >= 2 for a standard "
+                             "error, got 1")
         for T in self.T_list:  # the horizon first: cells() divides by T or raises it
             check_game(T, 0.0)
         for T, eps in self.cells():
@@ -313,7 +315,7 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     as one), as a single cell or a `gamma` rule with C1 (predictor
     gamma^2) gives.
     """
-    import numpy as np
+    import statistics
 
     cells = spec.cells()
     dom, rest = _dominant_and_rest(*max(cells, key=lambda c: c[1]), spec.branch)
@@ -341,12 +343,12 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
             f"{len(cells)} cell(s) lie above the rounding floor of u"
             + (f", all at {x_axis} = {xs[0]:.6g}" if xs else "")
         )
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = np.polyval([slope, intercept], xs)
-    ss_res = float(np.sum((np.array(ys) - fitted) ** 2))
-    ss_tot = float(np.sum((np.array(ys) - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return rows, ScalingFit(float(slope), float(intercept), r2, x_axis, len(xs))
+    slope, intercept = statistics.linear_regression(xs, ys)
+    try:
+        r2 = statistics.correlation(xs, ys) ** 2
+    except statistics.StatisticsError:  # every y, so every fitted value, is the same
+        r2 = float("nan")
+    return rows, ScalingFit(slope, intercept, r2, x_axis, len(xs))
 
 
 # ---------------------------------------------------------------------------

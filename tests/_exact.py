@@ -4,7 +4,9 @@ With eps = a/b every transition probability is rational: the xi_r walk
 W steps up w.p. p = (b + a)/(2b) and down w.p. q = (b - a)/(2b), so each
 probability below is an integer sum over math.comb divided by a power of
 2b. The values come from the walk decomposition of the lattice recursion
-(tests/_walk_oracle.py), summed directly over the binomial laws:
+(README "Implementation notes": values are linear in eta, and the law of
+(d xi_r, d zeta) does not depend on the arm pulled), summed directly over
+the binomial laws:
 
 * vbar = 2 eps sum_{j<T} [P(W_j < 0) + P(W_j = 0)/2];
 * v = E|zeta_T/2| - eps sum_{j<T} [P(W_j > 0) - P(W_j < 0)], where

@@ -1,4 +1,4 @@
-"""Three design rules on the names of `symbandit`.
+"""Three design rules on the names of `symbandit`, and one on its tests.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -11,6 +11,9 @@ No module uses another module's private name, as `mod._name` or
 No `spawn_key=` argument holds an integer literal: every random stream
 is headed by a named purpose of `experiments` (SIMULATE, SWEEP, AUDIT),
 so two purposes cannot share a stream by accident.
+
+Every test helper, a `tests/_*.py` module, is imported by a collected
+test module (`tests/test_*.py`), so a retired oracle cannot linger unused.
 """
 
 import ast
@@ -82,3 +85,16 @@ def test_every_spawn_key_is_headed_by_a_named_purpose():
                 literals += [f"{path.name}:{c.lineno} {c.value!r}" for c in ast.walk(node.value)
                              if isinstance(c, ast.Constant) and type(c.value) is int]
     assert not literals, "integer literals in spawn keys: " + ", ".join(literals)
+
+
+def test_every_test_helper_has_an_importer():
+    tests = ROOT / "tests"
+    imported = set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+    unused = sorted(p.name for p in tests.glob("_*.py") if p.stem not in imported)
+    assert not unused, "test helpers no test module imports: " + ", ".join(unused)

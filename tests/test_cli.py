@@ -160,6 +160,13 @@ class TestPde:
         code, _, err = run(capsys, "pde", "--T", "10", "--eps", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--xi-r", "nan"), ("--eta", "inf"),
+                                             ("--s2", "nan"), ("--xi-h", "-inf")])
+    def test_non_finite_coordinate_exits_1(self, capsys, flag, value):
+        code, out, err = run(capsys, "pde", "--T", "10", "--eps", "0.1", f"{flag}={value}")
+        assert (code, out) == (1, "")
+        assert f"{flag} must be finite" in err
+
 
 class TestSimulate:
     def test_json_output_deterministic(self, capsys):
@@ -199,6 +206,21 @@ class TestSimulate:
                            "--strategy", f"table:{table}")
         assert code == 0
         assert "regret_mean" in out
+
+    def test_one_episode_exits_1(self, capsys):
+        # one episode has no standard error; --json would print NaN, which is not JSON
+        code, out, err = run(capsys, "simulate", "--T", "5", "--eps", "0.1", "--episodes", "1",
+                             "--seed", "1", "--json")
+        assert (code, out) == (1, "")
+        assert "episodes must be >= 2 for a standard error, got 1" in err
+
+    def test_audit_episodes_below_one_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        code, out, err = run(capsys, "simulate", "--T", "5", "--eps", "0.1", "--episodes", "10",
+                             "--seed", "1", "--audit", str(path), "--audit-episodes", "-3")
+        assert (code, out) == (1, "")
+        assert "--audit-episodes must be >= 1, got -3" in err
+        assert not path.exists()
 
     def test_missing_table_file_exits_1(self, capsys, tmp_path):
         table = tmp_path / "absent.txt"
@@ -283,6 +305,9 @@ class TestSweep:
             # a negative episode count must not quietly write no MC columns
             ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = -5\n",
              "episodes must be >= 0, got -5"),
+            # nor one episode, whose standard error would be written as nan
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 1\n",
+             "episodes must be 0 (no Monte Carlo) or >= 2 for a standard error, got 1"),
             # each cell makes one estimate: a replication count is an unknown key
             ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
              f"{cfg}:4: unknown key 'replications'"),
@@ -336,9 +361,18 @@ class TestFigure:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_grid_exits_1(self, capsys, tmp_path):
-        code, _, err = run(capsys, "figure", "--grid", "nope",
-                           "--out", str(tmp_path / "x.csv"))
-        assert code == 1
+        out = tmp_path / "x.csv"
+        for grid, message in [
+            ("nope", "grid must be start:stop:step"),
+            ("0.1:inf:0.1", "grid bounds and step must be finite"),
+            ("nan:1:0.1", "grid bounds and step must be finite"),
+            # about 9e299 points: refused before the list is built
+            ("0.1:1:1e-300", "has more than 100000 points"),
+        ]:
+            code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
+            assert code == 1
+            assert message in err
+            assert not out.exists()
 
 
 class TestVerify:
@@ -409,9 +443,15 @@ class TestStartup:
     def test_one_horizon_commands_load_no_numpy(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("regime = medium\nT_list = 1000, 1000000000\ngamma = 0.707\n")
+        # README's error-scaling cells all lie in the window, and the fit is `statistics`'
+        fit = tmp_path / "error_scaling_C0.cfg"
+        fit.write_text(next(block for block in readme_configs()
+                            if block.startswith(f"# {fit.name}\n")))
         argvs = [["dp", "--T", "2000", "--gamma", "0.9"],
                  ["dp", "--T", "1000000000000", "--gamma", "0.707"],
-                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]]
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
+                 ["sweep", "--kind", "error-scaling", "--config", str(fit),
+                  "--out", str(tmp_path / "fit.csv")]]
         assert modules_loaded_by(argvs, tmp_path, ["numpy"]) == []
 
     def test_dp_trace_loads_numpy(self, tmp_path):

@@ -11,8 +11,6 @@ from symbandit import dp, pde
 from symbandit.core import terminal_payoff
 
 from _exact import shortfall
-from _reduced_oracle import regret_value_reduced
-from _walk_oracle import walk_pseudoregret_value, walk_regret_value
 
 
 class TestTerminalSlice:
@@ -55,18 +53,6 @@ class TestRouteAgreement:
     def test_pseudo_reduced_equals_full(self, T, eps):
         a = dp.pseudoregret_value(T, eps)
         b = dp.pseudoregret_value_full(T, eps)
-        assert abs(a - b) <= 1e-12
-
-    @pytest.mark.parametrize("T,eps", [(48, 0.15), (96, 0.35), (64, 0.0)])
-    def test_decomposed_equals_joint_2d(self, T, eps):
-        a = dp.regret_value(T, eps)
-        b = regret_value_reduced(T, eps)
-        assert abs(a - b) <= 1e-12
-
-    def test_decomposed_equals_joint_2d_safe_arm_2(self):
-        # the reduced lattice plays label 2; the production route takes none
-        a = dp.regret_value(40, 0.3)
-        b = regret_value_reduced(40, 0.3, safe_arm=2)
         assert abs(a - b) <= 1e-12
 
 
@@ -191,12 +177,11 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(T=st.integers(1, 300), milli_eps=st.integers(0, 999))
     def test_regret_minus_pseudoregret_is_twice_the_shortfall(self, T, milli_eps):
-        # v - vbar = 2 E[(T - X)^+], X ~ Bin(2T, (1 + eps)/2): checked on the
-        # O(T^2) walks, which never use it, within their error budget
+        # v - vbar = 2 E[(T - X)^+], X ~ Bin(2T, (1 + eps)/2), against the
+        # exact shortfall; the rational oracle of tests/_exact.py, which
+        # never uses this identity, holds v itself (tests/test_exact.py)
         eps = milli_eps / 1000
         gap = float(2 * shortfall(T, Fraction(milli_eps, 1000)))
-        v_walk = walk_regret_value(T, eps)
-        assert abs(v_walk - walk_pseudoregret_value(T, eps) - gap) <= 2e-11 * v_walk
         v = dp.regret_value(T, eps)
         assert abs(v - dp.pseudoregret_value(T, eps) - gap) <= 1e-13 * v
 
@@ -278,10 +263,6 @@ class TestGuards:
     def test_full_table_horizon_guard(self):
         with pytest.raises(ValueError):
             dp.regret_value_full(13, 0.1)
-
-    def test_reduced_2d_horizon_guard(self):
-        with pytest.raises(ValueError):
-            regret_value_reduced(513, 0.1)
 
     def test_o_t_route_size_guard(self):
         # gamma 0.1 is below the one-horizon window, so T = 1e9 would take

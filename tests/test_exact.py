@@ -1,33 +1,37 @@
-"""Error budgets of the exact routes, measured against exact arithmetic.
+"""Error budgets of the exact routes, against exact arithmetic where it
+reaches and against exact identities beyond.
 
 * The production routes in `symbandit.dp`: within 1e-13 relative of the
   rational oracle in tests/_exact.py on a (T, eps) grid with T up to 400
   and eps from 0 to 0.9, with v >= vbar holding exactly (measured worst:
   7.4e-16). The grid's T = 256 and T = 400 cells with eps >= 1/20 take
-  the one-horizon route, the others the O(T) route.
+  the one-horizon route, the others the O(T) route. On the cells with
+  T*eps^2 >= 30 the O(T) arrays, which sum their tails from the far end
+  there, are held to 2 ulps as well (measured 4.4e-17; 2.0e-15 without
+  that path).
 * The central ratio C(2k, k)/4^k of the one-horizon route, from Loader's
   Stirling error, within 2 ulps of exact integer arithmetic.
-* The retired O(T^2) walks in tests/_walk_oracle.py, against the
-  production route up to T = 16000, gamma = eps*sqrt(T) <= 12: the
-  pseudoregret walk within 2e-14 relative; the regret walk within 2e-11,
-  because it adds two sums of size eps*T that cancel to about 1/eps when
-  gamma is large (measured 1.6e-11 at T = 1600, eps = 0.3 and 9.2e-12 at
-  T = 16000, gamma = 5).
+* The O(T) arrays at every horizon up to T = 1e6 + 1, on gamma 0.01 to 10,
+  by identities that follow from the walk: vbar from S0(M) and a_M alone
+  (F4) within 1e-14 relative where eps*sqrt(k) >= 0.1 and 1e-15/(eps*sqrt(k))
+  below (measured worst 0.78 of that budget), v - vbar = k (a_k - eps^2 R(k))
+  within 1e-14 of v (measured 1.0e-15), and v <= 1/eps with saturation
+  from k*eps^2 = 80 (F3). They share a_m with the route, so the
+  per-element test of a_m against math.comb anchors them.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symbandit import dp
 
 from _exact import exact_values, relative_error
-from _walk_oracle import walk_pseudoregret_value, walk_regret_value
 
 ROUTE_BUDGET = 1e-13
-WALK_REGRET_BUDGET = 2e-11
-WALK_PSEUDO_BUDGET = 2e-14
+FAR_END_BUDGET = 2 * 2.0**-52
 
 GRID_T = (1, 2, 3, 4, 7, 16, 33, 64, 101, 256, 400)
 GRID_EPS = (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(3, 10),
@@ -88,6 +92,12 @@ def test_route_within_budget_of_rational_oracle(T):
         assert relative_error(v, v_exact) <= ROUTE_BUDGET, (T, eps)
         assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET, (T, eps)
         assert v >= vbar >= 0.0
+        if T * eps * eps >= 30:
+            # the O(T) route's far-end tail path, which `values` does not
+            # take on these cells: without it vbar is off by 1e-15
+            v, vbar = dp.origin_values(T, float(eps))
+            assert relative_error(float(v[-1]), v_exact) <= FAR_END_BUDGET, (T, eps)
+            assert relative_error(float(vbar[-1]), vbar_exact) <= FAR_END_BUDGET, (T, eps)
 
 
 def test_route_within_budget_on_a_gamma_cell():
@@ -99,10 +109,43 @@ def test_route_within_budget_on_a_gamma_cell():
     assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET
 
 
-@pytest.mark.parametrize("T,gamma", [(1000, 0.707), (1600, 12.0), (4000, 5.0), (16000, 5.0)])
-def test_walks_within_their_budgets(T, gamma):
-    eps = gamma / math.sqrt(T)
-    v, vbar = dp.values(T, eps)
-    assert abs(walk_regret_value(T, eps) - v) <= WALK_REGRET_BUDGET * v
-    assert abs(walk_pseudoregret_value(T, eps) - vbar) <= WALK_PSEUDO_BUDGET * vbar
+@pytest.mark.parametrize("gamma", [0.01, 0.1, 0.2, 1.0, 10.0])
+def test_identities_hold_on_the_arrays_at_a_million(gamma):
+    # one O(T) pass gives every horizon k <= T, both parities; gamma is at T = 1e6
+    T = 10**6 + 1
+    eps = gamma / 1000
+    e2 = eps * eps
+    v, vbar = dp.origin_values(T, eps)
+    # a_i and S0(k) = sum_{i<k} a_i; R(k) = 1/eps - S0(k) cancels once S0
+    # nears 1/eps, so past T eps^2 = 30 R is summed from the far end of
+    # 40/eps^2 extra terms, where a_i has fallen below exp(-40)
+    deep = T * e2 >= 30
+    a = dp._central_binomial(T + 1 + (math.ceil(40 / e2) if deep else 0), eps)
+    S0 = dp._prefix_sums(a)
+    R = dp._prefix_sums(a[::-1])[::-1] if deep else 1.0 / eps - S0
+    k = np.arange(T + 1)
+    M, odd = k // 2, k % 2
 
+    # F4: vbar_k from S0(M) and a_M alone. The S0 form cancels like
+    # 2 eps^2 M once that is large, the R form like 1/(eps vbar) while it
+    # is small; each k takes the form that does not cancel there
+    near = S0[M] * (1 - 2 * e2 * M) + 2 * eps * M - 2 * M * a[M] + odd * (eps - e2 * S0[M])
+    far = 1 / eps - (1 - 2 * e2 * M) * R[M] - 2 * M * a[M] + odd * e2 * R[M]
+    f4 = np.where(M * e2 >= 1, far, near)[1:]
+    # 1e-14 where gamma_k = eps sqrt(k) >= 0.1; below, the eps^2 division
+    # loses about 1/gamma_k (at k = T: measured 4.8e-14 at gamma 0.01, 3.6e-15
+    # at 0.1; worst over k 0.78 of the budget)
+    budget = 1e-14 * np.maximum(1.0, 0.1 / (eps * np.sqrt(k[1:])))
+    assert np.all(np.abs(f4 - vbar[1:]) <= budget * vbar[1:])
+
+    # F2 with F4: v_k - vbar_k = 2 E[(k - X)^+] = k (a_k - eps^2 R(k))
+    # (measured worst 1.0e-15 of v)
+    gap = k * (a[: T + 1] - e2 * R[: T + 1])
+    assert np.all(np.abs(gap - (v - vbar)) <= 1e-14 * v)
+
+    # F3: v_k <= 1/eps at every k, and both values equal 1/eps within an
+    # ulp from k eps^2 = 80 on (reached on the gamma 10 cell)
+    assert v.max() * eps <= 1.0 + 2.0**-52
+    saturated = k * e2 >= 80
+    assert np.all(np.abs(v[saturated] * eps - 1.0) <= 2.0**-52)
+    assert np.all(np.abs(vbar[saturated] * eps - 1.0) <= 2.0**-52)
