@@ -234,10 +234,6 @@ def _verify_checks():
     vb = dp.pseudoregret_value(1, 0.4)
     add("one-round pseudoregret eps=0.4", abs(vb - 0.4) < 1e-14, f"vbar={vb!r}")
 
-    for T in (4, 8):
-        for eps in (0.0, 0.3, 0.7):
-            d = abs(dp.regret_value(T, eps) - dp.regret_value_full(T, eps))
-            add(f"production==full T={T} eps={eps}", d <= 1e-12, f"|diff|={d:.2e}")
     # at eps = 0 the regret is the mean absolute deviation of Bin(2T, 1/2)
     T = 1000
     exact = T * math.comb(2 * T, T) / 4**T
@@ -259,14 +255,13 @@ def _verify_checks():
     add(f"one-horizon route equals O(T) route T={T} gamma=0.707", rel <= 1e-14,
         f"rel diff={rel:.2e}")
 
-    # the production route is label-symmetric by construction; the lattice plays the swap
-    d = abs(dp.regret_value_full(10, 0.25, safe_arm=1)
-            - dp.regret_value_full(10, 0.25, safe_arm=2))
-    add("indifference under safe-arm swap", d <= 1e-12, f"|diff|={d:.2e}")
-    # a uniform prior on the label: the lattice average equals the minimax value
-    vbar = [dp.pseudoregret_value_full(12, 0.2, safe_arm=a) for a in (1, 2)]
-    d = abs(0.5 * (vbar[0] + vbar[1]) - dp.pseudoregret_value(12, 0.2))
-    add("uniform-prior pseudoregret equals minimax", d <= 1e-12, f"|diff|={d:.2e}")
+    # no player's worse label beats the Bayes bound, and the myopic player meets it
+    cells = [(1000, g / math.sqrt(1000), f"gamma={g}") for g in (0.1, 0.707, 3)]
+    for T, eps, gap in cells + [(8, 0.7, "eps=0.7")]:
+        bound, vbar = dp.bayes_pseudoregret(T, eps), dp.values(T, eps)[1]
+        rel = abs(vbar - bound) / bound
+        add(f"myopic pseudoregret equals the Bayes lower bound T={T} {gap}",
+            rel <= 1e-13, f"bound {bound!r}, myopic {vbar!r}, rel gap={rel:.2e}")
 
     for T in (1, 2):
         cert = brute_force_minimax(T, 0.3, grid=51)
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_figure)
 
-    sp = sub.add_parser("verify", help="brute-force certificates and invariant suite")
+    sp = sub.add_parser("verify", help="invariant suite incl. Bayes and brute-force certificates")
     sp.set_defaults(func=_cmd_verify)
     return p
 

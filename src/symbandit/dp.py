@@ -1,10 +1,8 @@
 """Exact values of the myopic player: regret v and pseudoregret vbar.
 
-Three routes compute the same values at three scales:
+Two production routes compute the same values at two scales, and
+``bayes_pseudoregret`` certifies them minimax:
 
-* ``regret_value_full`` / ``pseudoregret_value_full`` -- backward
-  induction on the raw (eta, xi_h, xi_r) and (xi_r, s2) lattices,
-  T <= 12. Transparent dict-based oracles that play both safe-arm labels.
 * ``origin_values`` -- O(T) time and memory, from one array of central
   binomial probabilities: the values of every horizon up to T at once.
   ``value_trace`` and ``symbandit dp --trace`` read its arrays, and
@@ -64,95 +62,19 @@ v_k - vbar_k = k (a_k - eps^2 R(k)) within 1e-14 of v_k (measured
 1.0e-15); and v_k <= 1/eps, with equality within an ulp from
 k eps^2 = 80 on.
 
-The value does not depend on which arm is safe, so the production routes
-take no safe-arm label. The full-lattice oracles play both labels, and
-they are the label-swap check.
+The certificate, O(T^2): the posterior of the safe arm depends on xi_r
+alone, and xi_r moves the same way whichever arm is pulled, so a min over
+the arms at each (t, xi_r) bounds every player's prior-averaged
+pseudoregret V from below. The myopic player attains it, V = (vbar_1 +
+vbar_2)/2, so V = vbar (``symbandit verify``) proves vbar minimax and the
+same for both labels; v - vbar does not depend on the player.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import arm_probs, check_game, reward_table, terminal_payoff
-
-FULL_TABLE_MAX_T = 12
-
-
-# ---------------------------------------------------------------------------
-# Full-state oracles (desk scale)
-# ---------------------------------------------------------------------------
-
-def _lattice_tables(T, eps, safe_arm, origin, xi_r_at, moves, terminal) -> list[dict]:
-    """Backward induction of the myopic player over the reachable states.
-
-    `moves(state, g1, g2)` gives the successors after choosing arm 1 and
-    arm 2; entry `xi_r_at` of a state is the revealed difference the
-    player follows. Returns all slices, terminal first: entry k maps each
-    reachable state at t = -k to its value.
-    """
-    check_game(T, eps, safe_arm)
-    if T > FULL_TABLE_MAX_T:
-        raise ValueError(f"full-state table is limited to T <= {FULL_TABLE_MAX_T}, got {T}")
-    outcomes = reward_table(eps, safe_arm)
-
-    def successors(state):
-        xi_r = state[xi_r_at]
-        for g1, g2, pr in outcomes:
-            one, two = moves(state, g1, g2)
-            if xi_r > 0:
-                yield one, pr
-            elif xi_r < 0:
-                yield two, pr
-            else:
-                yield one, 0.5 * pr
-                yield two, 0.5 * pr
-
-    layers = [{origin}]
-    for _ in range(T):
-        layers.append({succ for state in layers[-1] for succ, _ in successors(state)})
-
-    tables = [{s: terminal(s) for s in layers[T]}]
-    for back in range(1, T + 1):
-        prev = tables[-1]
-        tables.append({state: sum(pr * prev[succ] for succ, pr in successors(state))
-                       for state in layers[T - back]})
-    return tables
-
-
-def regret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[dict]:
-    """All slices of the raw (eta, xi_h, xi_r) regret recursion, terminal
-    first; exact on the finite lattice."""
-
-    def moves(state, g1, g2):
-        eta, xi_h, xi_r = state
-        return ((eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1),
-                (eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2))
-
-    return _lattice_tables(T, eps, safe_arm, (0, 0, 0), 2, moves,
-                           lambda s: terminal_payoff(*s))
-
-
-def regret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
-    """v(0, 0, -T) on the raw (eta, xi_h, xi_r) lattice; oracle scale."""
-    return regret_tables_full(T, eps, safe_arm)[-1][(0, 0, 0)]
-
-
-def pseudoregret_tables_full(T: int, eps: float, safe_arm: int = 1) -> list[dict]:
-    """All slices of the unreduced (xi_r, s2) pseudoregret recursion,
-    terminal first."""
-    risky_one = 1 if safe_arm == 2 else 0
-
-    def moves(state, g1, g2):
-        xi_r, s2 = state
-        return (xi_r + g1, s2 + risky_one), (xi_r - g2, s2 + 1 - risky_one)
-
-    gap2 = 2.0 * eps
-    return _lattice_tables(T, eps, safe_arm, (0, 0), 0, moves, lambda s: gap2 * s[1])
-
-
-def pseudoregret_value_full(T: int, eps: float, safe_arm: int = 1) -> float:
-    """vbar(0, 0, -T) on the unreduced (xi_r, s2) lattice; oracle scale."""
-    return pseudoregret_tables_full(T, eps, safe_arm)[-1][(0, 0)]
+from .core import arm_probs, check_game
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +287,28 @@ def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
     """
     v, vbar = origin_values(T, eps)
     return list(zip(range(-T, 1), v[::-1].tolist(), vbar[::-1].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The Bayes lower bound of every player: one recursion over (t, xi_r), O(T^2)
+# ---------------------------------------------------------------------------
+
+def bayes_pseudoregret(T: int, eps: float) -> float:
+    """The least pseudoregret of any player, averaged over a uniform prior
+    on the safe-arm label: V_0(0), where V_T = 0 and V_k(x) = 2 eps
+    min(post, 1 - post) + up V_{k+1}(x + 1) + (1 - up) V_{k+1}(x - 1), with
+    post = P(arm 1 safe | xi_r = x) = (1 + tanh(x atanh eps))/2 and
+    up = 1/2 + eps (post - 1/2). O(T^2) time, O(T) memory."""
+    check_game(T, eps)
+    import numpy as np
+
+    # tanh, not the likelihood ratio ((1 + eps)/(1 - eps))^x, which overflows
+    slope = np.tanh(np.arange(-T, T + 1) * math.atanh(eps))  # 2 post - 1 at x = -T..T
+    cost = eps * (1.0 - np.abs(slope))
+    up = 0.5 * (1.0 + eps * slope)
+    down = 1.0 - up
+    value = np.zeros(2 * T + 1)  # V_T at x = -T..T
+    for k in range(T - 1, -1, -1):  # V_k at x = -k..k from V_{k+1} at -(k+1)..k+1
+        at = slice(T - k, T + k + 1)
+        value = cost[at] + up[at] * value[2:] + down[at] * value[:-2]
+    return float(value[0])

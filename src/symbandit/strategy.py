@@ -109,7 +109,7 @@ class BruteForceCertificate:
     """Result of the exhaustive grid search over tabular strategies."""
 
     value: float                # min over the strategy grid of worst-case regret
-    myopic_value: float         # worst-case regret of the myopic player
+    myopic_value: float         # regret of the myopic player, the same under either label
     achieved_by_myopic: bool    # myopic within `tolerance` of the grid minimum
     tolerance: float            # conservative grid-resolution (Lipschitz) bound
 
@@ -123,10 +123,9 @@ def brute_force_minimax(
     each observable decision class; class k's probability varies along
     axis k of the strategy grid. One backward recursion over the outcome
     tree gives the exact expected regret of every grid strategy at once
-    for each safe-arm label. The myopic player, valued on the full
-    (eta, xi_h, xi_r) lattice of each label, must attain the grid minimum
-    of the worse label within one conservative Lipschitz bound
-    (2 * classes / grid).
+    for each safe-arm label. The myopic player's exact regret
+    (`dp.regret_value`) must attain the grid minimum of the worse label
+    within one conservative Lipschitz bound (2 * classes / grid).
     """
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
@@ -163,8 +162,7 @@ def brute_force_minimax(
 
     grid_min = float(np.maximum(value(reward_table(eps, 1), -T, 0, 0, 0, ()),
                                 value(reward_table(eps, 2), -T, 0, 0, 0, ())).min())
-    myopic_value = max(dp.regret_value_full(T, eps, safe_arm=1),
-                       dp.regret_value_full(T, eps, safe_arm=2))
+    myopic_value = dp.regret_value(T, eps)
     tolerance = 2.0 * n / grid
     return BruteForceCertificate(
         value=grid_min,

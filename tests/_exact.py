@@ -66,3 +66,18 @@ def relative_error(approx: float, exact: Fraction) -> float:
     """|approx - exact| / |exact|, evaluated exactly; absolute at exact = 0."""
     diff = abs(Fraction(approx) - exact)
     return float(diff / abs(exact)) if exact else float(diff)
+
+
+def bayes_value(T: int, eps: Fraction) -> Fraction:
+    """The Bayes lower bound of `symbandit.dp.bayes_pseudoregret` as an exact
+    fraction, with the rational posterior
+    P(arm 1 safe | xi_r = x) = (1 + eps)^x / ((1 + eps)^x + (1 - eps)^x)."""
+    eps, half = Fraction(eps), Fraction(1, 2)
+    post = {x: (1 + eps) ** x / ((1 + eps) ** x + (1 - eps) ** x) for x in range(-T, T + 1)}
+    up = {x: half + eps * (p - half) for x, p in post.items()}
+    value = [Fraction(0)] * (T + 1)  # V_T at x = -T, -T + 2, ..., T
+    for k in range(T - 1, -1, -1):  # V_k at x = -k + 2j from V_{k+1} at x - 1 and x + 1
+        value = [2 * eps * min(post[x], 1 - post[x]) + up[x] * value[j + 1]
+                 + (1 - up[x]) * value[j]
+                 for j, x in enumerate(range(-k, k + 1, 2))]
+    return value[0]

@@ -27,6 +27,8 @@ from symbandit import dp, pde
 from symbandit.experiments import SweepSpec, error_scaling, mc_estimate
 from symbandit.strategy import MyopicStrategy, brute_force_minimax
 
+from _lattice import regret_value_full
+
 
 def _report(num: int, parts: list[tuple[str, bool, str]]) -> None:
     ok = all(p[1] for p in parts)
@@ -206,13 +208,13 @@ def test_criterion_08_exactness_oracles():
     for T in range(1, 13):
         for eps in (0.0, 0.1, 0.3, 0.7):
             worst = max(worst, abs(dp.regret_value(T, eps)
-                                   - dp.regret_value_full(T, eps)))
+                                   - regret_value_full(T, eps)))
     one_round = max(abs(dp.regret_value(1, e) - (1 + e * e) / 2)
                     for e in (0.0, 0.1, 0.3, 0.7))
     one_round_bar = max(abs(dp.pseudoregret_value(1, e) - e) for e in (0.0, 0.25, 0.6))
     # the production route is label-symmetric by construction; the lattice plays the swap
     indiff = max(
-        abs(dp.regret_value_full(T, eps, safe_arm=1) - dp.regret_value_full(T, eps, safe_arm=2))
+        abs(regret_value_full(T, eps, safe_arm=1) - regret_value_full(T, eps, safe_arm=2))
         for T in (6, 12) for eps in (0.1, 0.3, 0.7)
     )
     parts = [

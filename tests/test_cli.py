@@ -383,18 +383,26 @@ class TestVerify:
         assert out.count("PASS") >= 15
         assert "0 failures" in out
 
-    @pytest.mark.parametrize("oracle,check", [
-        ("regret_value_full", "indifference under safe-arm swap"),
-        ("pseudoregret_value_full", "uniform-prior pseudoregret equals minimax"),
-    ])
-    def test_label_checks_play_both_labels(self, monkeypatch, oracle, check):
-        # the production route is label-symmetric by construction, so each
-        # check must catch a label dependence of the lattice oracle
-        full = getattr(dp, oracle)
-        monkeypatch.setattr(dp, oracle, lambda T, eps, safe_arm=1:
-                            full(T, eps, safe_arm) + 1e-9 * (safe_arm == 2))
-        checks = {name: ok for name, ok, _ in _verify_checks()}
-        assert checks[check] is False
+    def _certificate_checks(self):
+        return [ok for name, ok, _ in _verify_checks()
+                if name.startswith("myopic pseudoregret equals the Bayes lower bound")]
+
+    def test_certificate_catches_a_raised_value(self, monkeypatch):
+        values = dp.values
+
+        def raised(T, eps):
+            v, vbar = values(T, eps)
+            return v, vbar * (1 + 1e-9)
+
+        monkeypatch.setattr(dp, "values", raised)
+        checks = self._certificate_checks()
+        assert len(checks) == 4 and not any(checks)
+
+    def test_certificate_catches_a_raised_bound(self, monkeypatch):
+        bound = dp.bayes_pseudoregret
+        monkeypatch.setattr(dp, "bayes_pseudoregret", lambda T, eps: bound(T, eps) * (1 + 1e-9))
+        checks = self._certificate_checks()
+        assert len(checks) == 4 and not any(checks)
 
 
 def modules_loaded_by(argvs, cwd, watched=("numpy", "multiprocessing",

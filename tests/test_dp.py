@@ -11,17 +11,23 @@ from symbandit import dp, pde
 from symbandit.core import terminal_payoff
 
 from _exact import shortfall
+from _lattice import (
+    pseudoregret_tables_full,
+    pseudoregret_value_full,
+    regret_tables_full,
+    regret_value_full,
+)
 
 
 class TestTerminalSlice:
     def test_full_table_terminal_is_payoff(self):
-        tables = dp.regret_tables_full(4, 0.3)
+        tables = regret_tables_full(4, 0.3)
         assert len(tables) == 5 and list(tables[-1]) == [(0, 0, 0)]
         for (eta, xi_h, xi_r), v in tables[0].items():
             assert v == terminal_payoff(eta, xi_h, xi_r)
 
     def test_pseudo_terminal_is_weighted_pulls(self):
-        tables = dp.pseudoregret_tables_full(4, 0.25)
+        tables = pseudoregret_tables_full(4, 0.25)
         for (xi_r, s2), v in tables[0].items():
             assert v == 2 * 0.25 * s2
 
@@ -31,12 +37,12 @@ class TestOneRound:
     def test_regret_closed_form(self, eps):
         # 8-outcome enumeration gives (1 + eps^2)/2
         assert dp.regret_value(1, eps) == pytest.approx((1 + eps * eps) / 2, abs=1e-15)
-        assert dp.regret_value_full(1, eps) == pytest.approx((1 + eps * eps) / 2, abs=1e-15)
+        assert regret_value_full(1, eps) == pytest.approx((1 + eps * eps) / 2, abs=1e-15)
 
     def test_pseudoregret_is_eps(self):
         for eps in (0.0, 0.2, 0.4):
             assert dp.pseudoregret_value(1, eps) == pytest.approx(eps, abs=1e-15)
-            assert dp.pseudoregret_value_full(1, eps) == pytest.approx(eps, abs=1e-15)
+            assert pseudoregret_value_full(1, eps) == pytest.approx(eps, abs=1e-15)
 
 
 class TestRouteAgreement:
@@ -46,13 +52,13 @@ class TestRouteAgreement:
     )
     def test_decomposed_equals_full(self, T, eps):
         a = dp.regret_value(T, eps)
-        b = dp.regret_value_full(T, eps)
+        b = regret_value_full(T, eps)
         assert abs(a - b) <= 1e-12
 
     @pytest.mark.parametrize("T,eps", [(6, 0.2), (10, 0.45), (12, 0.0)])
     def test_pseudo_reduced_equals_full(self, T, eps):
         a = dp.pseudoregret_value(T, eps)
-        b = dp.pseudoregret_value_full(T, eps)
+        b = pseudoregret_value_full(T, eps)
         assert abs(a - b) <= 1e-12
 
 
@@ -61,7 +67,7 @@ class TestStructuralInvariants:
         # choice 1 moves (eta, zeta) by (-d, d), choice 2 by (d, d), so
         # eta + zeta = 0 mod 4 on the reachable set and the smallest
         # coexisting eta offset at fixed xi is 4; slope 1/2 gives diff 2
-        tables = dp.regret_tables_full(6, 0.3)
+        tables = regret_tables_full(6, 0.3)
         checked = 0
         for table in tables:
             for (eta, xi_h, xi_r), v in table.items():
@@ -74,7 +80,7 @@ class TestStructuralInvariants:
 
     def test_s2_linearity_in_pseudo_table(self):
         eps = 0.3
-        tables = dp.pseudoregret_tables_full(6, eps)
+        tables = pseudoregret_tables_full(6, eps)
         checked = 0
         for table in tables:
             for (xi_r, s2), v in table.items():
@@ -90,15 +96,15 @@ class TestStructuralInvariants:
 
     def test_indifference(self):
         for T, eps in itertools.product((3, 8, 12), (0.1, 0.5)):
-            assert abs(dp.regret_value_full(T, eps, safe_arm=1)
-                       - dp.regret_value_full(T, eps, safe_arm=2)) <= 1e-12
+            assert abs(regret_value_full(T, eps, safe_arm=1)
+                       - regret_value_full(T, eps, safe_arm=2)) <= 1e-12
 
     def test_bayesian_check_equals_minimax(self):
         # a uniform prior on the label, both labels played on the lattice,
         # so T <= FULL_TABLE_MAX_T
         for T, eps in [(1, 0.4), (12, 0.1), (10, 0.0)]:
-            bayes = 0.5 * (dp.pseudoregret_value_full(T, eps, safe_arm=1)
-                           + dp.pseudoregret_value_full(T, eps, safe_arm=2))
+            bayes = 0.5 * (pseudoregret_value_full(T, eps, safe_arm=1)
+                           + pseudoregret_value_full(T, eps, safe_arm=2))
             assert abs(bayes - dp.pseudoregret_value(T, eps)) <= 1e-12
 
     def test_zero_gap_pseudoregret_vanishes(self):
@@ -262,7 +268,7 @@ class TestOneHorizon:
 class TestGuards:
     def test_full_table_horizon_guard(self):
         with pytest.raises(ValueError):
-            dp.regret_value_full(13, 0.1)
+            regret_value_full(13, 0.1)
 
     def test_o_t_route_size_guard(self):
         # gamma 0.1 is below the one-horizon window, so T = 1e9 would take

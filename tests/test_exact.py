@@ -9,6 +9,9 @@ reaches and against exact identities beyond.
   T*eps^2 >= 30 the O(T) arrays, which sum their tails from the far end
   there, are held to 2 ulps as well (measured 4.4e-17; 2.0e-15 without
   that path).
+* The Bayes lower bound of `dp.bayes_pseudoregret`: its rational twin in
+  tests/_exact.py equals the exact vbar with no error at T <= 30, and the
+  float recursion is within 1e-13 relative of it.
 * The central ratio C(2k, k)/4^k of the one-horizon route, from Loader's
   Stirling error, within 2 ulps of exact integer arithmetic.
 * The O(T) arrays at every horizon up to T = 1e6 + 1, on gamma 0.01 to 10,
@@ -28,7 +31,8 @@ import pytest
 
 from symbandit import dp
 
-from _exact import exact_values, relative_error
+from _exact import bayes_value, exact_values, relative_error
+from _lattice import pseudoregret_value_full, regret_value_full
 
 ROUTE_BUDGET = 1e-13
 FAR_END_BUDGET = 2 * 2.0**-52
@@ -42,8 +46,19 @@ def test_oracle_equals_full_lattice():
     for T in range(1, 9):
         for eps in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(7, 10)):
             v, vbar = exact_values(T, eps)
-            assert relative_error(dp.regret_value_full(T, float(eps)), v) <= 1e-14
-            assert relative_error(dp.pseudoregret_value_full(T, float(eps)), vbar) <= 1e-14
+            assert relative_error(regret_value_full(T, float(eps)), v) <= 1e-14
+            assert relative_error(pseudoregret_value_full(T, float(eps)), vbar) <= 1e-14
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 7, 12, 16, 30])
+def test_bayes_bound_equals_the_myopic_pseudoregret_exactly(T):
+    # the myopic player is Bayes-optimal: the rational recursion over
+    # (t, xi_r) meets the rational walk sum with no error at all, and the
+    # float recursion of the certificate stays within the route budget
+    for eps in GRID_EPS:
+        bound = bayes_value(T, eps)
+        assert bound == exact_values(T, eps)[1]
+        assert relative_error(dp.bayes_pseudoregret(T, float(eps)), bound) <= ROUTE_BUDGET
 
 
 def test_central_binomial_to_a_few_ulps():

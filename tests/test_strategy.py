@@ -16,6 +16,8 @@ from symbandit.strategy import (
     brute_force_minimax,
 )
 
+from _lattice import pseudoregret_value_full, regret_value_full
+
 
 def tree_expected_regret(T, eps, strategy, safe_arm=1):
     """Exact expected final regret by full outcome-tree enumeration.
@@ -171,7 +173,7 @@ class TestOutcomeTree:
         # two independently coded exact routes
         for T, eps in [(1, 0.3), (2, 0.5), (3, 0.15)]:
             tree = tree_expected_regret(T, eps, MyopicStrategy(), safe_arm=1)
-            table = dp.regret_value_full(T, eps, safe_arm=1)
+            table = regret_value_full(T, eps, safe_arm=1)
             assert tree == pytest.approx(table, abs=1e-13)
 
     def test_uniform_player_one_round(self):
@@ -224,17 +226,51 @@ class TestBruteForce:
             brute_force_minimax(3, 0.2, grid=51)  # 51^6 strategy points
 
 
+def bayes_regret_bound(T, eps):
+    """No player's worse-label regret is below this: the Bayes bound on
+    pseudoregret plus v - vbar, which is the same for every player."""
+    v, vbar = dp.values(T, eps)
+    return dp.bayes_pseudoregret(T, eps) + (v - vbar)
+
+
+class TestBayesBound:
+    @settings(max_examples=50, deadline=None)
+    @given(T=st.integers(1, 4), eps=st.floats(0.0, 0.95), data=st.data())
+    def test_no_table_beats_the_bound(self, T, eps, data):
+        states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
+        p1s = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(states),
+                                 max_size=len(states)))
+        s = TabularStrategy(dict(zip(states, p1s)))
+        worst = max(tree_expected_regret(T, eps, s, safe_arm=a) for a in (1, 2))
+        assert worst >= bayes_regret_bound(T, eps) - 1e-12
+
+    @pytest.mark.parametrize("T,eps", list(itertools.product([1, 2, 3, 4],
+                                                             [0.0, 0.1, 0.45, 0.9])))
+    def test_myopic_meets_the_bound(self, T, eps):
+        for a in (1, 2):
+            regret = tree_expected_regret(T, eps, MyopicStrategy(), safe_arm=a)
+            assert abs(regret - bayes_regret_bound(T, eps)) <= 1e-15
+
+    @pytest.mark.parametrize("observable", ["xi_r", "history"])
+    def test_grid_minimum_sits_on_the_bound(self, observable):
+        # the grid holds the myopic decisions 0, 1/2 and 1, so its minimum
+        # meets the bound up to rounding, and no grid point goes below it
+        cert = brute_force_minimax(2, 0.4, grid=11, observable=observable)
+        bound = bayes_regret_bound(2, 0.4)
+        assert bound - 1e-12 <= cert.value <= bound + 1e-12
+
+
 class TestIndifference:
     @pytest.mark.parametrize("T,eps", list(itertools.product([1, 4, 9, 12],
                                                              [0.1, 0.3, 0.7])))
     def test_safe_arm_swap(self, T, eps):
         # the production route takes no label; the full lattices play each
         # label, and the label-2 value must equal the production one
-        v1 = dp.regret_value_full(T, eps, safe_arm=1)
-        v2 = dp.regret_value_full(T, eps, safe_arm=2)
+        v1 = regret_value_full(T, eps, safe_arm=1)
+        v2 = regret_value_full(T, eps, safe_arm=2)
         assert abs(v1 - v2) <= 1e-12
         assert abs(v2 - dp.regret_value(T, eps)) <= 1e-12
-        b1 = dp.pseudoregret_value_full(T, eps, safe_arm=1)
-        b2 = dp.pseudoregret_value_full(T, eps, safe_arm=2)
+        b1 = pseudoregret_value_full(T, eps, safe_arm=1)
+        b2 = pseudoregret_value_full(T, eps, safe_arm=2)
         assert abs(b1 - b2) <= 1e-12
         assert abs(b2 - dp.pseudoregret_value(T, eps)) <= 1e-12
