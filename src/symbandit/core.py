@@ -33,16 +33,6 @@ def arm_probs(eps: float, safe_arm: int = 1) -> tuple[float, float]:
     return (high, low) if safe_arm == 1 else (low, high)
 
 
-def reward_table(eps: float, safe_arm: int = 1) -> list[tuple[int, int, float]]:
-    """The four reward pairs (g1, g2) of one round with their probabilities."""
-    p1, p2 = arm_probs(eps, safe_arm)
-    return [
-        (g1, g2, (p1 if g1 == 1 else 1.0 - p1) * (p2 if g2 == 1 else 1.0 - p2))
-        for g1 in (1, -1)
-        for g2 in (1, -1)
-    ]
-
-
 def check_gap(eps: float) -> float:
     """Validate the half-gap parameter; returns it for chaining."""
     if not 0.0 <= eps < 1.0:

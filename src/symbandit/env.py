@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import arm_probs, check_game
+from .core import arm_probs, check_game, terminal_payoff
 
 # audit episodes played together, and rounds drawn per generator call:
 # together they bound the audit's memory whatever the number of episodes
@@ -156,8 +156,8 @@ class EpisodeLog:
     def from_line(cls, line: str) -> "EpisodeLog":
         """The record of one audit line, refused unless `play_episodes`
         could have written it: each field of its JSON type (a bool is no
-        number), and the final regret and risky pulls those that replaying
-        the choices and rewards gives."""
+        number), and the final regret (by `core.terminal_payoff`) and risky
+        pulls those that replaying the choices and rewards gives."""
         rec = json.loads(line)
         keys = [f.name for f in fields(cls)]
         if rec.keys() != set(keys):
@@ -176,11 +176,12 @@ class EpisodeLog:
         if len(rewards) != len(choices):
             raise ValueError(f"rewards must hold one pair per choice, got "
                              f"{len(rewards)} pairs for {len(choices)} choices")
-        eta = zeta = 0
+        eta = xi_h = xi_r = 0
         for choice, (g1, g2) in zip(choices, rewards):
             eta += g1 + g2 - 2 * (g1 if choice == 1 else g2)
-            zeta += g1 - g2
-        replayed = {"final_regret": 0.5 * (eta + abs(zeta)),
+            # arm 1 reveals +g1 and hides -g2; arm 2 reveals -g2 and hides +g1
+            xi_r, xi_h = (xi_r + g1, xi_h - g2) if choice == 1 else (xi_r - g2, xi_h + g1)
+        replayed = {"final_regret": terminal_payoff(eta, xi_h, xi_r),
                     "s2": sum(c != rec["safe_arm"] for c in choices)}
         for key, value in replayed.items():
             if rec[key] != value:

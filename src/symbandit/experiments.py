@@ -318,6 +318,8 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     import statistics
 
     cells = spec.cells()
+    if min(eps for _, eps in cells) == 0.0:
+        raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
     dom, rest = _dominant_and_rest(*max(cells, key=lambda c: c[1]), spec.branch)
     if dom < rest:
         raise ValueError(
@@ -325,8 +327,6 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
             f"dominant envelope term {dom:.3g} < remaining terms {rest:.3g} "
             f"at the largest gap; slope fit would be meaningless"
         )
-    if min(eps for _, eps in cells) == 0.0:
-        raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
     power = 2 if spec.branch == "C1" else 3
     rows = convergence_sweep(replace(spec, episodes=0))
     xs, ys = [], []

@@ -4,11 +4,8 @@ The myopic player picks the arm with the larger revealed cumulative
 reward difference xi_r (a maximum-likelihood guess of the safe arm) and
 splits 1/2 - 1/2 on a tie. The brute-force search certifies, at tiny
 horizons, that no strategy on a probability grid beats it by more than a
-grid-resolution bound. It values every grid strategy at once by one
-backward recursion over the outcome tree: a leaf is the terminal payoff,
-a node the outcome-weighted mix p * (arm 1) + (1 - p) * (arm 2) of its
-children, where p is a numpy array broadcast along its decision class's
-own axis of the strategy grid.
+grid-resolution bound. It values every grid strategy at once from the
+law of xi_r, which no player changes.
 
 Each player has one decision method, p1_batch(t, xi_r): the probability
 of pulling arm 1 at round t, for every revealed difference in an array.
@@ -18,13 +15,13 @@ round loop (int16 up to T = 2^15 - 1, see `env`).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp
-from .core import check_game, reward_table, terminal_payoff
+from .core import arm_probs, check_game
 
 
 class MyopicStrategy:
@@ -114,59 +111,51 @@ class BruteForceCertificate:
     tolerance: float            # conservative grid-resolution (Lipschitz) bound
 
 
-def brute_force_minimax(
-    T: int, eps: float, grid: int, observable: str = "xi_r"
-) -> BruteForceCertificate:
+def brute_force_minimax(T: int, eps: float, grid: int) -> BruteForceCertificate:
     """Exhaustive minimax search over tabular strategies on a probability grid.
 
-    Every strategy assigns one of `grid` evenly spaced probabilities to
-    each observable decision class; class k's probability varies along
-    axis k of the strategy grid. One backward recursion over the outcome
-    tree gives the exact expected regret of every grid strategy at once
-    for each safe-arm label. The myopic player's exact regret
-    (`dp.regret_value`) must attain the grid minimum of the worse label
-    within one conservative Lipschitz bound (2 * classes / grid).
+    Every strategy assigns one of `grid` evenly spaced arm-1 probabilities
+    to each decision class (t, xi_r); class k's varies along axis k of the
+    strategy grid. Under either label xi_r is that label's +-1 walk,
+    stepping up w.p. `arm_probs(eps, label)[0]` whatever the player does,
+    so the expected pseudoregret is 2 eps * sum_k P(reach class k) *
+    P(risky pull at k), and regret adds v - vbar of `dp.values`, the same
+    for every player. The myopic player's exact regret v must attain the
+    grid minimum of the worse label within one conservative Lipschitz
+    bound (2 * classes / grid).
     """
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 levels, got {grid}")
-    if observable not in ("xi_r", "history"):
-        raise ValueError(f"observable must be 'xi_r' or 'history', got {observable!r}")
     check_game(T, eps)
 
-    if observable == "xi_r":  # (t, xi_r), with T + t rounds elapsed
-        classes = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
-    else:  # observable histories: tuples of (choice, revealed reward) pairs
-        classes = [hist for rounds in range(T) for hist in
-                   itertools.product([(1, 1), (1, -1), (2, 1), (2, -1)], repeat=rounds)]
+    classes = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
     n = len(classes)
     if grid**n > 4e6:
         raise ValueError(
             f"strategy grid too large: {grid}^{n} points; lower `grid` or T"
         )
     levels = np.linspace(0.0, 1.0, grid)
-    # trailing axes only: a later class has fewer, so deep subtrees stay small
-    p1 = {c: levels.reshape((grid,) + (1,) * (n - 1 - k)) for k, c in enumerate(classes)}
+    pseudoregret = []
+    for safe_arm in (1, 2):
+        up = arm_probs(eps, safe_arm)[0]
+        total = 0.0
+        # the last class first: its axis is the last, so the sum gains one axis per class
+        for k in reversed(range(n)):
+            t, x = classes[k]
+            rounds, ups = T + t, (T + t + x) // 2
+            reach = math.comb(rounds, ups) * up**ups * (1.0 - up) ** (rounds - ups)
+            p1 = levels.reshape((grid,) + (1,) * (n - 1 - k))
+            total = total + reach * (1.0 - p1 if safe_arm == 1 else p1)
+        pseudoregret.append(2.0 * eps * total)
 
-    def value(outcomes, t, eta, xi_h, xi_r, hist):
-        """Expected final regret from this node, for every grid strategy."""
-        if t == 0:
-            return terminal_payoff(eta, xi_h, xi_r)
-        p = p1[(t, xi_r) if observable == "xi_r" else hist]
-        return sum(pr * (p * value(outcomes, t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2,
-                                   xi_r + g1, hist + ((1, g1),))
-                         + (1.0 - p) * value(outcomes, t + 1, eta + g1 + g2 - 2 * g2,
-                                             xi_h + g1, xi_r - g2, hist + ((2, g2),)))
-                   for g1, g2, pr in outcomes)
-
-    grid_min = float(np.maximum(value(reward_table(eps, 1), -T, 0, 0, 0, ()),
-                                value(reward_table(eps, 2), -T, 0, 0, 0, ())).min())
-    myopic_value = dp.regret_value(T, eps)
+    v, vbar = dp.values(T, eps)
+    grid_min = float(np.maximum(*pseudoregret).min()) + (v - vbar)
     tolerance = 2.0 * n / grid
     return BruteForceCertificate(
         value=grid_min,
-        myopic_value=myopic_value,
-        achieved_by_myopic=myopic_value <= grid_min + tolerance + 1e-12,
+        myopic_value=v,
+        achieved_by_myopic=v <= grid_min + tolerance + 1e-12,
         tolerance=tolerance,
     )

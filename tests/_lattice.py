@@ -8,9 +8,19 @@ safe-arm labels, so they are the tests' label-swap check, and acceptance
 criterion 8 holds the production route to them.
 """
 
-from symbandit.core import check_game, reward_table, terminal_payoff
+from symbandit.core import arm_probs, check_game, terminal_payoff
 
 FULL_TABLE_MAX_T = 12
+
+
+def reward_table(eps, safe_arm=1):
+    """The four reward pairs (g1, g2) of one round with their probabilities."""
+    p1, p2 = arm_probs(eps, safe_arm)
+    return [
+        (g1, g2, (p1 if g1 == 1 else 1.0 - p1) * (p2 if g2 == 1 else 1.0 - p2))
+        for g1 in (1, -1)
+        for g2 in (1, -1)
+    ]
 
 
 def _lattice_tables(T, eps, safe_arm, origin, xi_r_at, moves, terminal) -> list[dict]:

@@ -1,4 +1,4 @@
-"""Three design rules on the names of `symbandit`, and one on its tests.
+"""Four design rules on the names of `symbandit`, and one on its tests.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -11,6 +11,10 @@ change to that set is made on purpose.
 
 No module uses another module's private name, as `mod._name` or
 `from mod import _name`: what one module needs of another is public.
+
+Every module-level import of a module is used in that module, so an
+import left behind by a change cannot linger. The one exception is
+pinned with its reason.
 
 No `spawn_key=` argument holds an integer literal: every random stream
 is headed by a named purpose of `experiments` (SIMULATE, SWEEP, AUDIT),
@@ -37,6 +41,13 @@ BENCH_ONLY = {
                                 "the CLI only writes it",
     "experiments.read_csv": "the exact-ladder and closed-form-grid gates check that "
                             "the CSVs round-trip; the CLI only writes them",
+}
+
+
+# module-level imports that their own module does not use
+UNUSED_IMPORTS = {
+    "core.erf": "bench/ times the error function as core.erf",
+    "core.erfc": "bench/ times the error function as core.erfc",
 }
 
 
@@ -85,6 +96,20 @@ def test_every_public_name_has_a_program_caller():
     assert not orphans, "no caller in the program: " + ", ".join(orphans)
     changed = sorted(bench_only ^ set(BENCH_ONLY))
     assert not changed, "names whose only caller is bench/ changed: " + ", ".join(changed)
+
+
+def test_every_module_level_import_is_used():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                unused.update(f"{path.stem}.{name}" for name in bound if name not in used)
+    changed = sorted(unused ^ set(UNUSED_IMPORTS))
+    assert not changed, "unused module-level imports changed: " + ", ".join(changed)
 
 
 def _is_private(name):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestErrorScalingFit:
     def test_refuses_small_gap_rule(self):
         spec = SweepSpec(regime="small", T_list=[1000], power=0.75, branch="C1")
         with pytest.raises(ValueError, match="dominance"):
+            error_scaling(spec)
+
+    @pytest.mark.parametrize("spec", [
+        # every cell at eps = 0: the zero-gap refusal, not the dominance one
+        SweepSpec(regime="large", T_list=[256], eps_list=[0.0], branch="C1"),
+        SweepSpec(regime="medium", T_list=[100, 400], gamma=0.0),
+    ])
+    def test_refuses_an_all_zero_gap_sweep(self, spec):
+        with pytest.raises(ValueError, match=re.escape("every cell needs eps > 0")):
             error_scaling(spec)
 
     @pytest.mark.parametrize("spec, x_axis", [

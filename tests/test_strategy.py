@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbandit import dp
-from symbandit.core import check_game, reward_table, terminal_payoff
+from symbandit.core import check_game, terminal_payoff
 from symbandit.strategy import (
     MyopicStrategy,
     TabularStrategy,
@@ -16,33 +16,47 @@ from symbandit.strategy import (
     brute_force_minimax,
 )
 
-from _lattice import pseudoregret_value_full, regret_value_full
+from _lattice import pseudoregret_value_full, regret_value_full, reward_table
 
 
-def tree_expected_regret(T, eps, strategy, safe_arm=1):
-    """Exact expected final regret by full outcome-tree enumeration.
+def history_tree_regret(T, eps, p1_of, safe_arm=1):
+    """Exact expected final regret by full outcome-tree enumeration, for a
+    player whose arm-1 probability `p1_of(t, xi_r, history)` may read the
+    whole history: the tuple of (choice, revealed reward) pairs so far.
 
     Exponential in T; a desk oracle for the full-lattice dynamic program
-    at tiny horizons, sharing none of its code.
+    and the brute-force search at tiny horizons, sharing none of their code.
     """
     check_game(T, eps, safe_arm)
     outcomes = reward_table(eps, safe_arm)
 
-    def walk(t, eta, xi_h, xi_r, prob):
+    def walk(t, eta, xi_h, xi_r, hist, prob):
         if t == 0:
             return prob * terminal_payoff(eta, xi_h, xi_r)
-        p1 = float(strategy.p1_batch(t, np.array([xi_r]))[0])
+        p1 = p1_of(t, xi_r, hist)
         total = 0.0
         for g1, g2, pr in outcomes:
             if p1 > 0.0:
                 total += walk(t + 1, eta + g1 + g2 - 2 * g1, xi_h - g2, xi_r + g1,
-                              prob * pr * p1)
+                              hist + ((1, g1),), prob * pr * p1)
             if p1 < 1.0:
                 total += walk(t + 1, eta + g1 + g2 - 2 * g2, xi_h + g1, xi_r - g2,
-                              prob * pr * (1.0 - p1))
+                              hist + ((2, g2),), prob * pr * (1.0 - p1))
         return total
 
-    return walk(-T, 0, 0, 0, 1.0)
+    return walk(-T, 0, 0, 0, (), 1.0)
+
+
+def tree_expected_regret(T, eps, strategy, safe_arm=1):
+    """`history_tree_regret` of a player that reads only (t, xi_r)."""
+    return history_tree_regret(
+        T, eps, lambda t, xi_r, _: float(strategy.p1_batch(t, np.array([xi_r]))[0]), safe_arm)
+
+
+def histories(T):
+    """Every history a player meets in a T-round game, shortest first."""
+    return [hist for rounds in range(T) for hist in
+            itertools.product([(1, 1), (1, -1), (2, 1), (2, -1)], repeat=rounds)]
 
 
 class TestMyopic:
@@ -201,17 +215,11 @@ class TestBruteForce:
         # cannot undercut the true minimax value attained by the myopic rule
         assert cert.myopic_value <= cert.value + 1e-12
 
-    def test_full_history_no_better_than_xi_r(self):
-        fine = brute_force_minimax(2, 0.4, grid=11, observable="xi_r")
-        full = brute_force_minimax(2, 0.4, grid=11, observable="history")
-        assert full.value >= fine.value - 1e-12
-        assert full.achieved_by_myopic
-
     @pytest.mark.parametrize("T,eps,grid", list(itertools.product([1, 2], [0.0, 0.15, 0.3, 0.8],
                                                                   [2, 3])))
     def test_value_is_the_min_over_every_tabular_strategy(self, T, eps, grid):
         # one outcome-tree walk per grid strategy and label, sharing no code
-        # with the broadcast recursion
+        # with the broadcast sum over the law of xi_r
         states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
         want = min(
             max(tree_expected_regret(T, eps, TabularStrategy(dict(zip(states, p1s))), safe_arm=a)
@@ -251,13 +259,37 @@ class TestBayesBound:
             regret = tree_expected_regret(T, eps, MyopicStrategy(), safe_arm=a)
             assert abs(regret - bayes_regret_bound(T, eps)) <= 1e-15
 
-    @pytest.mark.parametrize("observable", ["xi_r", "history"])
-    def test_grid_minimum_sits_on_the_bound(self, observable):
+    def test_grid_minimum_sits_on_the_bound(self):
         # the grid holds the myopic decisions 0, 1/2 and 1, so its minimum
         # meets the bound up to rounding, and no grid point goes below it
-        cert = brute_force_minimax(2, 0.4, grid=11, observable=observable)
+        cert = brute_force_minimax(2, 0.4, grid=11)
         bound = bayes_regret_bound(2, 0.4)
         assert bound - 1e-12 <= cert.value <= bound + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(T=st.integers(1, 3), eps=st.floats(0.0, 0.95), data=st.data())
+    def test_no_history_player_beats_the_bound(self, T, eps, data):
+        # a player keyed by the whole (choice, revealed reward) history sees
+        # more than (t, xi_r), yet cannot go below the Bayes bound
+        hists = histories(T)
+        p1s = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(hists),
+                                 max_size=len(hists)))
+        table = dict(zip(hists, p1s))
+        worst = max(history_tree_regret(T, eps, lambda t, x, hist: table[hist], safe_arm=a)
+                    for a in (1, 2))
+        assert worst >= bayes_regret_bound(T, eps) - 1e-12
+
+    @pytest.mark.parametrize("T,eps", list(itertools.product([1, 2, 3], [0.0, 0.1, 0.45, 0.9])))
+    def test_myopic_history_table_meets_the_bound(self, T, eps):
+        # the myopic rule written as a history table: xi_r sums +g for an
+        # arm-1 pull and -g for an arm-2 pull
+        table = {}
+        for hist in histories(T):
+            xi_r = sum(g if choice == 1 else -g for choice, g in hist)
+            table[hist] = 1.0 if xi_r > 0 else 0.0 if xi_r < 0 else 0.5
+        for a in (1, 2):
+            regret = history_tree_regret(T, eps, lambda t, x, hist: table[hist], safe_arm=a)
+            assert abs(regret - bayes_regret_bound(T, eps)) <= 1e-15
 
 
 class TestIndifference:
