@@ -18,9 +18,8 @@ and the error-scaling header those of `experiments.ScalingFit` as
 Only the standard library, `core` and `pde` load with this module; each
 handler imports the layers (`dp`, `env`, `strategy`), `experiments` and
 `json` it runs, so the closed-form commands `pde`, `prefactor` and
-`figure` start without numpy or `json`. `dp` loads numpy only for its
-O(T) route, so `dp` at a horizon inside its one-horizon window and an
-exact-only `sweep` of such cells start without numpy too.
+`figure` start without numpy or `json`. `dp` loads numpy only for
+`--trace`, so `dp` and an exact-only `sweep` start without numpy too.
 """
 
 from __future__ import annotations
@@ -248,12 +247,13 @@ def _verify_checks():
     low = 1.0 - float(vbar[-1]) * eps
     add(f"regret rises to 1/eps T={T} eps={eps}", top <= 2.0**-52 and low <= 2.0**-52,
         f"max eps*v - 1={top:.2e}, 1 - eps*vbar_T={low:.2e}")
-    T = 100_000
-    eps = 0.707 / math.sqrt(T)
-    v, vbar = dp.origin_values(T, eps)
-    rel = max(abs(x - float(y[-1])) / float(y[-1]) for x, y in zip(dp.values(T, eps), (v, vbar)))
-    add(f"one-horizon route equals O(T) route T={T} gamma=0.707", rel <= 1e-14,
-        f"rel diff={rel:.2e}")
+    def route_gap(T, eps):  # the arrays go with the call
+        arrays = dp.origin_values(T, eps)
+        return max(abs(x - float(y[-1])) / float(y[-1]) for x, y in zip(dp.values(T, eps), arrays))
+
+    for T, gamma, route in ((100_000, 0.707, "eps^2 series"), (10_000, 3, "incomplete-beta tails")):
+        rel = route_gap(T, gamma / math.sqrt(T))
+        add(f"{route} equal O(T) route T={T} gamma={gamma}", rel <= 1e-14, f"rel diff={rel:.2e}")
 
     # no player's worse label beats the Bayes bound, and the myopic player meets it
     cells = [(1000, g / math.sqrt(1000), f"gamma={g}") for g in (0.1, 0.707, 3)]

@@ -5,12 +5,13 @@ Two production routes compute the same values at two scales, and
 
 * ``origin_values`` -- O(T) time and memory, from one array of central
   binomial probabilities: the values of every horizon up to T at once.
-  ``value_trace`` and ``symbandit dp --trace`` read its arrays, and
-  ``values`` reads their last entries outside the window below. It
-  refuses more than ``_MAX_TERMS`` (2e7) terms, about 1.8 GB of arrays.
+  ``value_trace`` and ``symbandit dp --trace`` read its arrays. It refuses
+  more than ``_MAX_TERMS`` (2e7) terms, about 1.8 GB of arrays.
 * ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
-  and ``symbandit dp``) -- one horizon in O(1) time, without numpy, from
-  two incomplete-beta tails, for T >= 256 and T*eps^2 >= 0.09.
+  and ``symbandit dp``) -- one horizon in O(1) time and memory, without
+  numpy, at every (T, eps): a series in eps^2 up to gamma = eps sqrt(T)
+  = 1, two incomplete-beta tails beyond it from T = 12 on, and the a_i
+  themselves below T = 12.
 
 Both production routes rest on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
@@ -34,32 +35,45 @@ and g fall towards zero inside the horizon; their tails are then summed
 from the far end, so they keep their relative accuracy and v >= vbar
 holds in floating point too.
 
-The one-horizon route sums those series in closed form. With the
+The one-horizon routes sum those series in closed form. With the
 negative-binomial tail R(k) = sum_{i>=k} a_i = I_{1-eps^2}(k, 1/2)/eps
-(R(0) = 1/eps) and M = T // 2, P(W_2k < 0) + P(W_2k = 0)/2 = eps R(k)/2
-and P(W_2k+1 < 0) = eps R(k + 1)/2, so
+(R(0) = 1/eps), its complement S0(k) = 1/eps - R(k) = sum_{i<k} a_i and
+M = T // 2, P(W_2k < 0) + P(W_2k = 0)/2 = eps R(k)/2 and
+P(W_2k+1 < 0) = eps R(k + 1)/2, so
 
-* vbar_T = 1/eps - (1 - 2 eps^2 M) R(M) - 2 M a_M, plus eps^2 R(M) for odd T;
-* v_T = vbar_T + T (a_T - eps^2 R(T)).
+* vbar_T = 1/eps - (1 - eps^2 T) R(M) - 2 M a_M
+         = eps T - eps^2 T S0(M) + (S0(M) - 2 M a_M);
+* v_T = vbar_T + T (a_T - eps^2 R(T)) = vbar_T + T (a_T - eps + eps^2 S0(T)).
 
-a_k is C(2k, k)/4^k from Loader's Stirling error (C. Loader, "Fast and
-Accurate Computation of Binomial Probabilities", 2000) times
-exp(k log1p(-eps^2)); I_x(k, 1/2) is Temme's uniform expansion as coded
-in BGRAT of DiDonato and Morris (ACM TOMS 18, 1992, Algorithm 708). Below
-the window the difference of 1/eps and R(M) cancels like 1/gamma; from
-T*eps^2 = 80 on both values equal their limit 1/eps within an ulp, so
-the route returns 1/eps. v(T, eps) <= 1/eps holds at every horizon.
+Up to gamma = 1 the second forms are series in -eps^2: with c_i =
+C(2i, i)/4^i and B_k = 2n c_n C(n, k), the hockey-stick identity gives
+sum_{i<n} c_i C(i, k) = A_k = B_k (n - k)/(n (2k + 1)), so S0(n) =
+sum_k (-eps^2)^k A_k and 2n a_n = sum_k (-eps^2)^k B_k. Their terms fall
+like (gamma^2)^k/k!, and math.fsum adds each value's terms exactly; A_0 =
+B_0, so vbar = 0 exactly at eps = 0. Beyond gamma = 1, R comes from
+Temme's uniform expansion of I_x(k, 1/2) as coded in BGRAT of DiDonato
+and Morris (ACM TOMS 18, 1992, Algorithm 708), from T = 12 on, and below
+from the a_i themselves (the expansion is off by 1.5e-13 at T = 11).
+c_k is the exact ratio below k = 16 and Loader's Stirling error from 16
+on (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000). From T*eps^2 = 80 on both values equal their
+limit 1/eps within an ulp, so the route returns 1/eps. v(T, eps) <= 1/eps
+holds at every horizon.
 
-The tests hold the routes to 1e-13 relative of an exact rational oracle
-at T <= 400 (measured 7.4e-16), the far-end tail path of the O(T) route
-to 2 ulps of it, and the one-horizon route to 1e-14 of the O(T) route for
-T from 256 to 1e6 (measured 4.8e-15). Above T = 400 the O(T) arrays are
-held at every k <= 1e6 + 1 by exact identities: vbar_k rebuilt from
-S0(M) = sum_{i<M} a_i (or R(M)) and a_M alone within 1e-14 relative where
-eps sqrt(k) >= 0.1, and within 1e-15/(eps sqrt(k)) below, where the
-eps^2 division loses about 1/gamma (measured worst 0.78 of that budget);
-v_k - vbar_k = k (a_k - eps^2 R(k)) within 1e-14 of v_k (measured
-1.0e-15); and v_k <= 1/eps, with equality within an ulp from
+The tests hold ``values`` to 1e-13 relative of an exact rational oracle
+at T <= 400 (measured worst 3.5e-16), and to 5e-15 either side of T = 12
+at gamma > 1 (measured 1.2e-15 on the a_i, 5.6e-16 on the tails); the
+far-end tail path of the O(T) route to 2 ulps of the oracle; the series
+to 2e-15 of the O(T) route for T from 256 to 1e6 + 1 and gamma from
+0.001 to 1 (measured 6.3e-16), and to 5e-15 of the tails where both
+serve, 0.3 <= gamma <= 1, up to T = 1e12 (measured 2.6e-15); and the
+tails to 1e-14 of the O(T) route up to gamma 9 (measured 4.8e-15).
+Above T = 400 the O(T) arrays are held at every k <= 1e6 + 1 by
+exact identities: vbar_k rebuilt from S0(M) (or R(M)) and a_M alone within
+1e-14 relative where eps sqrt(k) >= 0.1, and within 1e-15/(eps sqrt(k))
+below, where the eps^2 division loses about 1/gamma (measured worst 0.78
+of that budget); v_k - vbar_k = k (a_k - eps^2 R(k)) within 1e-14 of v_k
+(measured 1.0e-15); and v_k <= 1/eps, with equality within an ulp from
 k eps^2 = 80 on.
 
 The certificate, O(T^2): the posterior of the safe arm depends on xi_r
@@ -160,7 +174,7 @@ def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# One horizon: two incomplete-beta tails, O(1)
+# One horizon, O(1): an eps^2 series, or two incomplete-beta tails
 # ---------------------------------------------------------------------------
 
 # Loader's Stirling error delta(n) = log(n!) - (n log n - n + log(2 pi n)/2):
@@ -180,6 +194,14 @@ def _stirling_ratio(k: int) -> float:
     return math.exp(_stirlerr(2.0 * k) - 2.0 * _stirlerr(float(k)))
 
 
+def _central_ratio(k: int) -> float:
+    """c_k = C(2k, k)/4^k: the exact ratio rounded once below k = 16, and
+    Loader's from 16 on."""
+    if k < 16:
+        return math.comb(2 * k, k) / 4**k
+    return _stirling_ratio(k) / math.sqrt(math.pi * k)
+
+
 def _bgrat_coefficients(terms: int) -> list[float]:
     """d_0..d_{terms-1} of BGRAT's expansion at b = 1/2: with
     c_n = 1/(2n + 1)!, d_n = (b - 1) c_n + sum_{i<n} (b i - n) c_i d_{n-i} / n."""
@@ -190,28 +212,31 @@ def _bgrat_coefficients(terms: int) -> list[float]:
     return d
 
 
-# inside the window below, the expansion meets the rounding of its sum
-# after at most 7 terms (measured); the table holds twice that many
+# from T = 256 on, the expansion meets the rounding of its sum after at most
+# 7 terms (measured). Below, at large gamma, it can run all 16 without
+# meeting it; R(M) then weighs little in the values, which stay within
+# 7.2e-16 of exact ones at T = 12..129 (measured).
 _BGRAT_D = _bgrat_coefficients(16)
 
 
 def _central_and_tail(k: int, eps: float) -> tuple[float, float]:
     """(a_k, R(k)): a_k = C(2k, k) (pq)^k, and the negative-binomial tail
-    R(k) = sum_{i>=k} a_i = I_x(k, 1/2)/eps with x = 1 - eps^2; k >= 128.
+    R(k) = sum_{i>=k} a_i = I_x(k, 1/2)/eps with x = 1 - eps^2; k >= 6.
 
     I_x(k, 1/2) is Temme's uniform expansion as DiDonato and Morris code
     it in BGRAT (ACM TOMS 18, 1992, Algorithm 708), at b = 1/2. With
     nu = k - 1/4 and z = -nu log x, it is G sum_n d_n H_n, where
 
-    * G = Gamma(k + 1/2)/(Gamma(k) sqrt(nu)) = _stirling_ratio(k) sqrt(k/nu);
+    * G = Gamma(k + 1/2)/(Gamma(k) sqrt(nu)) = c_k sqrt(pi k) sqrt(k/nu);
     * H_0 = Gamma(1/2, z)/Gamma(1/2) = erfc(sqrt(z));
     * H_n = ((2n - 3/2)(2n - 1/2) H_{n-1} + (z + 2n - 1/2) r_n)/(4 nu^2),
       with r_n = exp(-z) sqrt(z/pi) (log(x)^2/4)^(n-1).
     """
     log_x = math.log1p(-eps * eps)
-    ratio = _stirling_ratio(k)
+    c = _central_ratio(k)
+    ratio = _stirling_ratio(k) if k >= 16 else c * math.sqrt(math.pi * k)  # c_k sqrt(pi k)
     # two exps: adding the logs first would round their sum once more
-    a = ratio / math.sqrt(math.pi * k) * math.exp(k * log_x)
+    a = c * math.exp(k * log_x)
     nu = k - 0.25
     z = -nu * log_x
     power = math.exp(-z) * math.sqrt(z / math.pi)  # r_1
@@ -226,24 +251,15 @@ def _central_and_tail(k: int, eps: float) -> tuple[float, float]:
     return a, ratio * total / (eps * math.sqrt(1.0 - 0.25 / k))
 
 
-# The one-horizon window: T >= _ONE_HORIZON_MIN_T and T*eps^2 >=
-# _ONE_HORIZON_MIN_TE2 (gamma >= 0.3); the O(T) route serves the rest.
-# Below gamma 0.3, vbar is a difference of 1/eps and R(M) that cancels
-# like 1/gamma (1.3e-14 relative at gamma 0.1, 9e-13 at gamma 0.01); below
-# T = 256 the O(T) route costs under 0.1 ms. Inside the window the routes
-# agree within 5e-15 relative for T up to 1e6 and gamma up to 9, and the
-# one-horizon route is within 3.1e-15 of 50-digit values at T = 1e8..1e12.
-_ONE_HORIZON_MIN_T = 256
-_ONE_HORIZON_MIN_TE2 = 0.09
 # Both values rise to 1/eps: a walk with drift eps expects q/eps^2 steps
 # below 0, and E[(T - X)^+] -> 0. From T*eps^2 = _SATURATED_TE2 on they
 # equal 1/eps within an ulp, as 1/eps - v falls like exp(-T eps^2).
 _SATURATED_TE2 = 80.0
 
 
-def _one_horizon_values(T: int, eps: float) -> tuple[float, float]:
-    """(v, vbar) of the T-round game by the closed expressions of the module
-    docstring, from a_M, R(M), a_T and R(T), M = T // 2."""
+def _tail_values(T: int, eps: float) -> tuple[float, float]:
+    """(v, vbar) of the T-round game by the first forms of the module
+    docstring, from a_M, R(M), a_T and R(T), M = T // 2; T >= 12."""
     limit = 1.0 / eps
     if T * eps * eps >= _SATURATED_TE2:
         return limit, limit
@@ -259,14 +275,68 @@ def _one_horizon_values(T: int, eps: float) -> tuple[float, float]:
     return min(max(v, vbar), limit), vbar
 
 
+def _series_terms(n: int, eps: float) -> tuple[list[float], list[float]]:
+    """The terms (-eps^2)^k A_k of S0(n) and (-eps^2)^k B_k of 2n a_n,
+    k = 0, 1, ..., for n eps^2 <= 1, where they alternate and fall. They
+    stop at the first term below 2^-60 eps n, with n <= T under 2^-59 of
+    vbar <= v (vbar > eps T/2 up to gamma = 1, measured)."""
+    a_terms, b_terms = [], []
+    b = 2.0 * n * _central_ratio(n)
+    for k in range(n + 1):
+        if k:
+            b *= -eps * eps * (n - k + 1) / k
+        if abs(b) <= 2.0**-60 * eps * n:
+            break
+        b_terms.append(b)
+        a_terms.append(b * ((n - k) / (n * (2 * k + 1))))  # exactly b at k = 0
+    return a_terms, b_terms
+
+
+def _summed_values(T: int, eps: float, s0_half, gap_half, s0_T, b_T) -> tuple[float, float]:
+    """(v, vbar) from the terms of S0(M), S0(M) - 2M a_M, S0(T) and 2T a_T
+    by the second forms of the module docstring, each value's terms summed
+    exactly and rounded once; the eps T of v cancels."""
+    e2T = eps * eps * T
+    shift = [-e2T * s for s in s0_half]
+    vbar = math.fsum([eps * T, *gap_half, *shift])
+    v = math.fsum([*gap_half, *shift, *(0.5 * b for b in b_T), *(e2T * s for s in s0_T)])
+    # v - vbar = 2 E[(T - X)^+] >= 0
+    return max(v, vbar), vbar
+
+
+def _series_values(T: int, eps: float) -> tuple[float, float]:
+    """(v, vbar) for T eps^2 <= 1 from the eps^2 series of S0 and a."""
+    a_half, b_half = _series_terms(T // 2, eps)
+    a_T, b_T = _series_terms(T, eps)
+    # A_0 = B_0 exactly: vbar = 0 at eps = 0
+    gap_half = [a - b for a, b in zip(a_half, b_half)]
+    return _summed_values(T, eps, a_half, gap_half, a_T, b_T)
+
+
+def _direct_values(T: int, eps: float) -> tuple[float, float]:
+    """(v, vbar) for T < _TAILS_MIN_T from the a_i themselves."""
+    x = (1.0 - eps) * (1.0 + eps)
+    a = [math.comb(2 * i, i) / 4**i * x**i for i in range(T + 1)]
+    half = T // 2
+    return _summed_values(T, eps, a[:half], [*a[:half], -2.0 * half * a[half]],
+                          a[:T], [2.0 * T * a[T]])
+
+
+# Routes of `values` by (T, gamma): the eps^2 series up to gamma 1, where
+# its terms fall from the first on; beyond, the two tails from T = 12 on,
+# and below T = 12 the sums of at most 12 a_i
+_TAILS_MIN_T = 12
+
+
 def values(T: int, eps: float) -> tuple[float, float]:
-    """Exact (v, vbar) at the origin of the T-round game: O(1) inside the
-    one-horizon window, O(T) time and memory outside it."""
+    """Exact (v, vbar) at the origin of the T-round game, in O(1) time and
+    memory at every (T, eps)."""
     check_game(T, eps)
-    if T >= _ONE_HORIZON_MIN_T and T * eps * eps >= _ONE_HORIZON_MIN_TE2:
-        return _one_horizon_values(T, eps)
-    v, vbar = origin_values(T, eps)
-    return float(v[-1]), float(vbar[-1])
+    if T * eps * eps <= 1.0:
+        return _series_values(T, eps)
+    if T >= _TAILS_MIN_T:
+        return _tail_values(T, eps)
+    return _direct_values(T, eps)
 
 
 def regret_value(T: int, eps: float) -> float:

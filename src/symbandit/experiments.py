@@ -13,8 +13,7 @@ them, and the process pool only when more than one worker has chunks to
 share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
 command) start without numpy, and a serial run without `multiprocessing`.
 An exact-only convergence sweep, and an error-scaling sweep, which fits
-its line with `statistics`, load numpy only for cells outside the
-one-horizon window of `dp.values`.
+its line with `statistics`, load no numpy.
 """
 
 from __future__ import annotations

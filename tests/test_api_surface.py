@@ -1,4 +1,5 @@
-"""Four design rules on the names of `symbandit`, and one on its tests.
+"""Four design rules on the names of `symbandit`, one on its tests, and one
+on the imports of both.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -22,6 +23,10 @@ so two purposes cannot share a stream by accident.
 
 Every test helper, a `tests/_*.py` module, is imported by a collected
 test module (`tests/test_*.py`), so a retired oracle cannot linger unused.
+
+No module in `src/` or `tests/` imports `mpmath` or `scipy`: both may be
+installed where the suite runs, but `pyproject.toml` declares neither, so
+a route or an oracle that leaned on them would fail where they are not.
 """
 
 import ast
@@ -156,3 +161,22 @@ def test_every_test_helper_has_an_importer():
                 imported.update(alias.name for alias in node.names)
     unused = sorted(p.name for p in tests.glob("_*.py") if p.stem not in imported)
     assert not unused, "test helpers no test module imports: " + ", ".join(unused)
+
+
+# installed alongside the declared dependencies, but not declared
+UNDECLARED = ("mpmath", "scipy")
+
+
+def test_no_module_imports_an_undeclared_package():
+    imports = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] in UNDECLARED]
+    assert not imports, "imports of undeclared packages: " + ", ".join(imports)

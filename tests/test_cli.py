@@ -51,12 +51,23 @@ class TestDp:
         assert code == 1
         assert "horizon" in err
 
-    def test_o_t_route_size_guard_exits_1(self, capsys):
-        # below the one-horizon window, T = 1e9 is refused by name, not
-        # handed to numpy as gigabytes of arrays
-        code, out, err = run(capsys, "dp", "--T", "1000000000", "--gamma", "0.1")
-        assert (code, out) == (1, "")
+    def test_o_t_route_size_guard_exits_1(self, capsys, tmp_path):
+        # the trace of T = 1e9 is refused by name, not handed to numpy as
+        # gigabytes of arrays, after the values, which need no arrays
+        path = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "dp", "--T", "1000000000", "--gamma", "0.1",
+                             "--trace", str(path))
+        assert code == 1
+        assert [line.split(" = ")[0] for line in out.splitlines()] == ["v", "vbar"]
         assert "T=1000000000" in err and "limit of 20000000 terms" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("gamma", ["0.3", "0.30000001", "0.29999999"])
+    def test_gamma_0_3_at_1e8_prints(self, capsys, gamma):
+        # T*eps^2 rounds below 0.3^2 at gamma = 0.3: no route edge sits there
+        code, out, _ = run(capsys, "dp", "--T", "100000000", "--gamma", gamma)
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()] == ["v", "vbar"]
 
     @pytest.mark.parametrize("cmd", [["dp"], ["pde"],
                                      ["simulate", "--episodes", "10", "--seed", "1"]])
@@ -449,15 +460,22 @@ class TestStartup:
         assert modules_loaded_by(argvs, tmp_path) == ["numpy"]
 
     def test_one_horizon_commands_load_no_numpy(self, tmp_path):
+        # every route of `dp.values`: the eps^2 series, the tails, the a_i of
+        # T < 12; the error-scaling fit is `statistics`'
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("regime = medium\nT_list = 1000, 1000000000\ngamma = 0.707\n")
-        # README's error-scaling cells all lie in the window, and the fit is `statistics`'
+        small_gap = tmp_path / "small_gap.cfg"
+        small_gap.write_text("regime = medium\nT_list = 1000, 1000000000\ngamma = 0.1\n")
         fit = tmp_path / "error_scaling_C0.cfg"
         fit.write_text(next(block for block in readme_configs()
                             if block.startswith(f"# {fit.name}\n")))
         argvs = [["dp", "--T", "2000", "--gamma", "0.9"],
                  ["dp", "--T", "1000000000000", "--gamma", "0.707"],
+                 ["dp", "--T", "1000000000000", "--gamma", "0.001"],
+                 ["dp", "--T", "100", "--gamma", "2"],
+                 ["dp", "--T", "8", "--eps", "0.7"],
                  ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
+                 ["sweep", "--config", str(small_gap), "--out", str(tmp_path / "small.csv")],
                  ["sweep", "--kind", "error-scaling", "--config", str(fit),
                   "--out", str(tmp_path / "fit.csv")]]
         assert modules_loaded_by(argvs, tmp_path, ["numpy"]) == []

@@ -4,15 +4,17 @@ reaches and against exact identities beyond.
 * The production routes in `symbandit.dp`: within 1e-13 relative of the
   rational oracle in tests/_exact.py on a (T, eps) grid with T up to 400
   and eps from 0 to 0.9, with v >= vbar holding exactly (measured worst:
-  7.4e-16). The grid's T = 256 and T = 400 cells with eps >= 1/20 take
-  the one-horizon route, the others the O(T) route. On the cells with
-  T*eps^2 >= 30 the O(T) arrays, which sum their tails from the far end
-  there, are held to 2 ulps as well (measured 4.4e-17; 2.0e-15 without
-  that path).
+  3.5e-16). The grid reaches every route of `values`: the eps^2 series at
+  gamma <= 1, the tails beyond from T = 12 on, the a_i below, and
+  saturation. On the cells with T*eps^2 >= 30 the O(T) arrays, which sum
+  their tails from the far end there, are held to 2 ulps as well
+  (measured 4.4e-17; 2.0e-15 without that path). Either side of T = 12,
+  where gamma > 1 moves from the sums of the a_i to the tails, both are
+  held to 5e-15 (measured 1.2e-15 and 5.6e-16).
 * The Bayes lower bound of `dp.bayes_pseudoregret`: its rational twin in
   tests/_exact.py equals the exact vbar with no error at T <= 30, and the
   float recursion is within 1e-13 relative of it.
-* The central ratio C(2k, k)/4^k of the one-horizon route, from Loader's
+* The central ratio C(2k, k)/4^k of the one-horizon routes, from Loader's
   Stirling error, within 2 ulps of exact integer arithmetic.
 * The O(T) arrays at every horizon up to T = 1e6 + 1, on gamma 0.01 to 10,
   by identities that follow from the walk: vbar from S0(M) and a_M alone
@@ -76,7 +78,7 @@ def test_central_binomial_to_a_few_ulps():
 
 def test_stirling_ratio_gives_the_central_ratio_to_two_ulps():
     # c_k = C(2k, k)/4^k = exp(delta(2k) - 2 delta(k))/sqrt(pi k) for every k
-    # the one-horizon route reads (k >= 128) and down to the series' k = 16;
+    # that reads Loader's ratio (k >= 16);
     # the budget holds the rounding of the test's sqrt and division too
     # (measured worst 1.12 ulps)
     def ulps(k, exact):
@@ -91,12 +93,14 @@ def test_stirling_ratio_gives_the_central_ratio_to_two_ulps():
         assert ulps(k, math.comb(2 * k, k)) <= 2.0, k
 
 
-@pytest.mark.parametrize("T", [1, 2, 7, 1000, 10**4])
+@pytest.mark.parametrize("T", [1, 2, 7, 16, 17, 255, 256, 1000, 10**4, 10**5])
 def test_zero_gap_regret_is_the_binomial_mean_absolute_deviation(T):
-    # at eps = 0, v = E|X - T| for X ~ Bin(2T, 1/2), which is T C(2T, T)/4^T;
-    # the value sums every a_m up to T, and the int/int division rounds once
+    # at eps = 0, v = E|X - T| for X ~ Bin(2T, 1/2), which is T C(2T, T)/4^T,
+    # the series' first term; the int/int division rounds once. The
+    # pseudoregret's first term is A_0 - B_0 = 0, and no later term survives
     exact = T * math.comb(2 * T, T) / 4**T
     assert abs(dp.regret_value(T, 0.0) - exact) <= 1e-15 * exact
+    assert dp.pseudoregret_value(T, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("T", GRID_T)
@@ -115,11 +119,24 @@ def test_route_within_budget_of_rational_oracle(T):
             assert relative_error(float(vbar[-1]), vbar_exact) <= FAR_END_BUDGET, (T, eps)
 
 
-def test_route_within_budget_on_a_gamma_cell():
-    # the float eps = 0.707/12 is a dyadic rational; the oracle takes it exactly
-    eps = 0.707 / math.sqrt(144)
-    v_exact, vbar_exact = exact_values(144, Fraction(eps))
-    v, vbar = dp.values(144, eps)
+@pytest.mark.parametrize("T", [10, 11, 12, 13])
+def test_routes_either_side_of_t_12(T):
+    # gamma > 1 on every cell: the a_i below T = 12, the tails from 12 on,
+    # where the tails with an exact c_k hold 6e-16 (1.5e-13 at T = 11)
+    for eps in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
+        v_exact, vbar_exact = exact_values(T, eps)
+        v, vbar = dp.values(T, float(eps))
+        assert relative_error(v, v_exact) <= 5e-15, eps
+        assert relative_error(vbar, vbar_exact) <= 5e-15, eps
+
+
+@pytest.mark.parametrize("T", [16, 64, 144])
+def test_route_within_budget_on_a_gamma_cell(T):
+    # the cells of tests/golden/sweep_mc.csv and one more; the float
+    # eps = 0.707/sqrt(T) is a dyadic rational, and the oracle takes it exactly
+    eps = 0.707 / math.sqrt(T)
+    v_exact, vbar_exact = exact_values(T, Fraction(eps))
+    v, vbar = dp.values(T, eps)
     assert relative_error(v, v_exact) <= ROUTE_BUDGET
     assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET
 
