@@ -130,15 +130,24 @@ def test_routes_either_side_of_t_12(T):
         assert relative_error(vbar, vbar_exact) <= 5e-15, eps
 
 
-@pytest.mark.parametrize("T", [16, 64, 144])
-def test_route_within_budget_on_a_gamma_cell(T):
-    # the cells of tests/golden/sweep_mc.csv and one more; the float
-    # eps = 0.707/sqrt(T) is a dyadic rational, and the oracle takes it exactly
+def _check_gamma_cell(T):
+    # the float eps = 0.707/sqrt(T) is a dyadic rational; the oracle takes it
+    # exactly
     eps = 0.707 / math.sqrt(T)
     v_exact, vbar_exact = exact_values(T, Fraction(eps))
     v, vbar = dp.values(T, eps)
     assert relative_error(v, v_exact) <= ROUTE_BUDGET
     assert relative_error(vbar, vbar_exact) <= ROUTE_BUDGET
+
+
+def test_route_within_budget_on_a_gamma_cell():
+    _check_gamma_cell(144)
+
+
+@pytest.mark.parametrize("T", [16, 64])
+def test_route_within_budget_on_the_sweep_cells(T):
+    # the two cells of tests/golden/sweep_mc.csv
+    _check_gamma_cell(T)
 
 
 @pytest.mark.parametrize("gamma", [0.01, 0.1, 0.2, 1.0, 10.0])
