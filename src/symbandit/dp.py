@@ -6,7 +6,7 @@ Two production routes compute the same values at two scales, and
 * ``origin_values`` -- O(T) time and memory, from one array of central
   binomial probabilities: the values of every horizon up to T at once.
   ``value_trace`` and ``symbandit dp --trace`` read its arrays. It refuses
-  more than ``_MAX_TERMS`` (2e7) terms, about 1.8 GB of arrays.
+  more than ``_MAX_TERMS`` (2e7) terms, about 1 GB of arrays.
 * ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
   and ``symbandit dp``) -- one horizon in O(1) time and memory, without
   numpy, at every (T, eps): a series in eps^2 up to gamma = eps sqrt(T)
@@ -16,30 +16,35 @@ Two production routes compute the same values at two scales, and
 Both production routes rest on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
 is the simple walk W from 0, and the player pulls the risky arm when W
-is behind (a fair coin at W = 0). So, with q = 1 - p,
+is behind (a fair coin at W = 0). So
 
 * vbar_k = 2*eps * sum_{j<k} [P(W_j < 0) + P(W_j = 0)/2];
-* v_k = vbar_k + 2*g(k), g(k) = E[(k - X)^+], X ~ Bin(2k, p): the terminal
-  payoff adds |zeta/2|, and zeta/2 is the simple walk seen at even times
-  (a lazy walk with steps +1, 0, -1 w.p. p^2, 2pq, q^2) with mean eps*k.
+* v_k = vbar_k + 2 E[(k - X)^+], X ~ Bin(2k, p): the terminal payoff adds
+  |zeta/2|, and zeta/2 is the simple walk seen at even times (a lazy walk
+  with steps +1, 0, -1 w.p. p^2, 2pq, q^2, q = 1 - p) with mean eps*k.
 
-Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m. The O(T) route takes
-a_m as the product of (1 - 1/(2j)) over j <= m times (1 - eps^2)^m: the
-exp of a compensated running sum of log1p(-1/(2j)) times
-exp(m log1p(-eps^2)), within 3 ulps for m <= 1e7 plus the rounding of
-m log1p(-eps^2). L_2m = P(W_2m < 0) is a prefix sum of its exact
-two-step increment a_m q (q - eps m)/(m + 1), L_2m+1 = L_2m + q a_m, and
-g(k + 1) - g(k) = q^2 a_k - eps L_2k. Every prefix sum is compensated
-for the rounding of its additions. When gamma = eps sqrt(T) is large, L
-and g fall towards zero inside the horizon; their tails are then summed
-from the far end, so they keep their relative accuracy and v >= vbar
-holds in floating point too.
-
-The one-horizon routes sum those series in closed form. With the
+Both reduce to a_m = P(W_2m = 0) = C(2m, m) (pq)^m and its
 negative-binomial tail R(k) = sum_{i>=k} a_i = I_{1-eps^2}(k, 1/2)/eps
-(R(0) = 1/eps), its complement S0(k) = 1/eps - R(k) = sum_{i<k} a_i and
-M = T // 2, P(W_2k < 0) + P(W_2k = 0)/2 = eps R(k)/2 and
-P(W_2k+1 < 0) = eps R(k + 1)/2, so
+(R(0) = 1/eps), with complement S0(k) = 1/eps - R(k) = sum_{i<k} a_i.
+With rho(k) = eps R(k) = 1 - eps S0(k), P(W_2k < 0) + P(W_2k = 0)/2 =
+rho(k)/2, P(W_2k+1 < 0) = rho(k + 1)/2 and 2 E[(k - X)^+] =
+k (a_k - eps rho(k)), so (F4)
+
+* vbar_k = eps * sum_{j<k} rho((j + 1)//2);
+* v_k = vbar_k + k (a_k - eps rho(k)).
+
+The O(T) route sums F4 at every k <= T. It takes a_m as the product of
+(1 - 1/(2j)) over j <= m times (1 - eps^2)^m: the exp of a compensated
+running sum of log1p(-1/(2j)) times exp(m log1p(-eps^2)), within 3 ulps
+for m <= 1e7 plus the rounding of m log1p(-eps^2). rho is one prefix sum
+of 1, -eps a_0, -eps a_1, ..., so it is 1 at eps = 0, and vbar a prefix
+sum of rho; each is compensated for the rounding of its additions. When
+gamma = eps sqrt(T) is large, rho falls towards zero inside the horizon;
+it is then eps times R summed from the far end, so it keeps its relative
+accuracy. v - vbar is clamped at 0, so v >= vbar holds in floating point
+too.
+
+The one-horizon routes sum F4 in closed form. With M = T // 2,
 
 * vbar_T = 1/eps - (1 - eps^2 T) R(M) - 2 M a_M
          = eps T - eps^2 T S0(M) + (S0(M) - 2 M a_M);
@@ -62,19 +67,20 @@ holds at every horizon.
 
 The tests hold ``values`` to 1e-13 relative of an exact rational oracle
 at T <= 400 (measured worst 3.5e-16), and to 5e-15 either side of T = 12
-at gamma > 1 (measured 1.2e-15 on the a_i, 5.6e-16 on the tails); the
-far-end tail path of the O(T) route to 2 ulps of the oracle; the series
+at gamma > 1 (measured 1.2e-15 on the a_i, 5.6e-16 on the tails); every
+row of the O(T) arrays on both sides of its far-end switch to 5e-15 of
+the oracle (measured 1.5e-15), and the far-end path to 2 ulps; the series
 to 2e-15 of the O(T) route for T from 256 to 1e6 + 1 and gamma from
 0.001 to 1 (measured 6.3e-16), and to 5e-15 of the tails where both
 serve, 0.3 <= gamma <= 1, up to T = 1e12 (measured 2.6e-15); and the
-tails to 1e-14 of the O(T) route up to gamma 9 (measured 4.8e-15).
+tails to 1e-14 of the O(T) route up to gamma 9 (measured 3.5e-15).
 Above T = 400 the O(T) arrays are held at every k <= 1e6 + 1 by
 exact identities: vbar_k rebuilt from S0(M) (or R(M)) and a_M alone within
 1e-14 relative where eps sqrt(k) >= 0.1, and within 1e-15/(eps sqrt(k))
-below, where the eps^2 division loses about 1/gamma (measured worst 0.78
+below, where the eps^2 division loses about 1/gamma (measured worst 0.80
 of that budget); v_k - vbar_k = k (a_k - eps^2 R(k)) within 1e-14 of v_k
-(measured 1.0e-15); and v_k <= 1/eps, with equality within an ulp from
-k eps^2 = 80 on.
+(measured 5.9e-16), which restates F4's own v_k on the far-end path; and
+v_k <= 1/eps, with equality within an ulp from k eps^2 = 80 on.
 
 The certificate, O(T^2): the posterior of the safe arm depends on xi_r
 alone, and xi_r moves the same way whichever arm is pulled, so a min over
@@ -88,24 +94,17 @@ from __future__ import annotations
 
 import math
 
-from .core import arm_probs, check_game
+from .core import check_game
 
 
 # ---------------------------------------------------------------------------
 # Every horizon up to T: one central-binomial array, O(T)
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
     """s_k = sum_{j<k} x_j for k = 0..len(x), each corrected by the
     running sum of the rounding errors of its additions (Knuth's TwoSum,
-    vectorized).
-
-    With `vanishing`, the terms change sign once and sum to zero up to a
-    negligible remainder: past the peak of s each entry is minus the sum
-    of the remaining terms, the same sums of the reversed terms. Both
-    sides are then sums of one-signed terms, so the tail keeps its
-    relative accuracy as it falls to zero.
-    """
+    vectorized)."""
     import numpy as np
 
     s = np.zeros(len(x) + 1)
@@ -117,10 +116,6 @@ def _prefix_sums(x: np.ndarray, vanishing: bool = False) -> np.ndarray:
     np.subtract(prev, err, out=err)
     err += np.subtract(x, step, out=step)
     cur += np.cumsum(err, out=err)
-    if vanishing:
-        rest = _prefix_sums(x[::-1])[::-1]
-        past = np.arange(len(s)) > np.argmax(s)
-        s[past] = -rest[past]
     return s
 
 
@@ -133,15 +128,16 @@ def _central_binomial(n: int, eps: float) -> np.ndarray:
     return np.exp(log_prod) * np.exp(np.arange(n) * math.log1p(-eps * eps))
 
 
-# Once T*eps^2 passes _DEEP_TAIL, L_2m and g(k) fall below the round-off
-# of their peaks inside the horizon (a_m <= exp(-m eps^2) / sqrt(pi m)),
-# so their tails are summed from the far end of _TAIL_PAD/eps^2 extra terms.
+# Once T*eps^2 passes _DEEP_TAIL, rho(k) = 1 - eps S0(k) falls to at most a
+# few dozen ulps of 1 inside the horizon (a_m <= exp(-m eps^2)/sqrt(pi m)), so
+# it is eps times R summed from the far end of _TAIL_PAD/eps^2 extra terms.
 _DEEP_TAIL = 30.0
 _TAIL_PAD = 40.0
-# The pass holds its n terms in several n-long arrays at once, 72-89 bytes
-# per term (measured: 715 MB at T = 1e7, gamma 0.707), so _MAX_TERMS terms
-# take about 1.8 GB; beyond it the request is refused rather than left to
-# fail inside numpy or be killed. A chunked pass would lift the limit.
+# The pass holds its n terms in several n-long arrays at once, 32-48 bytes
+# per term (measured: 486 MB peak RSS of `symbandit dp --trace` at T = 1e7,
+# gamma 0.707), so _MAX_TERMS terms take about 1 GB; beyond it the request
+# is refused rather than left to fail inside numpy or be killed. A chunked
+# pass would lift the limit.
 _MAX_TERMS = 20_000_000
 
 
@@ -151,26 +147,23 @@ def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     _TAIL_PAD/eps^2 on the deep-tail path; more than _MAX_TERMS is refused
     with a ValueError before anything is allocated."""
     check_game(T, eps)
-    _, q = arm_probs(eps)
     deep = eps * eps * T >= _DEEP_TAIL
     n = T + math.ceil(_TAIL_PAD / (eps * eps)) if deep else T
     if n > _MAX_TERMS:
         raise ValueError(f"the O(T) route would sum {n} terms at T={T}, eps={eps!r}, above "
-                         f"its limit of {_MAX_TERMS} terms (about 90 bytes each)")
+                         f"its limit of {_MAX_TERMS} terms (about 50 bytes each)")
     import numpy as np
 
-    a = _central_binomial(n, eps)
-    m = np.arange(n)
-    lower_even = _prefix_sums(a * q * (q - eps * m) / (m + 1), deep)[:n]  # L_2m
-    # P(W_j < 0) + P(W_j = 0)/2 for j = 0..T-1, even and odd j interleaved
-    behind = np.empty(T)
-    behind[0::2] = (lower_even + 0.5 * a)[: (T + 1) // 2]
-    behind[1::2] = (lower_even + q * a)[: T // 2]
-    vbar = 2.0 * eps * _prefix_sums(behind)
-    g = _prefix_sums(q * q * a - eps * lower_even, deep)[: T + 1]  # E[(k - X)^+]
-    # just short of the far-end tail path, the forward sum can end a few
-    # ulps of its peak below 0; g >= 0, so the clamp only removes error
-    return vbar + 2.0 * np.maximum(g, 0.0), vbar
+    a = _central_binomial(n + 1, eps)
+    # rho(k) = eps R(k) = 1 - eps S0(k), k = 0..T
+    if deep:
+        rho = eps * _prefix_sums(a[::-1])[::-1][: T + 1]
+    else:
+        rho = _prefix_sums(np.concatenate(([1.0], -eps * a[:T])))[1:]
+    # P(W_j < 0) + P(W_j = 0)/2 = rho((j + 1)//2)/2, j = 0..T-1
+    vbar = eps * _prefix_sums(rho[(np.arange(T) + 1) // 2])
+    # v_k - vbar_k = 2 E[(k - X)^+] >= 0: the clamp only removes round-off
+    return vbar + np.maximum(np.arange(T + 1) * (a[: T + 1] - eps * rho), 0.0), vbar
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,9 @@ gaps = st.floats(min_value=0.0, max_value=0.999)
 class TestProperties:
     # T = 399, eps = 0.3 had v < vbar by 2.4e-12, and eps = 0.9 had
     # v(391) < v(390) by 3.6e-13 relative, when v came from the O(T^2) walks;
-    # T = 102, eps = 0.53125 had v < vbar by one ulp on the O(T) route,
-    # whose forward sum of g dipped below 0 just short of the tail path
+    # T = 102, eps = 0.53125 had v < vbar by one ulp when v came from the
+    # O(T) arrays: just short of their far-end path, v - vbar rounds below 0
+    # on seven rows unless the pass clamps it
 
     @settings(max_examples=60, deadline=None)
     @given(T=st.integers(1, 5000), eps=gaps)
@@ -160,6 +161,8 @@ class TestProperties:
     @example(T=102, eps=0.53125)
     def test_regret_dominates_pseudoregret(self, T, eps):
         assert dp.regret_value(T, eps) >= dp.pseudoregret_value(T, eps) >= 0.0
+        v, vbar = dp.origin_values(T, eps)
+        assert (v >= vbar).all() and vbar.min() >= 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(T=st.integers(1, 5000), eps=gaps)
@@ -288,15 +291,19 @@ class TestGuards:
             regret_value_full(13, 0.1)
 
     def test_o_t_route_size_guard(self):
-        # the arrays of T = 1e9 would take about 90 GB: refused before
-        # allocation, while `values` sums its series there
+        # the arrays of T = 1e9 would take about 50 GB: refused before
+        # allocation, while `values` sums its series or tails there. The
+        # refusal names the terms: T below T*eps^2 = 30, and from 30 on
+        # 40/eps^2 more, summed from the far end
         T = 10**9
-        eps = 0.1 / math.sqrt(T)
-        message = f"{T} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
-        for route in (dp.origin_values, dp.value_trace):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                route(T, eps)
-        assert dp.values(T, eps)[1] > 0.0
+        for gamma2, pad in ((0.01, 0), (29.5, 0), (30.5, 40)):
+            eps = math.sqrt(gamma2 / T)
+            n = T + math.ceil(pad / (eps * eps))
+            message = f"{n} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
+            for route in (dp.origin_values, dp.value_trace):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    route(T, eps)
+            assert dp.values(T, eps)[1] > 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

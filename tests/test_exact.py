@@ -8,9 +8,14 @@ reaches and against exact identities beyond.
   gamma <= 1, the tails beyond from T = 12 on, the a_i below, and
   saturation. On the cells with T*eps^2 >= 30 the O(T) arrays, which sum
   their tails from the far end there, are held to 2 ulps as well
-  (measured 4.4e-17; 2.0e-15 without that path). Either side of T = 12,
+  (measured 2.2e-16; 4.9e-15 without that path). Either side of T = 12,
   where gamma > 1 moves from the sums of the a_i to the tails, both are
   held to 5e-15 (measured 1.2e-15 and 5.6e-16).
+* Every row of the O(T) arrays either side of their far-end switch, on
+  two (T, eps) pairs, within 5e-15 of the oracle (2 ulps on the far-end
+  side, measured 1.0 ulp), and v - vbar within 5e-15 of v of twice the
+  exact shortfall (measured 1.4e-15 and 1.5e-15): the one check of F2 on
+  the arrays that does not restate the route.
 * The Bayes lower bound of `dp.bayes_pseudoregret`: its rational twin in
   tests/_exact.py equals the exact vbar with no error at T <= 30, and the
   float recursion is within 1e-13 relative of it.
@@ -19,8 +24,8 @@ reaches and against exact identities beyond.
 * The O(T) arrays at every horizon up to T = 1e6 + 1, on gamma 0.01 to 10,
   by identities that follow from the walk: vbar from S0(M) and a_M alone
   (F4) within 1e-14 relative where eps*sqrt(k) >= 0.1 and 1e-15/(eps*sqrt(k))
-  below (measured worst 0.78 of that budget), v - vbar = k (a_k - eps^2 R(k))
-  within 1e-14 of v (measured 1.0e-15), and v <= 1/eps with saturation
+  below (measured worst 0.80 of that budget), v - vbar = k (a_k - eps^2 R(k))
+  within 1e-14 of v (measured 5.9e-16), and v <= 1/eps with saturation
   from k*eps^2 = 80 (F3). They share a_m with the route, so the
   per-element test of a_m against math.comb anchors them.
 """
@@ -33,7 +38,7 @@ import pytest
 
 from symbandit import dp
 
-from _exact import bayes_value, exact_values, relative_error
+from _exact import bayes_value, exact_values, relative_error, shortfall
 from _lattice import pseudoregret_value_full, regret_value_full
 
 ROUTE_BUDGET = 1e-13
@@ -119,6 +124,24 @@ def test_route_within_budget_of_rational_oracle(T):
             assert relative_error(float(vbar[-1]), vbar_exact) <= FAR_END_BUDGET, (T, eps)
 
 
+@pytest.mark.parametrize("T, eps, stride", [(119, Fraction(1, 2), 1), (120, Fraction(1, 2), 1),
+                                            (332, Fraction(3, 10), 37), (334, Fraction(3, 10), 37)])
+def test_every_row_of_the_arrays_either_side_of_the_far_end_switch(T, eps, stride):
+    # T*eps^2 = 29.75 and 29.88 sum rho forward, 30 and 30.06 from the far
+    # end; row k of the arrays is the k-round game, so each row is held to
+    # the oracle, and v - vbar to twice the exact shortfall (measured worst
+    # 1.4e-15 on the values, 1.5e-15 of v on the gap). Every row of the
+    # far-end path holds 2 ulps (measured 1.0 ulp; 6.2 with the forward sum)
+    budget = FAR_END_BUDGET if T * eps * eps >= 30 else 5e-15
+    v, vbar = dp.origin_values(T, float(eps))
+    for k in range(T, 0, -stride):
+        v_exact, vbar_exact = exact_values(k, eps)
+        assert relative_error(float(v[k]), v_exact) <= budget, k
+        assert relative_error(float(vbar[k]), vbar_exact) <= budget, k
+        gap = Fraction(float(v[k])) - Fraction(float(vbar[k]))
+        assert abs(gap - 2 * shortfall(k, eps)) <= 5e-15 * v_exact, k
+
+
 @pytest.mark.parametrize("T", [10, 11, 12, 13])
 def test_routes_either_side_of_t_12(T):
     # gamma > 1 on every cell: the a_i below T = 12, the tails from 12 on,
@@ -175,12 +198,15 @@ def test_identities_hold_on_the_arrays_at_a_million(gamma):
     f4 = np.where(M * e2 >= 1, far, near)[1:]
     # 1e-14 where gamma_k = eps sqrt(k) >= 0.1; below, the eps^2 division
     # loses about 1/gamma_k (at k = T: measured 4.8e-14 at gamma 0.01, 3.6e-15
-    # at 0.1; worst over k 0.78 of the budget)
+    # at 0.1; worst over k 0.80 of the budget)
     budget = 1e-14 * np.maximum(1.0, 0.1 / (eps * np.sqrt(k[1:])))
     assert np.all(np.abs(f4 - vbar[1:]) <= budget * vbar[1:])
 
     # F2 with F4: v_k - vbar_k = 2 E[(k - X)^+] = k (a_k - eps^2 R(k))
-    # (measured worst 1.0e-15 of v)
+    # (measured worst 5.9e-16 of v). The route computes v_k by this very
+    # formula, so on the far-end cells (gamma 10) it restates the route
+    # with R summed the same way; the rows held to the exact shortfall
+    # by test_every_row_of_the_arrays_... are the independent check of F2
     gap = k * (a[: T + 1] - e2 * R[: T + 1])
     assert np.all(np.abs(gap - (v - vbar)) <= 1e-14 * v)
 
