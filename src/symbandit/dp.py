@@ -181,18 +181,15 @@ def _stirlerr(n: float) -> float:
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / n
 
 
-def _stirling_ratio(k: int) -> float:
-    """exp(delta(2k) - 2 delta(k)) = c_k sqrt(pi k), where c_k = C(2k, k)/4^k;
-    for k >= 16."""
-    return math.exp(_stirlerr(2.0 * k) - 2.0 * _stirlerr(float(k)))
-
-
-def _central_ratio(k: int) -> float:
-    """c_k = C(2k, k)/4^k: the exact ratio rounded once below k = 16, and
-    Loader's from 16 on."""
+def _central_ratio(k: int) -> tuple[float, float]:
+    """(c_k, c_k sqrt(pi k)), where c_k = C(2k, k)/4^k: the exact ratio
+    rounded once below k = 16; from 16 on Loader's ratio
+    s = exp(delta(2k) - 2 delta(k)) = c_k sqrt(pi k), and c_k = s/sqrt(pi k)."""
     if k < 16:
-        return math.comb(2 * k, k) / 4**k
-    return _stirling_ratio(k) / math.sqrt(math.pi * k)
+        c = math.comb(2 * k, k) / 4**k
+        return c, c * math.sqrt(math.pi * k)
+    s = math.exp(_stirlerr(2.0 * k) - 2.0 * _stirlerr(float(k)))
+    return s / math.sqrt(math.pi * k), s
 
 
 def _bgrat_coefficients(terms: int) -> list[float]:
@@ -226,8 +223,7 @@ def _central_and_tail(k: int, eps: float) -> tuple[float, float]:
       with r_n = exp(-z) sqrt(z/pi) (log(x)^2/4)^(n-1).
     """
     log_x = math.log1p(-eps * eps)
-    c = _central_ratio(k)
-    ratio = _stirling_ratio(k) if k >= 16 else c * math.sqrt(math.pi * k)  # c_k sqrt(pi k)
+    c, ratio = _central_ratio(k)  # c_k and c_k sqrt(pi k)
     # two exps: adding the logs first would round their sum once more
     a = c * math.exp(k * log_x)
     nu = k - 0.25
@@ -274,7 +270,7 @@ def _series_terms(n: int, eps: float) -> tuple[list[float], list[float]]:
     stop at the first term below 2^-60 eps n, with n <= T under 2^-59 of
     vbar <= v (vbar > eps T/2 up to gamma = 1, measured)."""
     a_terms, b_terms = [], []
-    b = 2.0 * n * _central_ratio(n)
+    b = 2.0 * n * _central_ratio(n)[0]
     for k in range(n + 1):
         if k:
             b *= -eps * eps * (n - k + 1) / k
@@ -309,7 +305,7 @@ def _series_values(T: int, eps: float) -> tuple[float, float]:
 def _direct_values(T: int, eps: float) -> tuple[float, float]:
     """(v, vbar) for T < _TAILS_MIN_T from the a_i themselves."""
     x = (1.0 - eps) * (1.0 + eps)
-    a = [math.comb(2 * i, i) / 4**i * x**i for i in range(T + 1)]
+    a = [_central_ratio(i)[0] * x**i for i in range(T + 1)]
     half = T // 2
     return _summed_values(T, eps, a[:half], [*a[:half], -2.0 * half * a[half]],
                           a[:T], [2.0 * T * a[T]])

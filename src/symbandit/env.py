@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,10 +144,10 @@ class EpisodeLog:
     seed: int
     safe_arm: int
     eps: float
-    choices: list[int] = field(default_factory=list)
-    rewards: list[tuple[int, int]] = field(default_factory=list)
-    final_regret: float = 0.0
-    s2: int = 0  # risky-arm pulls
+    choices: list[int]
+    rewards: list[tuple[int, int]]
+    final_regret: float
+    s2: int  # risky-arm pulls
 
     def to_line(self) -> str:
         return json.dumps(vars(self), separators=(",", ":"))

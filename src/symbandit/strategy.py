@@ -2,10 +2,13 @@
 
 The myopic player picks the arm with the larger revealed cumulative
 reward difference xi_r (a maximum-likelihood guess of the safe arm) and
-splits 1/2 - 1/2 on a tie. The brute-force search certifies, at tiny
+splits 1/2 - 1/2 on a tie. The brute-force search shows, at tiny
 horizons, that no strategy on a probability grid beats it by more than a
 grid-resolution bound. It values every grid strategy at once from the
-law of xi_r, which no player changes.
+law of xi_r, which no player changes. `symbandit verify` does not run
+it: the Bayes recursion of `dp` certifies minimax for every player at
+T = 1, 2, 8 and 1000. The grid search is the oracle of acceptance
+criterion 9 and a benchmark probe.
 
 Each player has one decision method, p1_batch(t, xi_r): the probability
 of pulling arm 1 at round t, for every revealed difference in an array.

@@ -46,6 +46,9 @@ BENCH_ONLY = {
                                 "the CLI only writes it",
     "experiments.read_csv": "the exact-ladder and closed-form-grid gates check that "
                             "the CSVs round-trip; the CLI only writes them",
+    "strategy.brute_force_minimax": "the cli-session probe times it; `verify` certifies "
+                                    "minimax by `dp.bayes_pseudoregret`, and criterion 9 "
+                                    "holds it as its oracle",
 }
 
 

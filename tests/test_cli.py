@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symbandit import dp, pde
+from symbandit import cli, dp, pde
 from symbandit.cli import _trace_rows, _verify_checks, main
 from symbandit.experiments import SweepSpec, read_csv, write_csv
 
@@ -101,12 +101,13 @@ class TestDp:
         write_csv(ref, ["t", "v", "vbar"], rows, {"config": f"dp T={T} eps={eps!r}"})
         assert path.read_bytes() == ref.read_bytes()
 
-    def test_trace_rows_across_chunks(self):
+    def test_trace_rows_across_chunks(self, monkeypatch):
         T, eps = 10, 0.3
         want = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
         v, vbar = dp.origin_values(T, eps)
         for chunk in (1, 3, 11, 12):
-            assert list(_trace_rows(v, vbar, chunk)) == want
+            monkeypatch.setattr(cli, "_TRACE_CHUNK", chunk)
+            assert list(_trace_rows(v, vbar)) == want
 
 
 class TestUsageErrors:
@@ -407,13 +408,13 @@ class TestVerify:
 
         monkeypatch.setattr(dp, "values", raised)
         checks = self._certificate_checks()
-        assert len(checks) == 4 and not any(checks)
+        assert len(checks) == 6 and not any(checks)
 
     def test_certificate_catches_a_raised_bound(self, monkeypatch):
         bound = dp.bayes_pseudoregret
         monkeypatch.setattr(dp, "bayes_pseudoregret", lambda T, eps: bound(T, eps) * (1 + 1e-9))
         checks = self._certificate_checks()
-        assert len(checks) == 4 and not any(checks)
+        assert len(checks) == 6 and not any(checks)
 
 
 def modules_loaded_by(argvs, cwd, watched=("numpy", "multiprocessing",
@@ -450,6 +451,12 @@ class TestStartup:
         # `dataclasses` pulls in `inspect`, a third of what `cli` takes to import
         argvs = [["pde", "--T", "100", "--gamma", "0.707"], ["prefactor", "--which", "c"]]
         assert modules_loaded_by(argvs, tmp_path, ["dataclasses"], preload=()) == []
+
+    def test_verify_loads_no_strategy(self, tmp_path):
+        # the Bayes recursion of `dp` is the certificate; the grid search
+        # of `strategy`, and the `dataclasses` it pulls in, stay unloaded
+        watched = ("symbandit.strategy", "dataclasses")
+        assert modules_loaded_by([["verify"]], tmp_path, watched, preload=()) == []
 
     def test_serial_runs_load_no_process_pool(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

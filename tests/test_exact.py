@@ -84,10 +84,10 @@ def test_central_binomial_to_a_few_ulps():
 def test_stirling_ratio_gives_the_central_ratio_to_two_ulps():
     # c_k = C(2k, k)/4^k = exp(delta(2k) - 2 delta(k))/sqrt(pi k) for every k
     # that reads Loader's ratio (k >= 16);
-    # the budget holds the rounding of the test's sqrt and division too
+    # the budget holds the rounding of the sqrt and division too
     # (measured worst 1.12 ulps)
     def ulps(k, exact):
-        num, den = (dp._stirling_ratio(k) / math.sqrt(math.pi * k)).as_integer_ratio()
+        num, den = dp._central_ratio(k)[0].as_integer_ratio()
         return abs((num << 2 * k) - exact * den) / (exact * den) * 2.0**52
 
     exact = math.comb(32, 16)
@@ -181,10 +181,10 @@ def test_identities_hold_on_the_arrays_at_a_million(gamma):
     e2 = eps * eps
     v, vbar = dp.origin_values(T, eps)
     # a_i and S0(k) = sum_{i<k} a_i; R(k) = 1/eps - S0(k) cancels once S0
-    # nears 1/eps, so past T eps^2 = 30 R is summed from the far end of
-    # 40/eps^2 extra terms, where a_i has fallen below exp(-40)
-    deep = T * e2 >= 30
-    a = dp._central_binomial(T + 1 + (math.ceil(40 / e2) if deep else 0), eps)
+    # nears 1/eps, so past T eps^2 = _DEEP_TAIL R is summed from the far end
+    # of _TAIL_PAD/eps^2 extra terms, where a_i has fallen below exp(-_TAIL_PAD)
+    deep = T * e2 >= dp._DEEP_TAIL
+    a = dp._central_binomial(T + 1 + (math.ceil(dp._TAIL_PAD / e2) if deep else 0), eps)
     S0 = dp._prefix_sums(a)
     R = dp._prefix_sums(a[::-1])[::-1] if deep else 1.0 / eps - S0
     k = np.arange(T + 1)
