@@ -28,19 +28,22 @@ mask (`np.where`) would cost a branch misprediction per random element.
 Each counter stays within +-T, so it is held in the narrowest signed
 integer dtype that holds +-T, from int16 up (`_state_dtype`): int16 up
 to T = 2^15 - 1, int32 above. The reason is the working set of a
-65,536-episode chunk, which every round streams through: its 1.5 MB
+65,536-episode chunk, which every round streams through: its 0.5 MB
 draw buffer, 0.5 MB of int16 counters and 0.4 MB of scratch, where int64
 counters took 2 MB and their updates ran through int64 temporaries.
-Strategies receive xi_r in that dtype.
+Strategies receive xi_r in that dtype. The scratch is freed before the
+float64 payoff and the int64 risky pulls are built.
 
 Randomness convention: every round consumes three uniforms per episode,
-in the order choice coin, g1, g2. A Monte Carlo batch draws them as one
-(3, n) array per round from a single generator. An audit episode owns a
-generator and draws its uniforms in (rounds, 3) chunks, which yields the
-same numbers as drawing round by round. Batches split work into
-fixed-size chunks whose generators are spawned from SeedSequence(seed),
-so results are bit-identical regardless of how many workers process the
-chunks.
+in the order choice coin, g1, g2. A Monte Carlo batch draws them from a
+single generator as three n-long rows per round, each into the same
+buffer just before the loop reads it; successive draws continue one
+stream, so these are the numbers of one (3, n) array per round. An
+audit episode owns a generator and draws its uniforms in (rounds, 3)
+chunks, which yields the same numbers as drawing round by round.
+Batches split work into fixed-size chunks whose generators are spawned
+from SeedSequence(seed), so results are bit-identical regardless of how
+many workers process the chunks.
 """
 
 from __future__ import annotations
@@ -71,20 +74,23 @@ def _state_dtype(T: int) -> type:
 def _play_rounds(T, eps, strategy, n, draws, safe_arm, record=None):
     """Play n episodes through T rounds, by the update rules above.
 
-    `draws` yields T arrays of shape (3, n): choice coins, g1 uniforms
-    and g2 uniforms. When `record` is given, round k's arm-1 picks, g1
-    and g2 go into row k of its three (T, n) arrays. Returns (final
-    payoff mu, risky pulls), float64 and int64.
+    `draws` yields T items, each three length-n rows in turn: choice
+    coins, g1 uniforms and g2 uniforms. A (3, n) array is such an item;
+    so is a generator that refills one buffer per row, as each row is
+    read just before its comparison. When `record` is given, round k's
+    arm-1 picks, g1 and g2 go into row k of its three (T, n) arrays.
+    Returns (final payoff mu, risky pulls), float64 and int64.
     """
     p_g1, p_g2 = arm_probs(eps, safe_arm)
     half_zeta, gain, xi_r, picks = np.zeros((4, n), _state_dtype(T))
     pick1, b1, b2, c = np.empty((4, n), bool)
     p, b1_8, b2_8, c8 = (mask.view(np.int8) for mask in (pick1, b1, b2, c))
     d, step = np.empty((2, n), np.int8)
-    for k, (coin, u1, u2) in enumerate(draws):
-        np.less(coin, strategy.p1_batch(k - T, xi_r), out=pick1)
-        np.less(u1, p_g1, out=b1)
-        np.less(u2, p_g2, out=b2)
+    for k, rows in enumerate(draws):
+        rows = iter(rows)
+        np.less(next(rows), strategy.p1_batch(k - T, xi_r), out=pick1)
+        np.less(next(rows), p_g1, out=b1)
+        np.less(next(rows), p_g2, out=b2)
         np.subtract(b1_8, b2_8, out=d)
         half_zeta += d
         d *= p
@@ -99,6 +105,7 @@ def _play_rounds(T, eps, strategy, n, draws, safe_arm, record=None):
         picks += p
         if record is not None:
             record[0][k], record[1][k], record[2][k] = pick1, 2 * b1_8 - 1, 2 * b2_8 - 1
+    del pick1, b1, b2, c, p, b1_8, b2_8, c8, d, step  # free the scratch before mu and risky
     mu = np.maximum(half_zeta, 0, dtype=np.float64)
     mu -= gain
     mu *= 2.0
@@ -119,11 +126,11 @@ def simulate_batch(
     `strategy` needs p1_batch(t, xi_r array).
     """
     check_game(T, eps, safe_arm)
-    # every round refills one buffer: a fresh array per round kept the last
-    # round's alive while the next was drawn, so whether the peak grew by
-    # one such array depended on the heap's layout
-    buf = np.empty((3, n))
-    draws = (rng.random(out=buf) for _ in range(T))
+    # one n-long buffer takes every row of every round: successive draws
+    # continue the stream, so these are the numbers of one (3, n) draw per
+    # round, and no fresh array per round leaves the peak to the heap's layout
+    buf = np.empty(n)
+    draws = ((rng.random(out=buf) for _ in range(3)) for _ in range(T))
     return _play_rounds(T, eps, strategy, n, draws, safe_arm)
 
 

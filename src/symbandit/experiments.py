@@ -64,8 +64,13 @@ def _mc_chunk(args) -> tuple[float, float, float, float]:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     mu, s2 = simulate_batch(T, eps, strategy, n, rng, safe_arm=safe_arm)
     pseudo = 2.0 * eps * s2
-    return (float(mu.sum()), float((mu * mu).sum()),
-            float(pseudo.sum()), float((pseudo * pseudo).sum()))
+    del s2
+    sums = []
+    for x in (mu, pseudo):  # each squared in place once summed
+        sums.append(float(x.sum()))
+        x *= x
+        sums.append(float(x.sum()))
+    return tuple(sums)
 
 
 # episodes per Monte Carlo chunk; chunk i draws from its own stream

@@ -31,7 +31,11 @@ class MyopicStrategy:
     """Arm 1 iff xi_r > 0, arm 2 iff xi_r < 0, fair coin at xi_r = 0."""
 
     def p1_batch(self, t: int, xi_r: np.ndarray) -> np.ndarray:
-        return (xi_r > 0) + 0.5 * (xi_r == 0)
+        # sign/2 + 1/2 in one float64 array: exactly 0.0, 0.5 or 1.0
+        p1 = np.sign(xi_r).astype(np.float64)
+        p1 *= 0.5
+        p1 += 0.5
+        return p1
 
 
 class UniformStrategy:

@@ -12,7 +12,7 @@ from _round_oracle import _play_rounds as oracle_rounds
 from symbandit import env
 from symbandit.core import terminal_payoff
 from symbandit.env import EpisodeLog, play_episode, play_episodes, simulate_batch
-from symbandit.experiments import mc_estimate
+from symbandit.experiments import SIMULATE, _mc_chunk, mc_estimate
 from symbandit.strategy import MyopicStrategy, TabularStrategy, UniformStrategy
 
 
@@ -28,6 +28,17 @@ def replay(choices, rewards):
         else:
             xi_r, xi_h = xi_r - g2, xi_h + g1
     return terminal_payoff(eta, xi_h, xi_r), sum(c == 2 for c in choices)
+
+
+def traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of f(*args) after one warm-up call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def forced_rounds(choices, g1s, g2s):
@@ -173,18 +184,20 @@ class TestEpisodes:
 
     def test_one_chunk_peak_memory(self):
         # numpy reports its buffers to tracemalloc, so this peak, unlike
-        # ru_maxrss, does not move with the heap's layout. Measured: 3.44 MiB
-        # (1.5 MiB of draws, int16 counters, the returned arrays), against
-        # 5.32 MiB with int64 counters; the bound rounds up to 1/4 MiB.
+        # ru_maxrss, does not move with the heap's layout. Measured: 2.06 MiB
+        # (one 0.5 MiB row of draws, int16 counters, the scratch or the
+        # returned arrays, one myopic decision), against 3.44 MiB with a
+        # (3, n) draw buffer and 5.32 MiB with int64 counters; the bound
+        # rounds up to 1/4 MiB.
         args = (100, 0.0707, MyopicStrategy(), 65536, np.random.default_rng(1))
-        simulate_batch(*args)  # warm-up
-        tracemalloc.start()
-        try:
-            simulate_batch(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 2**20
+        assert traced_peak(simulate_batch, *args) <= 2.25 * 2**20
+
+    def test_one_mc_chunk_peak_memory(self):
+        # the chunk's moment sums square mu and the pseudoregret in place,
+        # so it adds nothing to the batch's peak: measured 2.07 MiB, against
+        # 3.44 MiB with squared temporaries and a (3, n) draw buffer
+        job = (MyopicStrategy(), 100, 0.0707, 65536, 1, 1, (SIMULATE, 0))
+        assert traced_peak(_mc_chunk, job) <= 2.25 * 2**20
 
     def test_batch_risky_pulls_zero_gap_uniform(self):
         rng = np.random.default_rng(5)
@@ -197,6 +210,30 @@ class TestEpisodes:
 def reachable(T):
     """The (t, xi_r) decision states of a T-round game."""
     return [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
+
+
+class TestDrawStream:
+    """The batch's one row buffer against a (3, n) draw per round."""
+
+    @given(T=st.integers(1, 12), n=st.integers(0, 20).map(lambda i: 2 * i + 1),
+           seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 0.1, 0.45]),
+           safe_arm=st.sampled_from([1, 2]))
+    def test_rows_are_a_3_by_n_draw(self, T, n, seed, eps, safe_arm):
+        self.check(T, eps, n, seed, safe_arm)
+
+    @pytest.mark.parametrize("safe_arm", [1, 2])
+    def test_rows_are_a_3_by_n_draw_on_a_full_chunk(self, safe_arm):
+        self.check(3, 0.1, 65536, 5, safe_arm)
+
+    @staticmethod
+    def check(T, eps, n, seed, safe_arm):
+        mu, risky = simulate_batch(T, eps, MyopicStrategy(), n, np.random.default_rng(seed),
+                                   safe_arm)
+        rng = np.random.default_rng(seed)
+        draws = (rng.random((3, n)) for _ in range(T))
+        mu_3n, risky_3n = env._play_rounds(T, eps, MyopicStrategy(), n, draws, safe_arm)
+        assert mu.dtype == mu_3n.dtype and risky.dtype == risky_3n.dtype
+        assert np.array_equal(mu, mu_3n) and np.array_equal(risky, risky_3n)
 
 
 class TestBranchFreeLoop:

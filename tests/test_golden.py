@@ -18,11 +18,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symbandit import dp
 from symbandit.cli import main
 from symbandit.experiments import SweepSpec, read_csv
+from symbandit.strategy import TabularStrategy
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE = GOLDEN / "strategy_T8.txt"
@@ -136,6 +138,26 @@ def test_simulate_uniform_golden_against_exact_values():
     v, vbar = dp.values(T, eps)
     assert within_4se(gold["regret_mean"], gold["regret_se"], eps * T + (v - vbar))
     assert within_4se(gold["pseudo_mean"], gold["pseudo_se"], eps * T)
+
+
+def test_simulate_table_golden_against_exact_values():
+    # the table player's xi_r is the +-1 walk W stepping up w.p. (1 + eps)/2
+    # whatever it plays (arm 1 is safe), so vbar = 2 eps sum_{k<T} sum_x
+    # P(W_k = x) (1 - p1(k - T, x)); regret adds v - vbar of the myopic
+    # player, the same for every player (measured: vbar 2.3207135113,
+    # v 2.5159919291, at z = +1.14 and -1.26)
+    gold = json.loads((GOLDEN / "simulate_table.json").read_text())
+    T, eps = 8, 0.3
+    table = TabularStrategy.from_text(TABLE.read_text())
+    up = (1 + eps) / 2
+    vbar = 0.0
+    for k in range(T):
+        x = np.arange(-k, k + 1, 2)
+        law = [math.comb(k, i) * up**i * (1 - up) ** (k - i) for i in range(k + 1)]
+        vbar += 2 * eps * float(np.dot(law, 1 - table.p1_batch(k - T, x)))
+    v, vbar_myopic = dp.values(T, eps)
+    assert within_4se(gold["regret_mean"], gold["regret_se"], vbar + (v - vbar_myopic))
+    assert within_4se(gold["pseudo_mean"], gold["pseudo_se"], vbar)
 
 
 def test_sweep_mc_golden_against_exact_values():

@@ -61,8 +61,13 @@ def histories(T):
 
 class TestMyopic:
     def test_rule(self):
-        p1 = MyopicStrategy().p1_batch(-5, np.array([3, 0, -1]))
-        assert p1.tolist() == [1.0, 0.5, 0.0]
+        # in every counter dtype, up to its extremes: exactly 1, 1/2 or 0, in float64
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            info = np.iinfo(dtype)
+            xi_r = np.array([info.max, 1, 0, -1, info.min], dtype)
+            p1 = MyopicStrategy().p1_batch(-5, xi_r)
+            assert p1.dtype == np.float64, dtype
+            assert p1.tolist() == [1.0, 1.0, 0.5, 0.0, 0.0], dtype
 
     def test_decision_validation(self):
         with pytest.raises(ValueError):
