@@ -82,19 +82,21 @@ of that budget); v_k - vbar_k = k (a_k - eps^2 R(k)) within 1e-14 of v_k
 (measured 5.9e-16), which restates F4's own v_k on the far-end path; and
 v_k <= 1/eps, with equality within an ulp from k eps^2 = 80 on.
 
-The certificate, O(T^2): the posterior of the safe arm depends on xi_r
-alone, and xi_r moves the same way whichever arm is pulled, so a min over
-the arms at each (t, xi_r) bounds every player's prior-averaged
-pseudoregret V from below. The myopic player attains it, V = (vbar_1 +
-vbar_2)/2, so V = vbar (``symbandit verify``) proves vbar minimax and the
-same for both labels; v - vbar does not depend on the player.
+The certificate, O(T^2), is Le Cam's two-point bound (F8). Under label 1
+(2) xi_r is the walk W stepping up w.p. p (q) whichever arm is pulled, so
+no player changes its law, and the label's posterior depends on xi_r
+alone. At each (k, x) any player, history-dependent or not, pulls the
+unsafe arm w.p. at least min(post, 1 - post): its prior-averaged
+pseudoregret is at least eps sum_{k<T} sum_x min(P_p(W_k = x), P_p(W_k =
+-x)), the myopic vbar term by term. So V = vbar (``symbandit verify``)
+proves vbar minimax for both labels; v - vbar does not depend on the player.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import check_game
+from .core import arm_probs, check_game
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +351,26 @@ def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# The Bayes lower bound of every player: one recursion over (t, xi_r), O(T^2)
+# The law of W, and Le Cam's bound of every player over it (F8), O(T^2)
 # ---------------------------------------------------------------------------
 
+def walk_law(T: int, up: float):
+    """Yield the rows P(W_k = -k + 2i), i = 0..k, k = 0..T-1, of the walk W
+    from 0 stepping up w.p. `up`, one Pascal step apart, each a fresh array."""
+    import numpy as np
+
+    row = np.ones(1)
+    for k in range(T):
+        yield row
+        row, prev = np.zeros(k + 2), row
+        row[:-1] = (1.0 - up) * prev
+        row[1:] += up * prev
+
+
 def bayes_pseudoregret(T: int, eps: float) -> float:
-    """The least pseudoregret of any player, averaged over a uniform prior
-    on the safe-arm label: V_0(0), where V_T = 0 and V_k(x) = 2 eps
-    min(post, 1 - post) + up V_{k+1}(x + 1) + (1 - up) V_{k+1}(x - 1), with
-    post = P(arm 1 safe | xi_r = x) = (1 + tanh(x atanh eps))/2 and
-    up = 1/2 + eps (post - 1/2). O(T^2) time, O(T) memory."""
+    """The least pseudoregret of any player under a uniform label prior (F8):
+    eps sum_{k<T} sum_x min(P_p(W_k = x), P_p(W_k = -x)). O(T^2) time, O(T) memory."""
     check_game(T, eps)
     import numpy as np
 
-    # tanh, not the likelihood ratio ((1 + eps)/(1 - eps))^x, which overflows
-    slope = np.tanh(np.arange(-T, T + 1) * math.atanh(eps))  # 2 post - 1 at x = -T..T
-    cost = eps * (1.0 - np.abs(slope))
-    up = 0.5 * (1.0 + eps * slope)
-    down = 1.0 - up
-    value = np.zeros(2 * T + 1)  # V_T at x = -T..T
-    for k in range(T - 1, -1, -1):  # V_k at x = -k..k from V_{k+1} at -(k+1)..k+1
-        at = slice(T - k, T + k + 1)
-        value = cost[at] + up[at] * value[2:] + down[at] * value[:-2]
-    return float(value[0])
+    return eps * math.fsum(np.minimum(r, r[::-1]).sum() for r in walk_law(T, arm_probs(eps)[0]))

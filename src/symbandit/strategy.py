@@ -5,10 +5,9 @@ reward difference xi_r (a maximum-likelihood guess of the safe arm) and
 splits 1/2 - 1/2 on a tie. The brute-force search shows, at tiny
 horizons, that no strategy on a probability grid beats it by more than a
 grid-resolution bound. It values every grid strategy at once from the
-law of xi_r, which no player changes. `symbandit verify` does not run
-it: the Bayes recursion of `dp` certifies minimax for every player at
-T = 1, 2, 8 and 1000. The grid search is the oracle of acceptance
-criterion 9 and a benchmark probe.
+rows of `dp.walk_law`, the law of xi_r, which no player changes. It is
+the oracle of acceptance criterion 9 and a benchmark probe; `symbandit
+verify` certifies minimax for every player by Le Cam's bound in `dp`.
 
 Each player has one decision method, p1_batch(t, xi_r): the probability
 of pulling arm 1 at round t, for every revealed difference in an array.
@@ -18,7 +17,6 @@ round loop (int16 up to T = 2^15 - 1, see `env`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +124,10 @@ def brute_force_minimax(T: int, eps: float, grid: int) -> BruteForceCertificate:
     strategy grid. Under either label xi_r is that label's +-1 walk,
     stepping up w.p. `arm_probs(eps, label)[0]` whatever the player does,
     so the expected pseudoregret is 2 eps * sum_k P(reach class k) *
-    P(risky pull at k), and regret adds v - vbar of `dp.values`, the same
-    for every player. The myopic player's exact regret v must attain the
-    grid minimum of the worse label within one conservative Lipschitz
-    bound (2 * classes / grid).
+    P(risky pull at k), each reach read from `dp.walk_law`; regret adds
+    v - vbar of `dp.values`, the same for every player. The myopic
+    player's exact regret v must attain the grid minimum of the worse
+    label within one conservative Lipschitz bound (2 * classes / grid).
     """
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
@@ -146,13 +144,12 @@ def brute_force_minimax(T: int, eps: float, grid: int) -> BruteForceCertificate:
     levels = np.linspace(0.0, 1.0, grid)
     pseudoregret = []
     for safe_arm in (1, 2):
-        up = arm_probs(eps, safe_arm)[0]
+        law = list(dp.walk_law(T, arm_probs(eps, safe_arm)[0]))
         total = 0.0
         # the last class first: its axis is the last, so the sum gains one axis per class
         for k in reversed(range(n)):
             t, x = classes[k]
-            rounds, ups = T + t, (T + t + x) // 2
-            reach = math.comb(rounds, ups) * up**ups * (1.0 - up) ** (rounds - ups)
+            reach = law[T + t][(T + t + x) // 2]
             p1 = levels.reshape((grid,) + (1,) * (n - 1 - k))
             total = total + reach * (1.0 - p1 if safe_arm == 1 else p1)
         pseudoregret.append(2.0 * eps * total)

@@ -81,8 +81,12 @@ def relative_error(approx: float, exact: Fraction) -> float:
 
 def bayes_value(T: int, eps: Fraction) -> Fraction:
     """The Bayes lower bound of `symbandit.dp.bayes_pseudoregret` as an exact
-    fraction, with the rational posterior
-    P(arm 1 safe | xi_r = x) = (1 + eps)^x / ((1 + eps)^x + (1 - eps)^x)."""
+    fraction, in posterior form: the oracle of the production F8 sum
+    eps sum_k sum_x min(P_p(W_k = x), P_q(W_k = x)), computed instead as the
+    backward recursion V_k(x) = 2 eps min(post, 1 - post) + up V_{k+1}(x + 1)
+    + (1 - up) V_{k+1}(x - 1), V_T = 0, with the rational posterior
+    post = P(arm 1 safe | xi_r = x) = (1 + eps)^x / ((1 + eps)^x + (1 - eps)^x)
+    and up = 1/2 + eps (post - 1/2)."""
     eps, half = Fraction(eps), Fraction(1, 2)
     post = {x: (1 + eps) ** x / ((1 + eps) ** x + (1 - eps) ** x) for x in range(-T, T + 1)}
     up = {x: half + eps * (p - half) for x, p in post.items()}

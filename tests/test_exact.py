@@ -17,9 +17,12 @@ reaches and against exact identities beyond.
   5e-15 of v of twice the exact shortfall (measured 1.4e-15 and
   1.5e-15): the one check of F2 on the arrays that does not restate the
   route.
-* The Bayes lower bound of `dp.bayes_pseudoregret`: its rational twin in
-  tests/_exact.py equals the exact vbar with no error at T <= 30, and the
-  float recursion is within 1e-13 relative of it.
+* The Bayes lower bound of `dp.bayes_pseudoregret`: its posterior-form
+  oracle in tests/_exact.py, a rational backward recursion over (t, xi_r),
+  equals the exact vbar with no error at T <= 30, and the F8 sum over the
+  rows of `dp.walk_law` is within 1e-13 relative of it (measured 3.9e-16).
+* The rows of `dp.walk_law` up to k = 59: row k within k ulps of the exact
+  binomial law (measured 0.3 k), and the label swap mirrors each row.
 * The central ratio C(2k, k)/4^k of the one-horizon routes, from Loader's
   Stirling error, within 2 ulps of exact integer arithmetic.
 * The O(T) arrays at every horizon up to T = 1e6 + 1, on gamma 0.01 to 10,
@@ -62,11 +65,31 @@ def test_oracle_equals_full_lattice():
 def test_bayes_bound_equals_the_myopic_pseudoregret_exactly(T):
     # the myopic player is Bayes-optimal: the rational recursion over
     # (t, xi_r) meets the rational walk sum with no error at all, and the
-    # float recursion of the certificate stays within the route budget
+    # certificate's F8 sum over the walk law stays within the route budget
     for eps in GRID_EPS:
         bound = bayes_value(T, eps)
         assert bound == exact_values(T, eps)[1]
         assert relative_error(dp.bayes_pseudoregret(T, float(eps)), bound) <= ROUTE_BUDGET
+
+
+@pytest.mark.parametrize("eps", GRID_EPS)
+def test_walk_law_rows_within_k_ulps_of_the_binomial_law(eps):
+    # each Pascal step rounds a product and a sum of two positive terms,
+    # so row k is within k ulps (measured 0.3 k). The rows are kept, so a
+    # row overwritten in place would fail. Under the label swap up -> 1 - up
+    # (exact for up >= 1/2) each row is the mirror image (measured
+    # bit-identical).
+    T, up = 60, (1 + float(eps)) / 2
+    rows, mirrors = list(dp.walk_law(T, up)), list(dp.walk_law(T, 1 - up))
+    assert len(rows) == len(mirrors) == T
+    p = Fraction(up)
+    for k, (row, mirror) in enumerate(zip(rows, mirrors)):
+        assert len(row) == len(mirror) == k + 1
+        budget = k * 2.0**-52
+        for i in range(k + 1):
+            exact = math.comb(k, i) * p**i * (1 - p) ** (k - i)
+            assert relative_error(float(row[i]), exact) <= budget, (k, i)
+            assert abs(mirror[k - i] - row[i]) <= budget * row[i], (k, i)
 
 
 def test_central_binomial_to_a_few_ulps():

@@ -149,11 +149,9 @@ def test_simulate_table_golden_against_exact_values():
     gold = json.loads((GOLDEN / "simulate_table.json").read_text())
     T, eps = 8, 0.3
     table = TabularStrategy.from_text(TABLE.read_text())
-    up = (1 + eps) / 2
     vbar = 0.0
-    for k in range(T):
+    for k, law in enumerate(dp.walk_law(T, (1 + eps) / 2)):
         x = np.arange(-k, k + 1, 2)
-        law = [math.comb(k, i) * up**i * (1 - up) ** (k - i) for i in range(k + 1)]
         vbar += 2 * eps * float(np.dot(law, 1 - table.p1_batch(k - T, x)))
     v, vbar_myopic = dp.values(T, eps)
     assert within_4se(gold["regret_mean"], gold["regret_se"], vbar + (v - vbar_myopic))
