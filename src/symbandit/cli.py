@@ -2,14 +2,15 @@
 
 Subcommands: dp, pde, prefactor, simulate, sweep, figure, verify.
 Usage errors exit 2 (argparse); numeric precondition violations and
-files that cannot be read or written exit 1 with the cause named. Every
-output file embeds the artifact version, the full run configuration, and
-the seed, so re-running the printed config reproduces the file
-byte-for-byte.
+files that cannot be read or written exit 1 with the cause named. The
+CSVs and `simulate --json` embed the artifact version, the full run
+configuration and the seed, so re-running the printed config reproduces
+them byte-for-byte; an audit line of `simulate --audit` holds the master
+seed, safe arm, eps, choices, rewards, final regret and s2 of an episode.
 
 Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the values of `dp.values` and its trace the
-arrays of `dp.origin_values`, `pde` the closed forms of `pde`, and
+rows of `dp.trace_rows`, `pde` the closed forms of `pde`, and
 `sweep` reads and renders its config through `experiments.SweepSpec`.
 `simulate --json` writes the fields of `experiments.MCResult` by name,
 and the error-scaling header those of `experiments.ScalingFit` as
@@ -57,25 +58,10 @@ def _cmd_dp(args) -> int:
         from . import experiments
 
         meta = experiments.run_meta("dp", {"T": T, "eps": repr(eps)})
-        rows = _trace_rows(*dp.origin_values(T, eps))
+        rows = ({"t": t, "v": a, "vbar": b} for t, a, b in dp.trace_rows(T, eps))
         experiments.write_csv(args.trace, ["t", "v", "vbar"], rows, meta)
         print(f"trace written to {args.trace}")
     return 0
-
-
-# the trace turns its arrays into Python floats this many rows at a time
-_TRACE_CHUNK = 1 << 16
-
-
-def _trace_rows(v, vbar):
-    """The rows of `dp.value_trace`, from its arrays _TRACE_CHUNK at a time."""
-    T = len(v) - 1
-    v, vbar = v[::-1], vbar[::-1]
-    for start in range(0, T + 1, _TRACE_CHUNK):
-        stop = min(start + _TRACE_CHUNK, T + 1)
-        for t, val, vbar_val in zip(range(start - T, stop - T), v[start:stop].tolist(),
-                                    vbar[start:stop].tolist()):
-            yield {"t": t, "v": val, "vbar": vbar_val}
 
 
 def _cmd_pde(args) -> int:

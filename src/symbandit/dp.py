@@ -5,8 +5,9 @@ Two production routes compute the same values at two scales, and
 
 * ``origin_values`` -- O(T) time and memory, from one array of central
   binomial probabilities: the values of every horizon up to T at once.
-  ``value_trace`` and ``symbandit dp --trace`` read its arrays. It refuses
-  more than ``_MAX_TERMS`` (2e7) terms, about 1 GB of arrays.
+  ``trace_rows`` turns its arrays into the rows of ``value_trace`` and
+  ``symbandit dp --trace``. It refuses more than ``_MAX_TERMS`` (2e7)
+  terms, about 1 GB of arrays.
 * ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
   and ``symbandit dp``) -- one horizon in O(1) time and memory, without
   numpy, at every (T, eps): a series in eps^2 up to gamma = eps sqrt(T)
@@ -94,6 +95,7 @@ proves vbar minimax for both labels; v - vbar does not depend on the player.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .core import arm_probs, check_game
@@ -340,14 +342,24 @@ def pseudoregret_value(T: int, eps: float) -> float:
     return values(T, eps)[1]
 
 
-def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
-    """Rows (t, v(0,0,t), vbar(0,0,t)) for t = -T..0.
+# the trace turns its arrays into Python floats this many rows at a time
+_TRACE_CHUNK = 1 << 16
 
-    The recursions are time homogeneous, so the value at the origin with
-    k rounds left is the value of the k-round game.
-    """
+
+def trace_rows(T: int, eps: float):
+    """An iterator of the rows (t, v(0,0,t), vbar(0,0,t)), t = -T..0: by time
+    homogeneity the values of every horizon up to T. The arrays are built, or
+    refused, at the call; the rows become Python floats _TRACE_CHUNK at a time."""
     v, vbar = origin_values(T, eps)
-    return list(zip(range(-T, 1), v[::-1].tolist(), vbar[::-1].tolist()))
+    v, vbar, n = v[::-1], vbar[::-1], _TRACE_CHUNK
+    return itertools.chain.from_iterable(
+        zip(range(s - T, 1), v[s:s + n].tolist(), vbar[s:s + n].tolist())
+        for s in range(0, T + 1, n))
+
+
+def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:
+    """The rows of `trace_rows` as one list."""
+    return list(trace_rows(T, eps))
 
 
 # ---------------------------------------------------------------------------

@@ -18,26 +18,31 @@ X ~ Bin(2k, p) counts the up steps of W_2k. It neither pairs steps,
 telescopes a tail nor uses v - vbar = 2E[(T-X)^+], the identities the
 production route in `symbandit.dp` rests on; `shortfall` gives the right
 side of that identity, from math.comb, so the tests can check it.
-T = 400 takes 0.3-0.45 s.
+The sums over j < k run as integer numerators, and only the rows asked
+for become fractions: `exact_values` at T = 400 takes 0.08-0.28 s and
+`exact_values_upto` 0.15-0.42 s, almost all of it Pascal's rule.
 """
 
 from fractions import Fraction
 from math import comb
 
 
-def exact_values_upto(T: int, eps: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """(v, vbar) of the k-round game at its origin for every k = 0..T, as
-    two lists of exact fractions indexed by k."""
+def _walk_values(T: int, eps: Fraction, horizons):
+    """Yield (v_k, vbar_k), exact fractions, for each k in `horizons`
+    (within 1..T) in ascending order, from one pass over the rows of W.
+    The sums over j < k run as integer numerators; only the yielded rows
+    become fractions and take the E|X - k| sum."""
     eps = Fraction(eps)
     if not (isinstance(T, int) and T >= 1 and 0 <= eps < 1):
         raise ValueError(f"need an integer T >= 1 and 0 <= eps < 1, got T={T!r}, eps={eps}")
     a, b = eps.numerator, eps.denominator
+    horizons = set(horizons)
 
     def advance(row):  # the weights P(i up steps in n) * (2b)^n, from n to n + 1
         return [lo * (b + a) + hi * (b - a) for lo, hi in zip([0] + row, row + [0])]
 
     walk = [1]  # the weights of W_n, n = 0, 1, ..., 2T
-    v, vbar, signs = [Fraction(0)], [Fraction(0)], []
+    behinds, signs = [], []  # behind and sign at each n < T
     # numerators of the sums over j <= n, over the common denominator (2b)^n
     behind = 0  # sum_j P(W_j < 0) + P(W_j = 0)/2, doubled
     sign = 0    # sum_j P(W_j > 0) - P(W_j < 0)
@@ -48,20 +53,28 @@ def exact_values_upto(T: int, eps: Fraction) -> tuple[list[Fraction], list[Fract
             above = (2 * b) ** n - below - level  # the weights of W_n sum to (2b)^n
             behind = 2 * b * behind + 2 * below + level
             sign = 2 * b * sign + above - below
-            vbar.append(eps * Fraction(behind, (2 * b) ** n))
-            signs.append(Fraction(sign, (2 * b) ** n))
-        if n and n % 2 == 0:  # E|zeta_k/2| = E|X - k| from the row of W_2k
+            behinds.append(behind)
+            signs.append(sign)
+        if n and n % 2 == 0 and n // 2 in horizons:  # E|zeta_k/2| = E|X - k| from W_2k
             k = n // 2
+            scale = (2 * b) ** (k - 1)  # the sums over j < k are those at n = k - 1
             abs_zeta = Fraction(sum(abs(i - k) * w for i, w in enumerate(walk)), (2 * b) ** n)
-            v.append(abs_zeta - eps * signs[k - 1])
+            yield (abs_zeta - eps * Fraction(signs[k - 1], scale),
+                   eps * Fraction(behinds[k - 1], scale))
         walk = advance(walk)
-    return v, vbar
+
+
+def exact_values_upto(T: int, eps: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+    """(v, vbar) of the k-round game at its origin for every k = 0..T, as
+    two lists of exact fractions indexed by k."""
+    v, vbar = zip((Fraction(0), Fraction(0)), *_walk_values(T, eps, range(1, T + 1)))
+    return list(v), list(vbar)
 
 
 def exact_values(T: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """(v, vbar) at the origin of the T-round game, as exact fractions."""
-    v, vbar = exact_values_upto(T, eps)
-    return v[T], vbar[T]
+    """(v, vbar) at the origin of the T-round game, as exact fractions: row
+    T of `exact_values_upto`, without the rows below it."""
+    return next(_walk_values(T, eps, [T]))
 
 
 def shortfall(T: int, eps: Fraction) -> Fraction:

@@ -38,8 +38,8 @@ PACKAGE = ROOT / "src" / "symbandit"
 
 # public names whose only caller in the program is the benchmark harness
 BENCH_ONLY = {
-    "dp.value_trace": "the exact-ladder probe times it; `dp --trace` reads the arrays "
-                      "of `origin_values` a chunk at a time instead",
+    "dp.value_trace": "the exact-ladder probe times it; `dp --trace` streams the same "
+                      "rows through `trace_rows` instead",
     "env.play_episode": "the cli-session probe times 200 one-seed episodes; "
                         "`simulate --audit` plays its episodes through `play_episodes`",
     "env.EpisodeLog.from_line": "the cli-session gate reads back the audit JSONL; "

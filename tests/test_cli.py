@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from symbandit import cli, dp, pde
-from symbandit.cli import _trace_rows, _verify_checks, main
+from symbandit import dp, pde
+from symbandit.cli import _verify_checks, main
 from symbandit.experiments import SweepSpec, read_csv, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,14 +100,6 @@ class TestDp:
         rows = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
         write_csv(ref, ["t", "v", "vbar"], rows, {"config": f"dp T={T} eps={eps!r}"})
         assert path.read_bytes() == ref.read_bytes()
-
-    def test_trace_rows_across_chunks(self, monkeypatch):
-        T, eps = 10, 0.3
-        want = [{"t": t, "v": v, "vbar": vb} for t, v, vb in dp.value_trace(T, eps)]
-        v, vbar = dp.origin_values(T, eps)
-        for chunk in (1, 3, 11, 12):
-            monkeypatch.setattr(cli, "_TRACE_CHUNK", chunk)
-            assert list(_trace_rows(v, vbar)) == want
 
 
 class TestUsageErrors:
@@ -329,6 +321,18 @@ class TestSweep:
                                "--out", str(tmp_path / "x.csv"))
             assert code == 1
             assert message in err
+
+    @pytest.mark.parametrize("kind", ["convergence", "error-scaling"])
+    @pytest.mark.parametrize("rule", ["eps_list =", "eps_list = ,"])
+    def test_empty_eps_list_exits_1(self, capsys, tmp_path, kind, rule):
+        # neither an empty CSV nor a fit over no cells
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "x.csv"
+        cfg.write_text(f"regime = large\nT_list = 256\n{rule}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--kind", kind,
+                           "--out", str(out))
+        assert code == 1
+        assert "eps_list must be nonempty" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rule", ["gamma = 0.4", "power = 0.3"])
     def test_non_positive_horizon_is_named(self, capsys, tmp_path, rule):

@@ -144,6 +144,23 @@ class TestTraces:
             assert v == pytest.approx(dp.regret_value(k, eps), abs=1e-12)
             assert vb == pytest.approx(dp.pseudoregret_value(k, eps), abs=1e-12)
 
+    def test_trace_rows_across_chunks(self, monkeypatch):
+        # row t is row -t of the arrays, as Python numbers, wherever the
+        # chunks of T + 1 = 11 rows end
+        T, eps = 10, 0.3
+        v, vbar = dp.origin_values(T, eps)
+        want = [(t, float(v[-t]), float(vbar[-t])) for t in range(-T, 1)]
+        for chunk in (1, 3, 11, 12):
+            monkeypatch.setattr(dp, "_TRACE_CHUNK", chunk)
+            rows = list(dp.trace_rows(T, eps))
+            assert rows == want, chunk
+            assert {tuple(map(type, row)) for row in rows} == {(int, float, float)}
+
+    def test_trace_rows_refuses_at_the_call(self):
+        # before any row is asked for, so `dp --trace` refuses before it opens its file
+        with pytest.raises(ValueError, match="above its limit of 20000000 terms"):
+            dp.trace_rows(10**9, 0.1 / math.sqrt(1e9))
+
 
 gaps = st.floats(min_value=0.0, max_value=0.999)
 

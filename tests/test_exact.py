@@ -61,6 +61,15 @@ def test_oracle_equals_full_lattice():
             assert relative_error(pseudoregret_value_full(T, float(eps)), vbar) <= 1e-14
 
 
+@pytest.mark.parametrize("T", [1, 2, 17, 144, 400])
+def test_one_horizon_is_the_last_row_of_every_horizon(T):
+    # `exact_values` leaves the rows below T as integer numerators
+    for eps in GRID_EPS:
+        v, vbar = exact_values_upto(T, eps)
+        assert len(v) == len(vbar) == T + 1
+        assert exact_values(T, eps) == (v[T], vbar[T])
+
+
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 7, 12, 16, 30])
 def test_bayes_bound_equals_the_myopic_pseudoregret_exactly(T):
     # the myopic player is Bayes-optimal: the rational recursion over

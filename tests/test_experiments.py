@@ -96,6 +96,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(regime="large", T_list=[100, 200], eps_list=[0.1])
 
+    @pytest.mark.parametrize("rule", ["eps_list =", "eps_list = ,"])
+    def test_empty_eps_list_is_refused(self, tmp_path, rule):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"regime = large\nT_list = 256\n{rule}\n")
+        with pytest.raises(ValueError, match="eps_list must be nonempty"):
+            SweepSpec.from_file(cfg)
+
     def test_rule_must_keep_gap_feasible(self):
         with pytest.raises(ValueError):
             SweepSpec(regime="medium", T_list=[4], gamma=2.5)  # eps = 1.25
