@@ -10,15 +10,17 @@ seed, safe arm, eps, choices, rewards, final regret and s2 of an episode.
 
 Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the values of `dp.values` and its trace the
-rows of `dp.trace_rows`, `pde` the closed forms of `pde`, and
-`sweep` reads and renders its config through `experiments.SweepSpec`.
-`simulate --json` writes the fields of `experiments.MCResult` by name,
-and the error-scaling header those of `experiments.ScalingFit` as
-`fit_<name>`.
+rows of `dp.trace_rows`, `pde` the closed forms of `pde`, and `verify`
+its checks on `dp.value_trace` and `dp.trace_rows`, never the arrays
+below them. `sweep` reads and renders its config through
+`experiments.SweepSpec`. `simulate --json` writes the fields of
+`experiments.MCResult` by name and `--audit` the logs of
+`experiments.audit_logs`, and the error-scaling header the fields of
+`experiments.ScalingFit` as `fit_<name>`.
 
-Only the standard library, `core` and `pde` load with this module; each
-handler imports the layers (`dp`, `env`, `strategy`), `experiments` and
-`json` it runs, so the closed-form commands `pde`, `prefactor` and
+Only the standard library, `core` and `pde` load with this module, which
+imports no numpy itself; each handler imports the layers (`dp`,
+`strategy`), `experiments` and `json` it runs, so `pde`, `prefactor` and
 `figure` start without numpy or `json`. `dp` loads numpy only for
 `--trace`, so `dp` and an exact-only `sweep` start without numpy too.
 """
@@ -114,10 +116,7 @@ def _make_strategy(name: str):
 def _cmd_simulate(args) -> int:
     import json
 
-    import numpy as np
-
     from . import experiments
-    from .env import play_episodes
 
     T = args.T
     eps = _resolve_eps(args, T)
@@ -146,10 +145,9 @@ def _cmd_simulate(args) -> int:
         print(f"pseudo_mean = {_fmt(res.pseudo_mean, args.round3)} "
               f"(se {_fmt(res.pseudo_se, args.round3)})")
     if args.audit:
-        seeds = (np.random.SeedSequence(args.seed, spawn_key=(experiments.AUDIT, i))
-                 for i in range(args.audit_episodes))
         with open(args.audit, "w") as fh:
-            for log in play_episodes(T, eps, strategy, seeds, safe_arm=args.safe_arm):
+            for log in experiments.audit_logs(strategy, T, eps, args.audit_episodes,
+                                              args.seed, args.safe_arm):
                 fh.write(log.to_line() + "\n")
         print(f"audit log written to {args.audit}")
     return 0
@@ -231,14 +229,14 @@ def _verify_checks():
     # a walk with drift eps expects q/eps^2 steps below 0: both values rise
     # to 1/eps, within an ulp once T*eps^2 reaches 80
     T, eps = 2000, 0.2
-    v, vbar = dp.origin_values(T, eps)
-    top = float(max(v.max(), vbar.max())) * eps - 1.0
-    low = 1.0 - float(vbar[-1]) * eps
+    trace = dp.value_trace(T, eps)  # row 0 is horizon T
+    top = max(max(v, vbar) for _, v, vbar in trace) * eps - 1.0
+    low = 1.0 - trace[0][2] * eps
     add(f"regret rises to 1/eps T={T} eps={eps}", top <= 2.0**-52 and low <= 2.0**-52,
         f"max eps*v - 1={top:.2e}, 1 - eps*vbar_T={low:.2e}")
-    def route_gap(T, eps):  # the arrays go with the call
-        arrays = dp.origin_values(T, eps)
-        return max(abs(x - float(y[-1])) / float(y[-1]) for x, y in zip(dp.values(T, eps), arrays))
+    def route_gap(T, eps):  # the first row of the O(T) pass is horizon T
+        _, *exact = next(dp.trace_rows(T, eps))
+        return max(abs(x - y) / y for x, y in zip(dp.values(T, eps), exact))
 
     for T, gamma, route in ((100_000, 0.707, "eps^2 series"), (10_000, 3, "incomplete-beta tails")):
         rel = route_gap(T, gamma / math.sqrt(T))

@@ -3,11 +3,11 @@
 Two production routes compute the same values at two scales, and
 ``bayes_pseudoregret`` certifies them minimax:
 
-* ``origin_values`` -- O(T) time and memory, from one array of central
-  binomial probabilities: the values of every horizon up to T at once.
-  ``trace_rows`` turns its arrays into the rows of ``value_trace`` and
-  ``symbandit dp --trace``. It refuses more than ``_MAX_TERMS`` (2e7)
-  terms, about 1 GB of arrays.
+* ``trace_rows`` (``value_trace``, ``symbandit dp --trace``, ``verify``)
+  -- O(T) time and memory, from one array of central binomial
+  probabilities: the rows (t, v, vbar) of every horizon up to T at once.
+  It alone reads the arrays of ``_origin_values``, which refuses more
+  than ``_MAX_TERMS`` (2e7) terms, about 1 GB of arrays.
 * ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
   and ``symbandit dp``) -- one horizon in O(1) time and memory, without
   numpy, at every (T, eps): a series in eps^2 up to gamma = eps sqrt(T)
@@ -145,7 +145,7 @@ _TAIL_PAD = 40.0
 _MAX_TERMS = 20_000_000
 
 
-def origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (v_k, vbar_k), k = 0..T: the exact values at the origin of
     every horizon up to T, from one O(T) pass. The pass sums T terms, plus
     _TAIL_PAD/eps^2 on the deep-tail path; more than _MAX_TERMS is refused
@@ -350,7 +350,7 @@ def trace_rows(T: int, eps: float):
     """An iterator of the rows (t, v(0,0,t), vbar(0,0,t)), t = -T..0: by time
     homogeneity the values of every horizon up to T. The arrays are built, or
     refused, at the call; the rows become Python floats _TRACE_CHUNK at a time."""
-    v, vbar = origin_values(T, eps)
+    v, vbar = _origin_values(T, eps)
     v, vbar, n = v[::-1], vbar[::-1], _TRACE_CHUNK
     return itertools.chain.from_iterable(
         zip(range(s - T, 1), v[s:s + n].tolist(), vbar[s:s + n].tolist())

@@ -1,12 +1,12 @@
 """Monte Carlo estimation, convergence sweeps, scaling fits, figure data.
 
-Reproducibility rule used everywhere: every generator is seeded by
+Reproducibility rule used everywhere: every generator is seeded here, by
 ``numpy.random.SeedSequence(seed, spawn_key=(purpose, ...))``, the key
 headed by one of the purposes below, so no two purposes share a stream.
-`simulate`'s Monte Carlo chunk i uses (SIMULATE, i), chunk i of sweep
-cell c uses (SWEEP, c, i), and audit episode i uses (AUDIT, i). Results
-are assembled in fixed chunk order, so output is bit-identical for any
-worker count.
+`mc_estimate` gives `simulate`'s chunk i (SIMULATE, i) and chunk i of
+sweep cell c (SWEEP, c, i), `audit_logs` audit episode i (AUDIT, i).
+Results are assembled in fixed chunk order, so output is bit-identical
+for any worker count.
 
 numpy, `dp`, `env` and `strategy` are imported by the functions that run
 them, and the process pool only when more than one worker has chunks to
@@ -99,6 +99,8 @@ def mc_estimate(
         raise ValueError(f"episodes must be >= 2 for a standard error, got {episodes}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_gap(eps)
     n_chunks = (episodes + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(strategy, T, eps, min(CHUNK_SIZE, episodes - i * CHUNK_SIZE), safe_arm, seed,
@@ -121,6 +123,16 @@ def mc_estimate(
 
     return MCResult(regret_mean=mean_mu, regret_se=se(s_mu2, mean_mu),
                     pseudo_mean=mean_ps, pseudo_se=se(s_ps2, mean_ps), episodes=n)
+
+
+def audit_logs(strategy, T: int, eps: float, episodes: int, seed: int, safe_arm: int = 1):
+    """The EpisodeLogs of `simulate --audit`: episode i < episodes from stream (AUDIT, i)."""
+    import numpy as np
+
+    from .env import play_episodes
+
+    seeds = (np.random.SeedSequence(seed, spawn_key=(AUDIT, i)) for i in range(episodes))
+    return play_episodes(T, eps, strategy, seeds, safe_arm=safe_arm)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +165,8 @@ class SweepSpec:
             raise ValueError(f"regime must be small/medium/large, got {self.regime!r}")
         if self.branch not in ("C1", "C0"):
             raise ValueError(f"branch must be C1 or C0, got {self.branch!r}")
-        if not self.T_list or sorted(self.T_list) != list(self.T_list):
-            raise ValueError("T_list must be nonempty and ascending")
+        if not self.T_list or any(a >= b for a, b in zip(self.T_list, self.T_list[1:])):
+            raise ValueError(f"T_list must be nonempty and strictly ascending, got {self.T_list}")
         rules = sum(x is not None for x in (self.gamma, self.power, self.eps_list))
         if rules != 1:
             raise ValueError("exactly one of gamma, power, eps_list must be set")
@@ -164,6 +176,8 @@ class SweepSpec:
             raise ValueError("eps_list must be nonempty")
         if self.episodes < 0:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.episodes == 1:
             raise ValueError("episodes must be 0 (no Monte Carlo) or >= 2 for a standard "
                              "error, got 1")

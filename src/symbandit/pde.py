@@ -98,18 +98,16 @@ def _normal_pdf(x: float) -> float:
 def _exp_times_normal_cdf(c: float, w: float) -> float:
     """exp(c) * NormalCDF(w) without inf * 0 in the far tails.
 
-    For w below the erfc underflow point the log of the cdf is replaced
-    by its Mills-ratio expansion; the absolute error of the fallback is
-    far below every tolerance used in this package.
+    Above w = -37 the cdf is a normal float (>= 5.7e-300), and the one
+    caller, `bar_phi_hat`, keeps c < w^2/2 < 684.5 there, so the product
+    cannot overflow. Below, the log of the cdf is its Mills-ratio
+    expansion to the 105/w^8 term, within 2e-13 relative from w = -37 on.
     """
-    if w > -25.0:
-        return math.exp(c) * _normal_cdf(w) if c < 709.0 else math.inf
-    log_cdf = (-0.5 * w * w - math.log(-w) - 0.5 * math.log(2.0 * math.pi)
-               + math.log1p(-1.0 / (w * w) + 3.0 / (w * w * w * w)))
-    total = c + log_cdf
-    if total < -745.0:
-        return 0.0
-    return math.exp(total)
+    if w > -37.0:
+        return math.exp(c) * _normal_cdf(w)
+    r = 1.0 / (w * w)
+    series = r * (-1.0 + r * (3.0 + r * (-15.0 + 105.0 * r)))
+    return math.exp(c - 0.5 * w * w - math.log(-w * SQRT_TWO_PI) + math.log1p(series))
 
 
 # ---------------------------------------------------------------------------

@@ -19,71 +19,87 @@ telescopes a tail nor uses v - vbar = 2E[(T-X)^+], the identities the
 production route in `symbandit.dp` rests on; `shortfall` gives the right
 side of that identity, from math.comb, so the tests can check it.
 The sums over j < k run as integer numerators, and only the rows asked
-for become fractions: `exact_values` at T = 400 takes 0.08-0.28 s and
-`exact_values_upto` 0.15-0.42 s, almost all of it Pascal's rule.
+for become fractions. One horizon (`exact_values`) needs the rows of W
+below T only: it takes E|X - T| from math.comb, as `shortfall` does, so
+its six calls at T = 400, one per test gap, take about 0.4 s, against
+1.5 s for `exact_values_upto`.
 """
 
 from fractions import Fraction
 from math import comb
 
 
-def _walk_values(T: int, eps: Fraction, horizons):
-    """Yield (v_k, vbar_k), exact fractions, for each k in `horizons`
-    (within 1..T) in ascending order, from one pass over the rows of W.
-    The sums over j < k run as integer numerators; only the yielded rows
-    become fractions and take the E|X - k| sum."""
-    eps = Fraction(eps)
-    if not (isinstance(T, int) and T >= 1 and 0 <= eps < 1):
-        raise ValueError(f"need an integer T >= 1 and 0 <= eps < 1, got T={T!r}, eps={eps}")
+def _walk(T: int, eps: Fraction, rows: int):
+    """Yield (n, weights, behind, sign) for n = 0..rows-1: the weights of W_n
+    times (2b)^n, eps = a/b, one Pascal step apart, and the numerators of the
+    sums over j <= min(n, T - 1), over (2b)^min(n, T - 1):
+    behind = sum_j P(W_j < 0) + P(W_j = 0)/2, doubled, and
+    sign = sum_j P(W_j > 0) - P(W_j < 0)."""
     a, b = eps.numerator, eps.denominator
-    horizons = set(horizons)
-
-    def advance(row):  # the weights P(i up steps in n) * (2b)^n, from n to n + 1
-        return [lo * (b + a) + hi * (b - a) for lo, hi in zip([0] + row, row + [0])]
-
-    walk = [1]  # the weights of W_n, n = 0, 1, ..., 2T
-    behinds, signs = [], []  # behind and sign at each n < T
-    # numerators of the sums over j <= n, over the common denominator (2b)^n
-    behind = 0  # sum_j P(W_j < 0) + P(W_j = 0)/2, doubled
-    sign = 0    # sum_j P(W_j > 0) - P(W_j < 0)
-    for n in range(2 * T + 1):
+    walk, behind, sign = [1], 0, 0
+    for n in range(rows):
+        if n:
+            walk = [lo * (b + a) + hi * (b - a) for lo, hi in zip([0] + walk, walk + [0])]
         if n < T:  # W_n enters the sums of every horizon k > n
             below = sum(walk[: (n + 1) // 2])
             level = walk[n // 2] if n % 2 == 0 else 0
             above = (2 * b) ** n - below - level  # the weights of W_n sum to (2b)^n
             behind = 2 * b * behind + 2 * below + level
             sign = 2 * b * sign + above - below
-            behinds.append(behind)
-            signs.append(sign)
-        if n and n % 2 == 0 and n // 2 in horizons:  # E|zeta_k/2| = E|X - k| from W_2k
-            k = n // 2
-            scale = (2 * b) ** (k - 1)  # the sums over j < k are those at n = k - 1
-            abs_zeta = Fraction(sum(abs(i - k) * w for i, w in enumerate(walk)), (2 * b) ** n)
-            yield (abs_zeta - eps * Fraction(signs[k - 1], scale),
-                   eps * Fraction(behinds[k - 1], scale))
-        walk = advance(walk)
+        yield n, walk, behind, sign
+
+
+def _checked(T: int, eps) -> Fraction:
+    eps = Fraction(eps)
+    if not (isinstance(T, int) and T >= 1 and 0 <= eps < 1):
+        raise ValueError(f"need an integer T >= 1 and 0 <= eps < 1, got T={T!r}, eps={eps}")
+    return eps
+
+
+def _values(k: int, eps: Fraction, abs_zeta: Fraction, behind: int, sign: int):
+    """(v_k, vbar_k) from E|X - k| and the sums over j < k, those at n = k - 1."""
+    scale = (2 * eps.denominator) ** (k - 1)
+    return abs_zeta - eps * Fraction(sign, scale), eps * Fraction(behind, scale)
+
+
+def _binomial_mean(T: int, eps: Fraction, f, stop: int) -> Fraction:
+    """E[f(X); X < stop] with X ~ Bin(2T, (1 + eps)/2), from math.comb, as an
+    exact fraction."""
+    a, b = eps.numerator, eps.denominator
+    total = sum(f(x) * comb(2 * T, x) * (b + a) ** x * (b - a) ** (2 * T - x)
+                for x in range(stop))
+    return Fraction(total, (2 * b) ** (2 * T))
 
 
 def exact_values_upto(T: int, eps: Fraction) -> tuple[list[Fraction], list[Fraction]]:
     """(v, vbar) of the k-round game at its origin for every k = 0..T, as
-    two lists of exact fractions indexed by k."""
-    v, vbar = zip((Fraction(0), Fraction(0)), *_walk_values(T, eps, range(1, T + 1)))
+    two lists of exact fractions indexed by k, from one pass over the rows
+    0..2T of W; E|X - k| is summed over row 2k."""
+    eps = _checked(T, eps)
+    rows, sums = [(Fraction(0), Fraction(0))], []
+    for n, walk, behind, sign in _walk(T, eps, 2 * T + 1):
+        sums.append((behind, sign))
+        if n and n % 2 == 0:
+            k = n // 2
+            abs_zeta = Fraction(sum(abs(i - k) * w for i, w in enumerate(walk)),
+                                (2 * eps.denominator) ** n)
+            rows.append(_values(k, eps, abs_zeta, *sums[k - 1]))
+    v, vbar = zip(*rows)
     return list(v), list(vbar)
 
 
 def exact_values(T: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """(v, vbar) at the origin of the T-round game, as exact fractions: row
-    T of `exact_values_upto`, without the rows below it."""
-    return next(_walk_values(T, eps, [T]))
+    """(v, vbar) at the origin of the T-round game, as exact fractions: the
+    sums of `exact_values_upto` over the rows of W below T, and E|X - T|
+    from math.comb instead of row 2T."""
+    eps = _checked(T, eps)
+    *_, (_, _, behind, sign) = _walk(T, eps, T)
+    return _values(T, eps, _binomial_mean(T, eps, lambda x: abs(x - T), 2 * T + 1), behind, sign)
 
 
 def shortfall(T: int, eps: Fraction) -> Fraction:
     """E[(T - X)^+] with X ~ Bin(2T, (1 + eps)/2), as an exact fraction."""
-    eps = Fraction(eps)
-    a, b = eps.numerator, eps.denominator
-    total = sum((T - x) * comb(2 * T, x) * (b + a) ** x * (b - a) ** (2 * T - x)
-                for x in range(T))
-    return Fraction(total, (2 * b) ** (2 * T))
+    return _binomial_mean(T, Fraction(eps), lambda x: T - x, T)
 
 
 def relative_error(approx: float, exact: Fraction) -> float:

@@ -1,5 +1,5 @@
-"""Four design rules on the names of `symbandit`, one on its tests, and one
-on the imports of both.
+"""Four design rules on the names of `symbandit`, one on its command line,
+one on its tests, and one on the imports of both.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -21,6 +21,11 @@ No `spawn_key=` argument holds an integer literal: every random stream
 is headed by a named purpose of `experiments` (SIMULATE, SWEEP, AUDIT),
 so two purposes cannot share a stream by accident.
 
+The command line is a shell over the library's public results: `cli`
+loads no numpy, seeds no stream and reads no array of `dp`. Every random
+stream is seeded in `experiments`, and the arrays of `dp._origin_values`
+have one reader, `dp.trace_rows`.
+
 Every test helper, a `tests/_*.py` module, is imported by a collected
 test module (`tests/test_*.py`), so a retired oracle cannot linger unused.
 
@@ -38,8 +43,6 @@ PACKAGE = ROOT / "src" / "symbandit"
 
 # public names whose only caller in the program is the benchmark harness
 BENCH_ONLY = {
-    "dp.value_trace": "the exact-ladder probe times it; `dp --trace` streams the same "
-                      "rows through `trace_rows` instead",
     "env.play_episode": "the cli-session probe times 200 one-seed episodes; "
                         "`simulate --audit` plays its episodes through `play_episodes`",
     "env.EpisodeLog.from_line": "the cli-session gate reads back the audit JSONL; "
@@ -151,6 +154,32 @@ def test_every_spawn_key_is_headed_by_a_named_purpose():
                 literals += [f"{path.name}:{c.lineno} {c.value!r}" for c in ast.walk(node.value)
                              if isinstance(c, ast.Constant) and type(c.value) is int]
     assert not literals, "integer literals in spawn keys: " + ", ".join(literals)
+
+
+def _callers(name):
+    """`module.definition` of each top-level definition in `src/` whose code
+    calls `name` (as a name or an attribute), or `module` for a call outside one."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if any(isinstance(call, ast.Call)
+                   and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                   for call in ast.walk(node)):
+                found.add(f"{path.stem}.{node.name}" if hasattr(node, "name") else path.stem)
+    return found
+
+
+def test_cli_reads_only_public_results():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.partition(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "numpy" not in imported
+    named = {name for _, name in _references(tree)}
+    assert not named & {"SeedSequence", "origin_values", "_origin_values"}
+    assert {caller.partition(".")[0] for caller in _callers("SeedSequence")} == {"experiments"}
+    assert _callers("_origin_values") == {"dp.trace_rows"}
 
 
 def test_every_test_helper_has_an_importer():

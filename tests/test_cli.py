@@ -226,6 +226,19 @@ class TestSimulate:
         assert "--audit-episodes must be >= 1, got -3" in err
         assert not path.exists()
 
+    def test_bad_seed_or_strategy_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        for flags, message in [
+            # numpy would refuse it only inside the first chunk, naming no key
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--seed", "1", "--strategy", "bogus"], "unknown strategy 'bogus'"),
+        ]:
+            code, out, err = run(capsys, "simulate", "--T", "5", "--eps", "0.1", "--episodes",
+                                 "10", *flags, "--audit", str(path))
+            assert (code, out) == (1, "")
+            assert message in err
+            assert not path.exists()
+
     def test_missing_table_file_exits_1(self, capsys, tmp_path):
         table = tmp_path / "absent.txt"
         code, _, err = run(capsys, "simulate", "--T", "3", "--eps", "0.2", "--episodes", "5",
@@ -315,12 +328,28 @@ class TestSweep:
             # each cell makes one estimate: a replication count is an unknown key
             ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
              f"{cfg}:4: unknown key 'replications'"),
+            # refused before any cell is computed, and named
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nseed = -3\nepisodes = 10\n",
+             "seed must be >= 0, got -3"),
+            ("regime = medium\nT_list =\ngamma = 0.7\n",
+             "T_list must be nonempty and strictly ascending, got []"),
+            ("regime = medium\nT_list = 64, 16\ngamma = 0.7\n",
+             "T_list must be nonempty and strictly ascending, got [64, 16]"),
+            # a repeated horizon would write its cell, and draw its estimate, twice
+            ("regime = medium\nT_list = 100, 100\ngamma = 0.7\n",
+             "T_list must be nonempty and strictly ascending, got [100, 100]"),
+            ("regime = tiny\nT_list = 16\ngamma = 0.7\n",
+             "regime must be small/medium/large, got 'tiny'"),
+            ("regime = medium\nT_list = 16\ngamma = 0.7\nbranch = C2\n",
+             "branch must be C1 or C0, got 'C2'"),
+            ("regime = medium\nT_list 16\n", f"{cfg}:2: expected 'key = value'"),
         ]:
             cfg.write_text(text)
             code, _, err = run(capsys, "sweep", "--config", str(cfg),
                                "--out", str(tmp_path / "x.csv"))
             assert code == 1
             assert message in err
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("kind", ["convergence", "error-scaling"])
     @pytest.mark.parametrize("rule", ["eps_list =", "eps_list = ,"])
@@ -384,6 +413,7 @@ class TestFigure:
             ("nan:1:0.1", "grid bounds and step must be finite"),
             # about 9e299 points: refused before the list is built
             ("0.1:1:1e-300", "has more than 100000 points"),
+            ("2:1:0.1", "grid must satisfy start <= stop, step > 0"),
         ]:
             code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
             assert code == 1

@@ -148,7 +148,7 @@ class TestTraces:
         # row t is row -t of the arrays, as Python numbers, wherever the
         # chunks of T + 1 = 11 rows end
         T, eps = 10, 0.3
-        v, vbar = dp.origin_values(T, eps)
+        v, vbar = dp._origin_values(T, eps)
         want = [(t, float(v[-t]), float(vbar[-t])) for t in range(-T, 1)]
         for chunk in (1, 3, 11, 12):
             monkeypatch.setattr(dp, "_TRACE_CHUNK", chunk)
@@ -178,7 +178,7 @@ class TestProperties:
     @example(T=102, eps=0.53125)
     def test_regret_dominates_pseudoregret(self, T, eps):
         assert dp.regret_value(T, eps) >= dp.pseudoregret_value(T, eps) >= 0.0
-        v, vbar = dp.origin_values(T, eps)
+        v, vbar = dp._origin_values(T, eps)
         assert (v >= vbar).all() and vbar.min() >= 0.0
 
     @settings(max_examples=60, deadline=None)
@@ -233,7 +233,7 @@ class TestOneHorizon:
         def refused(T, eps):
             raise ArrayRoute
 
-        monkeypatch.setattr(dp, "origin_values", refused)
+        monkeypatch.setattr(dp, "_origin_values", refused)
         # every route: the series (gamma <= 1), the tails (T >= 12), the
         # a_i (T < 12) and saturation (T = 400 at eps 0.9); at T = 1e8 and
         # gamma = 0.3, T*eps^2 rounds below 0.09
@@ -250,7 +250,7 @@ class TestOneHorizon:
         # both parities from one array; gamma 9 is past the saturation cut
         for gamma in (0.001, 0.01, 0.1, 0.3, 0.5, 0.707, 1.0, 1.5, 3.0, 5.0, 8.0, 9.0):
             eps = gamma / math.sqrt(T)
-            v, vbar = dp.origin_values(T + 1, eps)
+            v, vbar = dp._origin_values(T + 1, eps)
             for k in (T, T + 1):
                 got_v, got_vbar = dp.values(k, eps)
                 assert relative(got_v, v[k]) <= route_budget(k, eps), (k, gamma)
@@ -263,7 +263,7 @@ class TestOneHorizon:
     @example(T=10**6, gamma=0.001)
     def test_equals_the_arrays_at_random_cells(self, T, gamma):
         eps = gamma / math.sqrt(T)
-        v, vbar = dp.origin_values(T + 1, eps)
+        v, vbar = dp._origin_values(T + 1, eps)
         for k in (T, T + 1):
             got_v, got_vbar = dp.values(k, eps)
             assert relative(got_v, v[k]) <= route_budget(k, eps)
@@ -317,7 +317,7 @@ class TestGuards:
             eps = math.sqrt(gamma2 / T)
             n = T + math.ceil(pad / (eps * eps))
             message = f"{n} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
-            for route in (dp.origin_values, dp.value_trace):
+            for route in (dp._origin_values, dp.value_trace):
                 with pytest.raises(ValueError, match=re.escape(message)):
                     route(T, eps)
             assert dp.values(T, eps)[1] > 0.0

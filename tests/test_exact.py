@@ -63,7 +63,8 @@ def test_oracle_equals_full_lattice():
 
 @pytest.mark.parametrize("T", [1, 2, 17, 144, 400])
 def test_one_horizon_is_the_last_row_of_every_horizon(T):
-    # `exact_values` leaves the rows below T as integer numerators
+    # the same sums over the rows of W below T, and two independent E|X - T|
+    # sums: over row 2T of W here, from math.comb in `exact_values`
     for eps in GRID_EPS:
         v, vbar = exact_values_upto(T, eps)
         assert len(v) == len(vbar) == T + 1
@@ -152,7 +153,7 @@ def test_route_within_budget_of_rational_oracle(T):
         if T * eps * eps >= 30:
             # the O(T) route's far-end tail path, which `values` does not
             # take on these cells: without it vbar is off by 1e-15
-            v, vbar = dp.origin_values(T, float(eps))
+            v, vbar = dp._origin_values(T, float(eps))
             assert relative_error(float(v[-1]), v_exact) <= FAR_END_BUDGET, (T, eps)
             assert relative_error(float(vbar[-1]), vbar_exact) <= FAR_END_BUDGET, (T, eps)
 
@@ -167,7 +168,7 @@ def test_every_row_of_the_arrays_either_side_of_the_far_end_switch(T, eps):
     # Every row of the far-end path holds 2 ulps (measured 1.1 ulp; 6.2
     # with the forward sum)
     budget = FAR_END_BUDGET if T * eps * eps >= 30 else 5e-15
-    v, vbar = dp.origin_values(T, float(eps))
+    v, vbar = dp._origin_values(T, float(eps))
     v_exact, vbar_exact = exact_values_upto(T, eps)
     for k in range(1, T + 1):
         assert relative_error(float(v[k]), v_exact[k]) <= budget, k
@@ -213,7 +214,7 @@ def test_identities_hold_on_the_arrays_at_a_million(gamma):
     T = 10**6 + 1
     eps = gamma / 1000
     e2 = eps * eps
-    v, vbar = dp.origin_values(T, eps)
+    v, vbar = dp._origin_values(T, eps)
     # a_i and S0(k) = sum_{i<k} a_i; R(k) = 1/eps - S0(k) cancels once S0
     # nears 1/eps, so past T eps^2 = _DEEP_TAIL R is summed from the far end
     # of _TAIL_PAD/eps^2 extra terms, where a_i has fallen below exp(-_TAIL_PAD)

@@ -83,6 +83,9 @@ class TestMCEstimate:
             mc_estimate(MyopicStrategy(), 10, 1.5, 100, seed=0)
         with pytest.raises(ValueError):
             mc_estimate(MyopicStrategy(), 10, 0.1, 0, seed=0)
+        # numpy would refuse it only inside the first chunk, naming no key
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc_estimate(MyopicStrategy(), 10, 0.1, 100, seed=-1)
 
 
 class TestSweepSpec:
@@ -120,6 +123,18 @@ class TestConvergenceSweep:
         rows = convergence_sweep(spec)
         eps0 = 0.4
         assert rows[0]["v"] == pytest.approx((1 + eps0**2) / 2, abs=1e-14)
+
+    def test_zero_gap_rows(self):
+        # eps = 0: u is the smooth part alone, sqrt(2T) E|Z|/2 = sqrt(T/pi),
+        # v = E|X - T| = T C(2T, T)/4^T for X ~ Bin(2T, 1/2), and both
+        # pseudoregrets vanish
+        rows = convergence_sweep(SweepSpec(regime="medium", T_list=[1, 16, 400], gamma=0.0))
+        for row in rows:
+            T = row["T"]
+            exact = T * math.comb(2 * T, T) / 4**T
+            assert abs(row["u"] - math.sqrt(T / math.pi)) <= 4 * math.ulp(row["u"]), T
+            assert abs(row["v"] - exact) <= 1e-15 * exact, T
+            assert row["ubar"] == row["vbar"] == 0.0
 
     def test_medium_gap_deviation_shrinks(self):
         spec = SweepSpec(regime="medium", T_list=[64, 256, 1024], gamma=0.707)
@@ -267,6 +282,8 @@ class TestFigureData:
             figure_data([0.0, 1.0])
         with pytest.raises(ValueError):
             figure_data([6.0])
+        with pytest.raises(ValueError, match="gamma grid is empty"):
+            figure_data([])
 
 
 class TestCSVRoundTrip:

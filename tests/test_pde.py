@@ -56,6 +56,19 @@ def c_oracle(gamma):
             - (two / PI).sqrt() * (-g * g / two).exp())
 
 
+def tilt_oracle(c, w):
+    """exp(c) NormalCDF(w) for w <= -20 in 60-digit Decimal arithmetic: the
+    asymptotic series NormalCDF(w) = pdf(w)/|w| sum_k (-1)^k (2k - 1)!!/w^(2k),
+    summed while its terms fall, so to about exp(-w^2/2) relative."""
+    c, w = Decimal(c), Decimal(w)
+    term = total = Decimal(1)
+    k = 1
+    while (nxt := -term * (2 * k - 1) / (w * w)).copy_abs() < term.copy_abs():
+        term, k = nxt, k + 1
+        total += term
+    return (c - w * w / 2).exp() / ((2 * PI).sqrt() * -w) * total
+
+
 def regret_layer(s, cf):
     """phi written out from its two pieces, sharing no code with pde."""
     if s <= 0.0:
@@ -106,6 +119,10 @@ class TestClosedFormType:
             ClosedForm(eps=1.2, b=1.0)
         with pytest.raises(ValueError):
             ClosedForm.c1(0.0)
+        with pytest.raises(ValueError, match="C0 branch needs eps > 0, got 0.0"):
+            ClosedForm.c0(0.0)
+        with pytest.raises(ValueError, match="branch must be 'C1' or 'C0', got 'C2'"):
+            ClosedForm.make("C2", 0.1)
 
 
 class TestSmoothPart:
@@ -182,6 +199,10 @@ class TestSteadyLayer:
     def test_side_required_at_kink(self):
         with pytest.raises(ValueError):
             phi_deriv(0.0, ClosedForm.c1(0.1), 1)
+        with pytest.raises(ValueError, match="source is discontinuous at xi_r = 0"):
+            pde.pseudoregret_source(0.0, ClosedForm.c1(0.1))
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            phi_deriv(1.0, ClosedForm.c1(0.1), order=0)
 
     @pytest.mark.parametrize("x", [-4.0, -0.3, 0.5, 2.0, 7.0])
     @pytest.mark.parametrize("branch", ["C1", "C0"])
@@ -232,6 +253,16 @@ class TestSmoothing:
         val = phi_hat(-5000.0, -4.0, cf)
         assert math.isfinite(val)
         assert val == pytest.approx(phi_fn(-5000.0, cf) + cf.eps * -4.0, rel=1e-12)
+
+    def test_tilt_term_against_a_decimal_oracle(self):
+        # exp(w^2/2) NormalCDF(w) is about 1/(sqrt(2 pi) |w|) here; the cdf
+        # falls from 2.8e-89 at w = -20 to 5.7e-300 at -37, below which the
+        # Mills-ratio expansion serves (measured worst 2.2e-13, at w = -37.2)
+        for w in np.linspace(-45.0, -20.0, 251):
+            w = float(w)
+            exact = tilt_oracle(w * w / 2, w)
+            rel = abs(Decimal(pde._exp_times_normal_cdf(w * w / 2, w)) - exact) / exact
+            assert rel <= Decimal("1e-12"), (w, float(rel))
 
 
 class TestAssembledSolutions:
@@ -336,6 +367,10 @@ class TestResiduals:
             pde_residual(0.0, 0.0, 1e-3, -2.0, cf, h=1e-3)
         with pytest.raises(ValueError):
             bar_pde_residual(0.0015, 0.0, -2.0, cf, h=1e-3)
+        for h, message in ((0.0, "step must be positive"), (-1e-3, "step must be positive"),
+                           (0.6, "stencil would cross t = 0")):
+            with pytest.raises(ValueError, match=message):
+                pde_residual(0.0, 0.0, 2.0, -1.0, cf, h=h)
 
 
 class TestPrefactors:
@@ -388,6 +423,10 @@ class TestPrefactors:
         gstar, val = maximize_prefactor("c")
         assert round(gstar, 3) == 0.707
         assert round(val, 3) == 0.572
+
+    def test_maximizer_rejects_an_unknown_prefactor(self):
+        with pytest.raises(ValueError, match="which must be 'c' or 'c_bar', got 'x'"):
+            maximize_prefactor("x")
 
     def test_maximizer_c_bar_value(self):
         gstar, val = maximize_prefactor("c_bar")

@@ -237,6 +237,8 @@ class TestBruteForce:
             brute_force_minimax(4, 0.2, grid=5)
         with pytest.raises(ValueError):
             brute_force_minimax(3, 0.2, grid=51)  # 51^6 strategy points
+        with pytest.raises(ValueError, match="grid must have at least 2 levels, got 1"):
+            brute_force_minimax(1, 0.3, grid=1)
 
 
 def bayes_regret_bound(T, eps):
