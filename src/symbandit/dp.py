@@ -348,13 +348,13 @@ _TRACE_CHUNK = 1 << 16
 
 def trace_rows(T: int, eps: float):
     """An iterator of the rows (t, v(0,0,t), vbar(0,0,t)), t = -T..0: by time
-    homogeneity the values of every horizon up to T. The arrays are built, or
-    refused, at the call; the rows become Python floats _TRACE_CHUNK at a time."""
+    homogeneity the values of every horizon up to T. Built, or refused, at the call,
+    the arrays become Python floats one row first, then _TRACE_CHUNK rows at a time."""
     v, vbar = _origin_values(T, eps)
-    v, vbar, n = v[::-1], vbar[::-1], _TRACE_CHUNK
+    cuts = [0, 1, *range(_TRACE_CHUNK, T + 1, _TRACE_CHUNK), T + 1]
     return itertools.chain.from_iterable(
-        zip(range(s - T, 1), v[s:s + n].tolist(), vbar[s:s + n].tolist())
-        for s in range(0, T + 1, n))
+        zip(range(a - T, 1), v[::-1][a:b].tolist(), vbar[::-1][a:b].tolist())
+        for a, b in itertools.pairwise(cuts))
 
 
 def value_trace(T: int, eps: float) -> list[tuple[int, float, float]]:

@@ -125,7 +125,7 @@ def mc_estimate(
                     pseudo_mean=mean_ps, pseudo_se=se(s_ps2, mean_ps), episodes=n)
 
 
-def audit_logs(strategy, T: int, eps: float, episodes: int, seed: int, safe_arm: int = 1):
+def audit_logs(strategy, T: int, eps: float, episodes: int, seed: int, safe_arm: int):
     """The EpisodeLogs of `simulate --audit`: episode i < episodes from stream (AUDIT, i)."""
     import numpy as np
 

@@ -101,7 +101,7 @@ def _exp_times_normal_cdf(c: float, w: float) -> float:
     Above w = -37 the cdf is a normal float (>= 5.7e-300), and the one
     caller, `bar_phi_hat`, keeps c < w^2/2 < 684.5 there, so the product
     cannot overflow. Below, the log of the cdf is its Mills-ratio
-    expansion to the 105/w^8 term, within 2e-13 relative from w = -37 on.
+    expansion to the 105/w^8 term, within 2.5e-13 relative from w = -37 on.
     """
     if w > -37.0:
         return math.exp(c) * _normal_cdf(w)

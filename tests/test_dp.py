@@ -150,7 +150,7 @@ class TestTraces:
         T, eps = 10, 0.3
         v, vbar = dp._origin_values(T, eps)
         want = [(t, float(v[-t]), float(vbar[-t])) for t in range(-T, 1)]
-        for chunk in (1, 3, 11, 12):
+        for chunk in (1, 3, 10, 11, 12):
             monkeypatch.setattr(dp, "_TRACE_CHUNK", chunk)
             rows = list(dp.trace_rows(T, eps))
             assert rows == want, chunk
