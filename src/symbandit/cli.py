@@ -12,11 +12,10 @@ Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the values of `dp.values` and its trace the
 rows of `dp.trace_rows`, `pde` the closed forms of `pde`, and `verify`
 its checks on `dp.value_trace` and `dp.trace_rows`, never the arrays
-below them. `sweep` reads and renders its config through
-`experiments.SweepSpec`. `simulate --json` writes the fields of
-`experiments.MCResult` by name and `--audit` the logs of
-`experiments.audit_logs`, and the error-scaling header the fields of
-`experiments.ScalingFit` as `fit_<name>`.
+below them. `sweep` writes what its kind's entry of `experiments.KINDS`
+returns for the `experiments.SweepSpec` of its config. `simulate --json`
+writes the fields of `experiments.MCResult` by name and `--audit` the
+logs of `experiments.audit_logs`.
 
 Only the standard library, `core` and `pde` load with this module, which
 imports no numpy itself; each handler imports the layers (`dp`,
@@ -156,19 +155,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import experiments
 
-    spec = experiments.SweepSpec.from_file(args.config)
-    meta = spec.meta(args.kind)
-    if args.kind == "convergence":
-        rows = experiments.convergence_sweep(spec)
-        mc = experiments.MC_COLUMNS if spec.episodes > 0 else []
-        experiments.write_csv(args.out, experiments.CONVERGENCE_COLUMNS + mc, rows, meta)
-    else:
-        rows, fit = experiments.error_scaling(spec)
-        meta.update({f"fit_{name}": value for name, value in vars(fit).items()})
-        experiments.write_csv(args.out, experiments.ERROR_SCALING_COLUMNS, rows, meta)
-        print(f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g}, "
-              f"{fit.cells} of {len(rows)} cells fitted)")
-    print(f"{len(rows)} rows written to {args.out}")
+    spec = experiments.SweepSpec.from_file(args.config, args.kind)
+    run, _ = experiments.KINDS[args.kind]
+    columns, rows, header, summary = run(spec)
+    experiments.write_csv(args.out, columns, rows, spec.meta(args.kind) | header)
+    print(*summary, f"{len(rows)} rows written to {args.out}", sep="\n")
     return 0
 
 
@@ -190,6 +181,8 @@ def _parse_grid(text: str) -> list[float]:
     if (b - a) / s >= _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     n = int(round((b - a) / s)) + 1
+    if (n > 1 and s < 1e-12) or round(a, 12) == 0 < a:
+        raise ValueError(f"grid {text!r} is finer than the 12 decimals its points are rounded to")
     return [round(a + i * s, 12) for i in range(n) if a + i * s <= b + 1e-12]
 
 

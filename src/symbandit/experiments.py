@@ -1,4 +1,6 @@
-"""Monte Carlo estimation, convergence sweeps, scaling fits, figure data.
+"""Monte Carlo estimation, sweep kinds, scaling fits, figure data.
+
+`KINDS` holds each kind of the `sweep` command, `SweepSpec` its config.
 
 Reproducibility rule used everywhere: every generator is seeded here, by
 ``numpy.random.SeedSequence(seed, spawn_key=(purpose, ...))``, the key
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import typing
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, pde
 from .core import check_game, check_gap
@@ -194,13 +196,14 @@ class SweepSpec:
         return [(self.T_list[0], e) for e in self.eps_list]
 
     @classmethod
-    def from_file(cls, path) -> "SweepSpec":
-        """Key = value file -> SweepSpec; '#' starts a comment.
+    def from_file(cls, path, kind: str) -> "SweepSpec":
+        """Key = value file -> SweepSpec of a `kind` sweep; '#' starts a comment.
 
-        Each key is a field, its value parsed by the field's type; a list
-        takes comma-separated items. Errors name the file and line.
+        Each key is a field the kind reads, its value parsed by the field's
+        type; a list takes comma-separated items. Errors name the file and line.
         """
         types = typing.get_type_hints(cls)
+        keys = [k for k in types if k not in KINDS[kind][1]]
         kwargs = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -210,9 +213,9 @@ class SweepSpec:
                 if "=" not in body:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 k, v = (part.strip() for part in body.split("=", 1))
-                if k not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown key {k!r}; "
-                                     f"known keys: {', '.join(types)}")
+                if k not in keys:
+                    raise ValueError(f"{path}:{lineno}: unknown key {k!r} for sweep kind "
+                                     f"{kind!r}; known keys: {', '.join(keys)}")
                 if k in kwargs:
                     raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
                 try:
@@ -322,12 +325,12 @@ def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
 
 
 def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
-    """The convergence sweep's rows, Monte Carlo off, with |u - v| as
-    `abs_diff` and the `predictor`, and the fit of log|u - v| against
-    log(eps) (eps_list sweeps) or log of the dominant predictor.
+    """The convergence sweep's rows, with |u - v| as `abs_diff` and the
+    `predictor`, and the fit of log|u - v| against log(eps) (eps_list
+    sweeps) or log of the dominant predictor.
 
     The fit leaves out each cell whose |u - v| lies below the rounding
-    floor of u, 64 ulps of eps*T + sqrt(T). Refuses a zero
+    floor of u, 64 ulps of eps*T + sqrt(T). Refuses episodes > 0 and a zero
     gap; refuses when the branch's dominant envelope term, with unit
     constants, does not exceed the remaining terms at the largest-gap
     cell (a fit would measure the mixture, not the power); and refuses
@@ -337,6 +340,9 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     """
     import statistics
 
+    if spec.episodes:
+        raise ValueError(f"error-scaling runs no Monte Carlo; episodes must be 0, "
+                         f"got {spec.episodes}")
     cells = spec.cells()
     if min(eps for _, eps in cells) == 0.0:
         raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
@@ -348,7 +354,7 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
             f"at the largest gap; slope fit would be meaningless"
         )
     power = 2 if spec.branch == "C1" else 3
-    rows = convergence_sweep(replace(spec, episodes=0))
+    rows = convergence_sweep(spec)
     xs, ys = [], []
     for row in rows:
         T, eps = row["T"], row["eps"]
@@ -369,6 +375,26 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
     except statistics.StatisticsError:  # every y, so every fitted value, is the same
         r2 = float("nan")
     return rows, ScalingFit(slope, intercept, r2, x_axis, len(xs))
+
+
+def _convergence(spec: SweepSpec):
+    mc = MC_COLUMNS if spec.episodes > 0 else []
+    return CONVERGENCE_COLUMNS + mc, convergence_sweep(spec), {}, ()
+
+
+def _error_scaling(spec: SweepSpec):
+    rows, fit = error_scaling(spec)
+    summary = (f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g}, "
+               f"{fit.cells} of {len(rows)} cells fitted)")
+    return ERROR_SCALING_COLUMNS, rows, {f"fit_{k}": v for k, v in vars(fit).items()}, (summary,)
+
+
+# Each sweep kind: what it runs, spec -> (columns, rows, header fields beside
+# `SweepSpec.meta`'s, summary lines), and the config keys it does not read.
+KINDS = {
+    "convergence": (_convergence, ()),
+    "error-scaling": (_error_scaling, ("seed", "episodes")),
+}
 
 
 # ---------------------------------------------------------------------------

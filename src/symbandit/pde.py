@@ -164,7 +164,7 @@ def regret_source(xi_r: float, cf: ClosedForm) -> float:
 def bar_phi(xi_r: float, cf: ClosedForm) -> float:
     """Pseudoregret layer: -2 xi_r on the left, b e^{-2 eps xi_r} - b right."""
     if xi_r <= 0.0:
-        return -2.0 * xi_r
+        return -2.0 * xi_r + 0.0  # +0.0, not -0.0, at the origin
     return cf.b * math.exp(-2.0 * cf.eps * xi_r) - cf.b
 
 

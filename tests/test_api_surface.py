@@ -1,4 +1,4 @@
-"""Four design rules on the names of `symbandit`, one on its command line,
+"""Four design rules on the names of `symbandit`, three on its command line,
 one on its tests, and one on the imports of both.
 
 Every public name has a caller in the program: a public module-level
@@ -26,6 +26,10 @@ loads no numpy, seeds no stream and reads no array of `dp`. Every random
 stream is seeded in `experiments`, and the arrays of `dp._origin_values`
 have one reader, `dp.trace_rows`.
 
+`sweep` holds no sweep kind: `cli` names none of the runners or column
+lists of `experiments`, and `--kind` offers exactly the keys of
+`experiments.KINDS`, the one table of what each kind runs and writes.
+
 Every test helper, a `tests/_*.py` module, is imported by a collected
 test module (`tests/test_*.py`), so a retired oracle cannot linger unused.
 
@@ -34,8 +38,11 @@ installed where the suite runs, but `pyproject.toml` declares neither, so
 a route or an oracle that leaned on them would fail where they are not.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from symbandit import cli, experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "symbandit"
@@ -180,6 +187,19 @@ def test_cli_reads_only_public_results():
     assert not named & {"SeedSequence", "origin_values", "_origin_values"}
     assert {caller.partition(".")[0] for caller in _callers("SeedSequence")} == {"experiments"}
     assert _callers("_origin_values") == {"dp.trace_rows"}
+
+
+def test_cli_names_no_sweep_runner_or_column_list():
+    named = {name for _, name in _references(ast.parse((PACKAGE / "cli.py").read_text()))}
+    assert not named & {"convergence_sweep", "error_scaling", "MC_COLUMNS",
+                        "CONVERGENCE_COLUMNS", "ERROR_SCALING_COLUMNS"}
+
+
+def test_sweep_kinds_are_the_keys_of_the_kind_table():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in commands.choices["sweep"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == list(experiments.KINDS)
 
 
 def test_every_test_helper_has_an_importer():

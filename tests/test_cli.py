@@ -138,6 +138,7 @@ class TestPde:
         assert code == 0
         for key in ("u =", "u_h =", "phi =", "phi_hat =", "ubar ="):
             assert key in out
+        assert "bar_phi = 0" in out.splitlines()  # not -0 at the default xi_r = 0
 
     # the last three cells print u or u_n one digit apart when the CLI
     # sums the components itself
@@ -351,6 +352,17 @@ class TestSweep:
             assert message in err
             assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("key", ["episodes = 1000", "seed = 3"])
+    def test_error_scaling_refuses_the_keys_it_does_not_read(self, capsys, tmp_path, key):
+        # it runs no Monte Carlo: neither key may reach its config line unread
+        cfg, out = tmp_path / "fit.cfg", tmp_path / "fit.csv"
+        cfg.write_text(f"regime = large\nT_list = 4096\neps_list = 0.05, 0.1, 0.2\n{key}\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--kind", "error-scaling",
+                           "--out", str(out))
+        assert code == 1
+        assert f"{cfg}:4: unknown key {key.split()[0]!r} for sweep kind 'error-scaling'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["convergence", "error-scaling"])
     @pytest.mark.parametrize("rule", ["eps_list =", "eps_list = ,"])
     def test_empty_eps_list_exits_1(self, capsys, tmp_path, kind, rule):
@@ -386,7 +398,8 @@ class TestSweep:
         for i, block in enumerate(blocks):
             cfg = tmp_path / f"readme{i}.cfg"
             cfg.write_text(block)
-            SweepSpec.from_file(str(cfg))
+            SweepSpec.from_file(str(cfg), "error-scaling" if "error_scaling" in block
+                                else "convergence")
 
 
 class TestFigure:
@@ -414,6 +427,10 @@ class TestFigure:
             # about 9e299 points: refused before the list is built
             ("0.1:1:1e-300", "has more than 100000 points"),
             ("2:1:0.1", "grid must satisfy start <= stop, step > 0"),
+            # points are rounded to 12 decimals: 101 rows of 2 distinct gammas,
+            # and a positive start written as 0
+            ("1:1.000000000001:1e-14", "is finer than the 12 decimals"),
+            ("4e-13:0.01:0.001", "is finer than the 12 decimals"),
         ]:
             code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
             assert code == 1

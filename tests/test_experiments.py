@@ -104,7 +104,7 @@ class TestSweepSpec:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"regime = large\nT_list = 256\n{rule}\n")
         with pytest.raises(ValueError, match="eps_list must be nonempty"):
-            SweepSpec.from_file(cfg)
+            SweepSpec.from_file(cfg, "convergence")
 
     def test_rule_must_keep_gap_feasible(self):
         with pytest.raises(ValueError):
@@ -211,6 +211,13 @@ class TestErrorScalingFit:
     ])
     def test_refuses_fewer_than_two_distinct_x_values(self, spec, x_axis):
         with pytest.raises(ValueError, match=f"at least two distinct {x_axis} values"):
+            error_scaling(spec)
+
+    def test_refuses_monte_carlo(self):
+        # its rows carry no Monte Carlo columns: episodes would be written unread
+        spec = SweepSpec(regime="large", T_list=[256], eps_list=[0.1, 0.2, 0.4],
+                         branch="C0", episodes=100)
+        with pytest.raises(ValueError, match="episodes must be 0, got 100"):
             error_scaling(spec)
 
     def test_fixed_horizon_fit_runs(self):
