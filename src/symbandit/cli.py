@@ -3,19 +3,20 @@
 Subcommands: dp, pde, prefactor, simulate, sweep, figure, verify.
 Usage errors exit 2 (argparse); numeric precondition violations and
 files that cannot be read or written exit 1 with the cause named. The
-CSVs and `simulate --json` embed the artifact version, the full run
-configuration and the seed, so re-running the printed config reproduces
-them byte-for-byte; an audit line of `simulate --audit` holds the master
-seed, safe arm, eps, choices, rewards, final regret and s2 of an episode.
+CSVs and `simulate --json` embed the artifact version, the configuration
+the run read and the seed when it drew one, so re-running the printed
+config reproduces them byte-for-byte; an audit line of `simulate
+--audit` holds the master seed, safe arm, eps, choices, rewards, final
+regret and s2 of an episode.
 
 Each subcommand prints what a public entry point of the library returns,
 without recomputing it: `dp` the values of `dp.values` and its trace the
 rows of `dp.trace_rows`, `pde` the closed forms of `pde`, and `verify`
-its checks on `dp.value_trace` and `dp.trace_rows`, never the arrays
-below them. `sweep` writes what its kind's entry of `experiments.KINDS`
-returns for the `experiments.SweepSpec` of its config. `simulate --json`
-writes the fields of `experiments.MCResult` by name and `--audit` the
-logs of `experiments.audit_logs`.
+its checks on `dp.values`, `dp.trace_rows` and `dp.bayes_pseudoregret`,
+never the arrays below them. `sweep` writes what its kind's entry of
+`experiments.KINDS` returns for the `experiments.SweepSpec` of its
+config. `simulate --json` writes the fields of `experiments.MCResult` by
+name and `--audit` the logs of `experiments.audit_logs`.
 
 Only the standard library, `core` and `pde` load with this module, which
 imports no numpy itself; each handler imports the layers (`dp`,
@@ -207,24 +208,25 @@ def _verify_checks():
         checks.append((name, bool(ok), detail))
 
     for eps in (0.0, 0.3, 0.7):
-        v1 = dp.regret_value(1, eps)
+        v1 = dp.values(1, eps)[0]
         add(f"one-round regret eps={eps}", abs(v1 - (1 + eps * eps) / 2) < 1e-14,
             f"v={v1!r}")
-    vb = dp.pseudoregret_value(1, 0.4)
+    vb = dp.values(1, 0.4)[1]
     add("one-round pseudoregret eps=0.4", abs(vb - 0.4) < 1e-14, f"vbar={vb!r}")
 
     # at eps = 0 the regret is the mean absolute deviation of Bin(2T, 1/2)
     T = 1000
     exact = T * math.comb(2 * T, T) / 4**T
-    rel = abs(dp.regret_value(T, 0.0) - exact) / exact
+    rel = abs(dp.values(T, 0.0)[0] - exact) / exact
     add(f"zero-gap regret equals T C(2T,T)/4^T T={T}", rel <= 1e-15, f"rel diff={rel:.2e}")
 
     # a walk with drift eps expects q/eps^2 steps below 0: both values rise
     # to 1/eps, within an ulp once T*eps^2 reaches 80
     T, eps = 2000, 0.2
-    trace = dp.value_trace(T, eps)  # row 0 is horizon T
-    top = max(max(v, vbar) for _, v, vbar in trace) * eps - 1.0
-    low = 1.0 - trace[0][2] * eps
+    rows = dp.trace_rows(T, eps)
+    _, v_T, vbar_T = next(rows)  # row 0 is horizon T
+    top = max(v_T, vbar_T, max(max(v, vbar) for _, v, vbar in rows)) * eps - 1.0
+    low = 1.0 - vbar_T * eps
     add(f"regret rises to 1/eps T={T} eps={eps}", top <= 2.0**-52 and low <= 2.0**-52,
         f"max eps*v - 1={top:.2e}, 1 - eps*vbar_T={low:.2e}")
     def route_gap(T, eps):  # the first row of the O(T) pass is horizon T

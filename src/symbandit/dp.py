@@ -8,11 +8,11 @@ Two production routes compute the same values at two scales, and
   probabilities: the rows (t, v, vbar) of every horizon up to T at once.
   It alone reads the arrays of ``_origin_values``, which refuses more
   than ``_MAX_TERMS`` (2e7) terms, about 1 GB of arrays.
-* ``values`` (and ``regret_value``, ``pseudoregret_value``, the sweeps
-  and ``symbandit dp``) -- one horizon in O(1) time and memory, without
-  numpy, at every (T, eps): a series in eps^2 up to gamma = eps sqrt(T)
-  = 1, two incomplete-beta tails beyond it from T = 12 on, and the a_i
-  themselves below T = 12.
+* ``values`` (the sweeps, ``symbandit dp`` and ``verify``; its halves
+  ``regret_value`` and ``pseudoregret_value`` serve the benchmark) --
+  one horizon in O(1) time and memory, without numpy, at every (T, eps):
+  a series in eps^2 up to gamma = eps sqrt(T) = 1, two incomplete-beta
+  tails beyond it from T = 12 on, and the a_i themselves below T = 12.
 
 Both production routes rest on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r

@@ -150,7 +150,8 @@ class SweepSpec:
     * ``eps_list`` -- explicit grid, requires a single T (branch fits)
 
     The fields are the keys of a sweep config file (`from_file`) and of
-    the canonical config string of its output (`meta`).
+    the canonical config string of its output (`meta`). ``seed`` is set
+    exactly when ``episodes > 0``, to 0 if not given.
     """
 
     regime: str
@@ -159,7 +160,7 @@ class SweepSpec:
     power: float | None = None
     eps_list: list[float] | None = None
     branch: str = "C1"
-    seed: int = 0
+    seed: int | None = None
     episodes: int = 0
 
     def __post_init__(self) -> None:
@@ -178,11 +179,15 @@ class SweepSpec:
             raise ValueError("eps_list must be nonempty")
         if self.episodes < 0:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.episodes == 1:
             raise ValueError("episodes must be 0 (no Monte Carlo) or >= 2 for a standard "
                              "error, got 1")
+        if self.episodes and self.seed is None:
+            self.seed = 0
+        if self.seed is not None and not self.episodes:
+            raise ValueError("a seed is read only by a Monte Carlo sweep; set episodes > 0")
+        if (self.seed or 0) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for T in self.T_list:  # the horizon first: cells() divides by T or raises it
             check_game(T, 0.0)
         for T, eps in self.cells():
@@ -200,11 +205,12 @@ class SweepSpec:
         """Key = value file -> SweepSpec of a `kind` sweep; '#' starts a comment.
 
         Each key is a field the kind reads, its value parsed by the field's
-        type; a list takes comma-separated items. Errors name the file and line.
+        type; a list takes comma-separated items; `seed` is read only with
+        `episodes` > 0. Errors name the file and line.
         """
         types = typing.get_type_hints(cls)
         keys = [k for k in types if k not in KINDS[kind][1]]
-        kwargs = {}
+        kwargs, lines = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
@@ -219,19 +225,23 @@ class SweepSpec:
                 if k in kwargs:
                     raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
                 try:
-                    kwargs[k] = _parse_value(types[k], v)
+                    kwargs[k], lines[k] = _parse_value(types[k], v), lineno
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
+        if "seed" in kwargs and kwargs.get("episodes", 0) <= 0:
+            raise ValueError(f"{path}:{lines['seed']}: key 'seed' needs episodes > 0")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
         return cls(**kwargs)
 
     def meta(self, kind: str) -> dict:
-        """Output metadata of a sweep of this kind: every field, lists
-        comma-joined, in the canonical config string."""
+        """Output metadata of a sweep of this kind: each set field the kind
+        reads, lists comma-joined, in a config string that runs it again as
+        a config file; so `seed` only when it draws Monte Carlo."""
         return run_meta(f"sweep:{kind}", {k: ",".join(map(repr, v)) if isinstance(v, list) else v
-                                          for k, v in asdict(self).items()})
+                                          for k, v in asdict(self).items()
+                                          if v is not None and k not in KINDS[kind][1]})
 
 
 def _parse_value(tp, text: str):

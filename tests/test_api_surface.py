@@ -50,6 +50,12 @@ PACKAGE = ROOT / "src" / "symbandit"
 
 # public names whose only caller in the program is the benchmark harness
 BENCH_ONLY = {
+    "dp.regret_value": "the exact-ladder pass times it on its ladder of horizons, and the "
+                       "reference values of cli-session and mc-episodes read it; `verify` "
+                       "reads `dp.values`",
+    "dp.pseudoregret_value": "as `dp.regret_value`, for the pseudoregret",
+    "dp.value_trace": "the exact-ladder pass times it and its gate holds the origin row to "
+                      "the one-horizon values; `verify` iterates `dp.trace_rows`",
     "env.play_episode": "the cli-session probe times 200 one-seed episodes; "
                         "`simulate --audit` plays its episodes through `play_episodes`",
     "env.EpisodeLog.from_line": "the cli-session gate reads back the audit JSONL; "

@@ -21,6 +21,27 @@ def readme_configs():
     return re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
 
 
+def config_of(path):
+    """The kind and the `key = value` config file that a sweep CSV's config line spells."""
+    command, *pairs = read_csv(path)[0]["config"].split(" ")
+    return command.removeprefix("sweep:"), "".join(
+        f"{key} = {value}\n" for key, value in (pair.split("=", 1) for pair in pairs))
+
+
+# (kind, config) of README's sweeps, of tests/golden/sweep_mc.csv, of the
+# benchmark's cli-session sweep and of a Monte Carlo sweep left to seed 0
+ROUND_TRIP = [
+    *(pytest.param("error-scaling" if "error_scaling" in block else "convergence", block,
+                   id=block.partition("\n")[0].lstrip("# ")) for block in readme_configs()),
+    pytest.param("convergence", "regime = medium\nT_list = 16, 64\ngamma = 0.707\nseed = 5\n"
+                 "episodes = 1200\n", id="golden sweep_mc"),
+    pytest.param("convergence", "regime = medium\nT_list = 1000,2000,4000\n"
+                 "gamma = 1.0731963298434542\n", id="cli-session"),
+    pytest.param("convergence", "regime = large\nT_list = 64\npower = 0.3\nepisodes = 300\n",
+                 id="no seed"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -258,6 +279,7 @@ class TestSweep:
             "gamma = 0.707\n"
             "branch = C1\n"
             "seed = 5\n"
+            "episodes = 200\n"
         )
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, "sweep", "--config", str(cfg), "--out", str(out1))[0] == 0
@@ -391,6 +413,43 @@ class TestSweep:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert err.startswith("error: ") and str(cfg) in err
+
+    @pytest.mark.parametrize("kind,text", ROUND_TRIP)
+    def test_config_line_runs_the_sweep_again(self, capsys, tmp_path, kind, text):
+        cfg, first, second = tmp_path / "sweep.cfg", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(text)
+        assert run(capsys, "sweep", "--kind", kind, "--config", str(cfg),
+                   "--out", str(first))[0] == 0
+        kind_read, cfg_text = config_of(first)
+        assert kind_read == kind
+        cfg.write_text(cfg_text)
+        code, _, err = run(capsys, "sweep", "--kind", kind, "--config", str(cfg),
+                           "--out", str(second))
+        assert code == 0, err
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("episodes", ["", "episodes = 0\n"],
+                             ids=["no episodes", "episodes 0"])
+    def test_seed_without_monte_carlo_is_refused(self, capsys, tmp_path, episodes):
+        # an exact-only sweep draws no random number, so it reads no seed
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(f"regime = medium\nT_list = 16, 64\ngamma = 0.707\nseed = 3\n{episodes}")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert f"{cfg}:4: key 'seed' needs episodes > 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["error_scaling_C1.cfg", "convergence_regret.cfg"])
+    def test_a_sweep_without_monte_carlo_records_no_seed(self, capsys, tmp_path, name):
+        cfg, out = tmp_path / name, tmp_path / "sweep.csv"
+        cfg.write_text(next(block for block in readme_configs()
+                            if block.startswith(f"# {name}\n")))
+        kind = "error-scaling" if name.startswith("error_scaling") else "convergence"
+        assert run(capsys, "sweep", "--kind", kind, "--config", str(cfg),
+                   "--out", str(out))[0] == 0
+        keys = {line.partition(" = ")[0] for line in config_of(out)[1].splitlines()}
+        assert "seed" not in read_csv(out)[0] and "seed" not in keys
+        assert ("episodes" in keys) == (kind == "convergence")
 
     def test_readme_configs_parse(self, tmp_path):
         blocks = readme_configs()

@@ -110,6 +110,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(regime="medium", T_list=[4], gamma=2.5)  # eps = 1.25
 
+    def test_seed_is_set_exactly_with_monte_carlo(self):
+        with pytest.raises(ValueError, match="a seed is read only by a Monte Carlo sweep"):
+            SweepSpec(regime="medium", T_list=[16], gamma=0.7, seed=3)
+        assert SweepSpec(regime="medium", T_list=[16], gamma=0.7, episodes=100).seed == 0
+        exact = SweepSpec(regime="medium", T_list=[16], gamma=0.7)
+        assert exact.seed is None and "seed" not in exact.meta("convergence")
+        assert exact.meta("convergence")["config"] == (
+            "sweep:convergence T_list=16 branch=C1 episodes=0 gamma=0.7 regime=medium")
+
     def test_cells(self):
         spec = SweepSpec(regime="medium", T_list=[100, 400], gamma=0.8)
         assert spec.cells() == [(100, 0.08), (400, 0.04)]

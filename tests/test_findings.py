@@ -6,6 +6,8 @@ so an edit to either the bullet or the program's numbers fails.
 
 import math
 import re
+import statistics
+from fractions import Fraction
 from pathlib import Path
 
 from symbandit import dp, pde
@@ -64,3 +66,85 @@ def test_second_order_term_of_the_regret():
     for T in (int(float(h)) for h in horizons):
         v = dp.values(T, gamma / math.sqrt(T))[0]
         assert agrees(math.sqrt(T) * (v - pde.prefactor_c(gamma) * math.sqrt(T)), printed), T
+
+
+def test_regret_prefactor_maximizer():
+    text = finding("The regret prefactor `c(gamma)` peaks")
+    pattern = (rf"at `gamma\* = {NUMBER}` with value `{NUMBER}` \(3 decimals: {NUMBER}, "
+               rf"{NUMBER}\).* within {NUMBER} of 40-digit values \({NUMBER}, {NUMBER}\)")
+    gstar, value, g3, c3, tol, *roots = re.search(pattern, text).groups()
+    g, c = pde.maximize_prefactor("c")
+    assert agrees(g, gstar) and agrees(c, value)
+    assert f"{g:.3f}" == g3 and f"{c:.3f}" == c3
+    for which, printed in zip(("c", "c_bar"), roots):
+        # the printed digits are the 40-digit root rounded, within half their last place
+        half_place = 0.5 * 10.0 ** -len(printed.split(".")[1])
+        assert abs(pde.maximize_prefactor(which)[0] - float(printed)) <= float(tol) - half_place
+
+
+def _c_bar_slope(g):
+    """README's derivative of cbar, written out as README prints it."""
+    return (1 - (1 + 1 / g**2) * math.erf(g / math.sqrt(2))
+            + math.sqrt(2 / math.pi) * math.exp(-g**2 / 2) / g)
+
+
+def test_pseudoregret_prefactor_maximizer():
+    text = finding("The pseudoregret prefactor `cbar(gamma)")
+    pattern = (rf"peaks at \*\*`gamma\* = {NUMBER}`\*\* \(value `{NUMBER}`, i.e. {NUMBER} to "
+               rf"3 decimals\)\. The often-quoted maximizer {NUMBER} .* clearly negative "
+               rf"\(-{NUMBER}\) at {NUMBER}\. .* at `T = (\d+)` confirms the discrete maximum "
+               rf"sits near {NUMBER}, not {NUMBER}\.")
+    gstar, value, c3, quoted, slope, at, T, near, not_at = re.search(pattern, text).groups()
+    g, c = pde.maximize_prefactor("c_bar")
+    assert agrees(g, gstar) and agrees(c, value) and f"{c:.3f}" == c3
+    assert quoted == at == not_at and agrees(-_c_bar_slope(float(at)), slope)
+    assert _c_bar_slope(float(gstar)) < 1e-6 and f"{g:.3f}" == near
+    T = int(T)
+    vbar_near, vbar_quoted = (dp.values(T, float(x) / math.sqrt(T))[1] for x in (near, at))
+    assert vbar_near > vbar_quoted
+
+
+def test_convergence_slopes_at_fixed_gamma():
+    text = finding("At fixed `gamma`, the normalized deviation")
+    pattern = (rf"at `gamma = {NUMBER}` on criterion 3's horizons `T` = ([0-9, ]+) and (\d+), "
+               rf"their least-squares log-log slopes are -{NUMBER} and -{NUMBER}\.")
+    gamma, horizons, last, dev_slope, gap_slope = re.search(pattern, text).groups()
+    gamma, Ts = float(gamma), [int(T) for T in [*horizons.split(","), last]]
+    devs, gaps = [], []
+    for T in Ts:
+        eps = gamma / math.sqrt(T)
+        v = dp.values(T, eps)[0]
+        devs.append(abs(v / math.sqrt(T) - pde.prefactor_c(gamma)))
+        gaps.append(abs(pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.c1(eps)) - v))
+    logs = [math.log(T) for T in Ts]
+    for ys, printed in ((devs, dev_slope), (gaps, gap_slope)):
+        slope = statistics.linear_regression(logs, [math.log(y) for y in ys]).slope
+        assert agrees(-slope, printed), printed
+
+
+def test_c0_against_c1_at_the_largest_horizon():
+    text = finding("Deep in the large-gap regime")
+    pattern = (rf"\(at `T = (\d+)`: {NUMBER} vs {NUMBER} at `eps = {NUMBER}`, "
+               rf"{NUMBER} vs {NUMBER} at `eps = {NUMBER}`,")
+    T, *cells = re.search(pattern, text).groups()
+    T = int(T)
+    for c0, c1, eps in (cells[:3], cells[3:]):
+        eps = float(eps)
+        v = dp.values(T, eps)[0]
+        for branch, printed in (("C0", c0), ("C1", c1)):
+            u = pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.make(branch, eps))
+            assert agrees(abs(u - v), printed), (branch, eps)
+
+
+def test_small_and_large_gap_limits_at_one_horizon():
+    text = finding("Small-gap pseudoregret")
+    pattern = (rf"`vbar/\(eps T\) = {NUMBER}` at `T = {NUMBER}`, `eps = T\^\(-([0-9./]+)\)`; "
+               rf"large-gap regret: `eps \* v = {NUMBER}` at `T = {NUMBER}`, "
+               rf"`eps = T\^\(-([0-9./]+)\)`")
+    small, T_small, p_small, large, T_large, p_large = re.search(pattern, text).groups()
+    T = int(float(T_small))
+    eps = T ** -float(Fraction(p_small))
+    assert agrees(dp.values(T, eps)[1] / (eps * T), small)
+    T = int(float(T_large))
+    eps = T ** -float(Fraction(p_large))
+    assert agrees(eps * dp.values(T, eps)[0], large)
