@@ -1,6 +1,6 @@
 """Symmetric two-armed Bernoulli bandit: exact minimax regret and
-pseudoregret by backward induction, closed-form parabolic approximations,
-and a reproducible experiment harness.
+pseudoregret from closed-form sums and one O(T) pass, closed-form
+parabolic approximations, and a reproducible experiment harness.
 
 Import what you need from the submodules: `core`, `dp`, `env`,
 `experiments`, `pde`, `strategy` and `cli`.

@@ -69,8 +69,6 @@ def _cmd_dp(args) -> int:
 def _cmd_pde(args) -> int:
     T = args.T
     eps = _resolve_eps(args, T)
-    if eps <= 0.0:
-        raise ValueError("closed-form branches need eps > 0; pass --eps or --gamma > 0")
     for flag, x in (("--eta", args.eta), ("--xi-h", args.xi_h), ("--xi-r", args.xi_r),
                     ("--s2", args.s2)):
         if not math.isfinite(x):
@@ -108,8 +106,7 @@ def _make_strategy(name: str):
     if name == "uniform":
         return UniformStrategy()
     if name.startswith("table:"):
-        with open(name[len("table:"):]) as fh:
-            return TabularStrategy.from_text(fh.read())
+        return TabularStrategy.from_file(name[len("table:"):])
     raise ValueError(f"unknown strategy {name!r}; use myopic, uniform or table:PATH")
 
 
@@ -171,6 +168,8 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _parse_grid(text: str) -> list[float]:
+    from decimal import Decimal
+
     try:
         a, b, s = (float(x) for x in text.split(":"))
     except ValueError:
@@ -181,10 +180,9 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid must satisfy start <= stop, step > 0, got {text!r}")
     if (b - a) / s >= _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    n = int(round((b - a) / s)) + 1
-    if (n > 1 and s < 1e-12) or round(a, 12) == 0 < a:
-        raise ValueError(f"grid {text!r} is finer than the 12 decimals its points are rounded to")
-    return [round(a + i * s, 12) for i in range(n) if a + i * s <= b + 1e-12]
+    # the points start + i*step <= stop in exact decimals, each rounded once
+    a, b, s = map(Decimal, text.split(":"))
+    return [float(a + i * s) for i in range(int((b - a) // s) + 1)]
 
 
 def _cmd_figure(args) -> int:

@@ -185,7 +185,7 @@ class SweepSpec:
         if self.episodes and self.seed is None:
             self.seed = 0
         if self.seed is not None and not self.episodes:
-            raise ValueError("a seed is read only by a Monte Carlo sweep; set episodes > 0")
+            raise ValueError("seed is read only by a Monte Carlo sweep; set episodes > 0")
         if (self.seed or 0) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for T in self.T_list:  # the horizon first: cells() divides by T or raises it
@@ -205,12 +205,12 @@ class SweepSpec:
         """Key = value file -> SweepSpec of a `kind` sweep; '#' starts a comment.
 
         Each key is a field the kind reads, its value parsed by the field's
-        type; a list takes comma-separated items; `seed` is read only with
-        `episodes` > 0. Errors name the file and line.
+        type; a list takes comma-separated items. Every refusal names the
+        file, and the line of the key at fault when it is one key's.
         """
         types = typing.get_type_hints(cls)
         keys = [k for k in types if k not in KINDS[kind][1]]
-        kwargs, lines = {}, {}
+        kwargs, places = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
@@ -225,15 +225,16 @@ class SweepSpec:
                 if k in kwargs:
                     raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
                 try:
-                    kwargs[k], lines[k] = _parse_value(types[k], v), lineno
+                    kwargs[k], places[k] = _parse_value(types[k], v), f"{path}:{lineno}"
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
-        if "seed" in kwargs and kwargs.get("episodes", 0) <= 0:
-            raise ValueError(f"{path}:{lines['seed']}: key 'seed' needs episodes > 0")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
-            raise ValueError(f"sweep config is missing keys: {sorted(missing)}")
-        return cls(**kwargs)
+            raise ValueError(f"{path}: sweep config is missing keys: {sorted(missing)}")
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:  # a refusal of one key's value begins with the key
+            raise ValueError(f"{places.get(str(exc).partition(' ')[0], path)}: {exc}") from None
 
     def meta(self, kind: str) -> dict:
         """Output metadata of a sweep of this kind: each set field the kind

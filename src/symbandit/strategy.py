@@ -58,13 +58,8 @@ class TabularStrategy:
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
-        t_min = min((t for t, _ in table), default=0)
-        for (t, x), p in table.items():
-            if t >= 0 or abs(x) > t - t_min:
-                raise ValueError(f"table key ({t}, {x}) is unreachable: a game from "
-                                 f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
+        for _, why in _refusals(table):
+            raise ValueError(why)
         ts = [t for t, _ in table] or [0]
         xs = [x for _, x in table] or [0]
         self._t0, self._x0 = min(ts), min(xs) - 1  # column 0 is the left border
@@ -85,25 +80,38 @@ class TabularStrategy:
         return p1
 
     @classmethod
-    def from_text(cls, text: str) -> "TabularStrategy":
-        table = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 't xi_r p1', got {line!r}")
-            try:
-                key, p1 = (int(parts[0]), int(parts[1])), float(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected integers t and xi_r and a "
-                                 f"number p1, got {line!r}") from None
-            if key in table:
-                raise ValueError(f"line {lineno}: state (t={key[0]}, xi_r={key[1]}) "
-                                 "is listed twice")
-            table[key] = p1
+    def from_file(cls, path) -> "TabularStrategy":
+        """The table of a file, each refusal naming the file and the line at fault."""
+        table, lines = {}, {}
+        with open(path) as fh:
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                try:
+                    t, x, p1 = body.split()
+                    key, p1 = (int(t), int(x)), float(p1)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected integers t and xi_r and a "
+                                     f"number p1, got {line!r}") from None
+                if key in table:
+                    raise ValueError(f"{path}:{lineno}: state (t={key[0]}, xi_r={key[1]}) "
+                                     "is listed twice")
+                table[key], lines[key] = p1, lineno
+        for key, why in _refusals(table):
+            raise ValueError(f"{path}:{lines[key]}: {why}")
         return cls(table)
+
+
+def _refusals(table):
+    """(key, reason) of each entry of a strategy table that no game can use."""
+    t_min = min((t for t, _ in table), default=0)
+    for (t, x), p in table.items():
+        if t >= 0 or abs(x) > t - t_min:
+            yield (t, x), (f"table key ({t}, {x}) is unreachable: a game from "
+                           f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
+        elif not 0.0 <= p <= 1.0:
+            yield (t, x), f"p1 must lie in [0, 1], got {p} at ({t}, {x})"
 
 
 @dataclass(frozen=True)

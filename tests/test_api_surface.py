@@ -1,5 +1,5 @@
 """Four design rules on the names of `symbandit`, three on its command line,
-one on its tests, and one on the imports of both.
+one on its sweep configs, one on its tests, and one on the imports of both.
 
 Every public name has a caller in the program: a public module-level
 function or class, or a public method of one of its classes, must be
@@ -30,6 +30,11 @@ have one reader, `dp.trace_rows`.
 lists of `experiments`, and `--kind` offers exactly the keys of
 `experiments.KINDS`, the one table of what each kind runs and writes.
 
+Every refusal raised in `SweepSpec.__post_init__` begins with the field
+it refuses, so `SweepSpec.from_file` can name that key's line; the few
+rules across keys, which name the file alone, are pinned. A refusal that
+drifted from the convention would lose its line silently.
+
 Every test helper, a `tests/_*.py` module, is imported by a collected
 test module (`tests/test_*.py`), so a retired oracle cannot linger unused.
 
@@ -40,6 +45,7 @@ a route or an oracle that leaned on them would fail where they are not.
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 from symbandit import cli, experiments
@@ -206,6 +212,32 @@ def test_sweep_kinds_are_the_keys_of_the_kind_table():
                    if isinstance(a, argparse._SubParsersAction)]
     (kind,) = [a for a in commands.choices["sweep"]._actions if a.dest == "kind"]
     assert list(kind.choices) == list(experiments.KINDS)
+
+
+# refusals of `SweepSpec.__post_init__` that no one key is at fault for
+ACROSS_KEYS = ("exactly one of gamma, power, eps_list must be set",)
+
+
+def test_every_sweep_spec_refusal_begins_with_its_key():
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    (spec,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SweepSpec"]
+    (post_init,) = [node for node in spec.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    keys = {field.name for field in dataclasses.fields(experiments.SweepSpec)}
+    drifted, across = [], set()
+    for node in ast.walk(post_init):
+        if not isinstance(node, ast.Raise):
+            continue
+        (message,) = node.exc.args
+        head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+        text = head.value if isinstance(head, ast.Constant) else ""
+        if text in ACROSS_KEYS:
+            across.add(text)
+        elif text.partition(" ")[0] not in keys:
+            drifted.append(f"experiments.py:{node.lineno} {text!r}")
+    assert not drifted, "refusals that begin with no key: " + ", ".join(drifted)
+    assert across == set(ACROSS_KEYS)
 
 
 def test_every_test_helper_has_an_importer():

@@ -4,12 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symbandit import dp, pde
-from symbandit.cli import _verify_checks, main
+from symbandit.cli import _parse_grid, _verify_checks, main
 from symbandit.experiments import SweepSpec, read_csv, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +43,14 @@ ROUND_TRIP = [
     pytest.param("convergence", "regime = large\nT_list = 64\npower = 0.3\nepisodes = 300\n",
                  id="no seed"),
 ]
+
+
+def rounded_grid(text):
+    """Reference points of a grid of at most 12 decimals: start + i*step
+    summed in floats, each rounded to 12 decimals, kept up to stop + 1e-12."""
+    a, b, s = (float(x) for x in text.split(":"))
+    n = int(round((b - a) / s)) + 1
+    return [round(a + i * s, 12) for i in range(n) if a + i * s <= b + 1e-12]
 
 
 def run(capsys, *argv):
@@ -183,8 +194,10 @@ class TestPde:
         assert printed["ubar"] == f"{pde.bar_u_total(xi_r, s2, t, cf):.12g}"
 
     def test_zero_gap_rejected(self, capsys):
-        code, _, err = run(capsys, "pde", "--T", "10", "--eps", "0")
-        assert code == 1
+        # refused by the closed form itself, which has no C1 member at eps = 0
+        code, out, err = run(capsys, "pde", "--T", "10", "--eps", "0")
+        assert (code, out) == (1, "")
+        assert "C1 branch needs eps > 0, got 0.0" in err
 
     @pytest.mark.parametrize("flag, value", [("--xi-r", "nan"), ("--eta", "inf"),
                                              ("--s2", "nan"), ("--xi-h", "-inf")])
@@ -261,6 +274,20 @@ class TestSimulate:
             assert message in err
             assert not path.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("-2 0 0.5\n-1 1 1.5\n", ":2: p1 must lie in [0, 1], got 1.5 at (-1, 1)"),
+        ("-2 0 0.5\n-1 5 0.5\n", ":2: table key (-1, 5) is unreachable"),
+        ("-2 0 0.5\n-1 1\n", ":2: expected integers t and xi_r and a number p1, got '-1 1'"),
+    ], ids=["p1 above 1", "unreachable key", "two fields"])
+    def test_bad_table_names_its_file_and_line(self, capsys, tmp_path, text, message):
+        table, audit = tmp_path / "strategy.txt", tmp_path / "audit.jsonl"
+        table.write_text(text)
+        code, out, err = run(capsys, "simulate", "--T", "2", "--eps", "0.2", "--episodes", "5",
+                             "--seed", "2", "--strategy", f"table:{table}", "--audit", str(audit))
+        assert (code, out) == (1, "")
+        assert f"error: {table}{message}" in err
+        assert not audit.exists()
+
     def test_missing_table_file_exits_1(self, capsys, tmp_path):
         table = tmp_path / "absent.txt"
         code, _, err = run(capsys, "simulate", "--T", "3", "--eps", "0.2", "--episodes", "5",
@@ -333,7 +360,10 @@ class TestSweep:
     def test_bad_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for text, message in [
-            ("regime = medium\n", "missing"),  # no T_list
+            ("regime = medium\n", f"{cfg}: sweep config is missing keys: ['T_list']"),
+            # a rule across keys names the file alone
+            ("regime = medium\nT_list = 16\n",
+             f"{cfg}: exactly one of gamma, power, eps_list must be set"),
             # a misspelt key must not quietly drop the Monte Carlo columns
             ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 100\n"
              "replication = 3\n", f"{cfg}:5: unknown key 'replication'"),
@@ -344,27 +374,28 @@ class TestSweep:
              f"{cfg}:4: key 'gamma' is set twice"),
             # a negative episode count must not quietly write no MC columns
             ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = -5\n",
-             "episodes must be >= 0, got -5"),
+             f"{cfg}:4: episodes must be >= 0, got -5"),
             # nor one episode, whose standard error would be written as nan
             ("regime = medium\nT_list = 16\ngamma = 0.7\nepisodes = 1\n",
-             "episodes must be 0 (no Monte Carlo) or >= 2 for a standard error, got 1"),
+             f"{cfg}:4: episodes must be 0 (no Monte Carlo) or >= 2 for a standard error, "
+             "got 1"),
             # each cell makes one estimate: a replication count is an unknown key
             ("regime = medium\nT_list = 16\ngamma = 0.7\nreplications = 3\n",
              f"{cfg}:4: unknown key 'replications'"),
             # refused before any cell is computed, and named
             ("regime = medium\nT_list = 16\ngamma = 0.7\nseed = -3\nepisodes = 10\n",
-             "seed must be >= 0, got -3"),
+             f"{cfg}:4: seed must be >= 0, got -3"),
             ("regime = medium\nT_list =\ngamma = 0.7\n",
-             "T_list must be nonempty and strictly ascending, got []"),
+             f"{cfg}:2: T_list must be nonempty and strictly ascending, got []"),
             ("regime = medium\nT_list = 64, 16\ngamma = 0.7\n",
-             "T_list must be nonempty and strictly ascending, got [64, 16]"),
+             f"{cfg}:2: T_list must be nonempty and strictly ascending, got [64, 16]"),
             # a repeated horizon would write its cell, and draw its estimate, twice
             ("regime = medium\nT_list = 100, 100\ngamma = 0.7\n",
-             "T_list must be nonempty and strictly ascending, got [100, 100]"),
+             f"{cfg}:2: T_list must be nonempty and strictly ascending, got [100, 100]"),
             ("regime = tiny\nT_list = 16\ngamma = 0.7\n",
-             "regime must be small/medium/large, got 'tiny'"),
+             f"{cfg}:1: regime must be small/medium/large, got 'tiny'"),
             ("regime = medium\nT_list = 16\ngamma = 0.7\nbranch = C2\n",
-             "branch must be C1 or C0, got 'C2'"),
+             f"{cfg}:4: branch must be C1 or C0, got 'C2'"),
             ("regime = medium\nT_list 16\n", f"{cfg}:2: expected 'key = value'"),
         ]:
             cfg.write_text(text)
@@ -394,7 +425,7 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg), "--kind", kind,
                            "--out", str(out))
         assert code == 1
-        assert "eps_list must be nonempty" in err
+        assert f"{cfg}:3: eps_list must be nonempty" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", ["gamma = 0.4", "power = 0.3"])
@@ -405,7 +436,7 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg),
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "horizon must be a positive integer, got 0" in err
+        assert f"{cfg}: horizon must be a positive integer, got 0" in err
 
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "absent.cfg"
@@ -436,7 +467,7 @@ class TestSweep:
         cfg.write_text(f"regime = medium\nT_list = 16, 64\ngamma = 0.707\nseed = 3\n{episodes}")
         code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
         assert code == 1
-        assert f"{cfg}:4: key 'seed' needs episodes > 0" in err
+        assert f"{cfg}:4: seed is read only by a Monte Carlo sweep; set episodes > 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["error_scaling_C1.cfg", "convergence_regret.cfg"])
@@ -486,15 +517,48 @@ class TestFigure:
             # about 9e299 points: refused before the list is built
             ("0.1:1:1e-300", "has more than 100000 points"),
             ("2:1:0.1", "grid must satisfy start <= stop, step > 0"),
-            # points are rounded to 12 decimals: 101 rows of 2 distinct gammas,
-            # and a positive start written as 0
-            ("1:1.000000000001:1e-14", "is finer than the 12 decimals"),
-            ("4e-13:0.01:0.001", "is finer than the 12 decimals"),
         ]:
             code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
             assert code == 1
             assert message in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("grid, rows, first", [
+        # finer than 12 decimals, every point distinct and the start not 0
+        ("1:1.000000000001:1e-14", 101, "1.0"),
+        ("4e-13:0.01:0.001", 10, "4e-13"),
+    ])
+    def test_points_finer_than_12_decimals(self, capsys, tmp_path, grid, rows, first):
+        out = tmp_path / "figure.csv"
+        assert run(capsys, "figure", "--grid", grid, "--out", str(out))[0] == 0
+        gammas = [row["gamma"] for row in read_csv(out)[1]]
+        assert len(set(gammas)) == len(gammas) == rows
+        assert gammas[0] == first
+
+    def test_no_point_past_stop(self):
+        # 5.0 lies 1e-12 past stop
+        assert _parse_grid("0.5:4.999999999999:0.5") == [0.5 * i for i in range(1, 10)]
+
+    @pytest.mark.parametrize("grid", ["0.01:5:0.01", "0.1:5:0.1", "0.5:2:0.5", "1e-3:1:1e-3"])
+    def test_points_of_the_documented_grids(self, grid):
+        assert _parse_grid(grid) == rounded_grid(grid)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_points_equal_the_rounded_float_sum(self, data):
+        # grids of at most 12 decimals in the gamma domain, up to 2001 points
+        digits = data.draw(st.integers(0, 12), label="digits")
+        unit = 10**digits
+        start = data.draw(st.integers(0, 5 * unit - 1), label="start")
+        count = data.draw(st.integers(0, 2000), label="count")
+        step = data.draw(st.integers(1, max(1, (5 * unit - start) // max(count, 1))),
+                         label="step")
+        rest = data.draw(st.integers(0, step - 1), label="rest")
+        # a next point 1e-12 past stop is the one the tolerance kept
+        assume(rest == 0 or (step - rest) * 10 ** (12 - digits) > 1)
+        grid = ":".join(format(Decimal(x).scaleb(-digits), "f")
+                        for x in (start, start + count * step + rest, step))
+        assert _parse_grid(grid) == rounded_grid(grid)
 
 
 class TestVerify:

@@ -111,7 +111,7 @@ class TestSweepSpec:
             SweepSpec(regime="medium", T_list=[4], gamma=2.5)  # eps = 1.25
 
     def test_seed_is_set_exactly_with_monte_carlo(self):
-        with pytest.raises(ValueError, match="a seed is read only by a Monte Carlo sweep"):
+        with pytest.raises(ValueError, match="^seed is read only by a Monte Carlo sweep"):
             SweepSpec(regime="medium", T_list=[16], gamma=0.7, seed=3)
         assert SweepSpec(regime="medium", T_list=[16], gamma=0.7, episodes=100).seed == 0
         exact = SweepSpec(regime="medium", T_list=[16], gamma=0.7)

@@ -136,6 +136,19 @@ def test_c0_against_c1_at_the_largest_horizon():
             assert agrees(abs(u - v), printed), (branch, eps)
 
 
+def test_c0_differs_more_than_c1_on_every_cell_measured():
+    text = finding("Deep in the large-gap regime")
+    pattern = r"on every cell measured: `T` ∈ \{([0-9, ]+)\} × `eps` ∈ \{([0-9., ]+)\}"
+    horizons, gaps = re.search(pattern, text).groups()
+    cells = [(int(T), float(eps)) for T in horizons.split(",") for eps in gaps.split(",")]
+    assert len(cells) == 27
+    for T, eps in cells:
+        v = dp.values(T, eps)[0]
+        c0, c1 = (abs(pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.make(branch, eps)) - v)
+                  for branch in ("C0", "C1"))
+        assert c0 > c1, (T, eps)
+
+
 def test_small_and_large_gap_limits_at_one_horizon():
     text = finding("Small-gap pseudoregret")
     pattern = (rf"`vbar/\(eps T\) = {NUMBER}` at `T = {NUMBER}`, `eps = T\^\(-([0-9./]+)\)`; "

@@ -148,7 +148,7 @@ def test_simulate_table_golden_against_exact_values():
     # v 2.5159919291, at z = +1.14 and -1.26)
     gold = json.loads((GOLDEN / "simulate_table.json").read_text())
     T, eps = 8, 0.3
-    table = TabularStrategy.from_text(TABLE.read_text())
+    table = TabularStrategy.from_file(TABLE)
     vbar = 0.0
     for k, law in enumerate(dp.walk_law(T, (1 + eps) / 2)):
         x = np.arange(-k, k + 1, 2)

@@ -89,13 +89,15 @@ class TestLikelihoodRatio:
 
 
 class TestTabular:
-    def test_from_text(self):
-        text = "# t xi_r p1\n-2 0 0.5\n-1 1 1.0  # sure\n\n-1 -1 0.25\n"
-        s = TabularStrategy.from_text(text)
+    def test_from_text(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("# t xi_r p1\n-2 0 0.5\n-1 1 1.0  # sure\n\n-1 -1 0.25\n")
+        s = TabularStrategy.from_file(path)
         assert s.p1_batch(-2, np.array([0])).tolist() == [0.5]
         assert s.p1_batch(-1, np.array([1, -1, 1])).tolist() == [1.0, 0.25, 1.0]
-        with pytest.raises(ValueError, match="line 2"):
-            TabularStrategy.from_text("-2 0 0.5\n-1 1\n")
+        path.write_text("-2 0 0.5\n-1 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            TabularStrategy.from_file(path)
 
     @pytest.mark.parametrize("text, message", [
         ("-2 0 0.5\n-1.5 1 1.0\n", "line 2: expected integers t and xi_r"),
@@ -105,9 +107,12 @@ class TestTabular:
         ("-2 0 0.5\n-1 1 1.0\n# again\n-1 1 0.0\n",
          "line 4: state (t=-1, xi_r=1) is listed twice"),
     ])
-    def test_malformed_line_is_named(self, text, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            TabularStrategy.from_text(text)
+    def test_malformed_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        lineno, reason = message.removeprefix("line ").split(": ", 1)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {reason}")):
+            TabularStrategy.from_file(path)
 
     # the table's keys span t in [-4, -1] and xi_r in [-1, 3], all reachable
     # from t = -4, with a hole at (-1, 1), t = -4 and -2 holding only
