@@ -171,18 +171,20 @@ def _parse_grid(text: str) -> list[float]:
     from decimal import Decimal
 
     try:
-        a, b, s = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ValueError(f"grid must be start:stop:step, got {text!r}")
-    if not all(map(math.isfinite, (a, b, s))):
+        a, b, s = map(Decimal, text.split(":"))
+    except (ValueError, ArithmeticError):  # Decimal refuses a non-number by InvalidOperation
+        raise ValueError(f"grid must be start:stop:step, got {text!r}") from None
+    if not all(x.is_finite() and math.isfinite(float(x)) for x in (a, b, s)):
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if s <= 0 or b < a:
         raise ValueError(f"grid must satisfy start <= stop, step > 0, got {text!r}")
-    if (b - a) / s >= _MAX_GRID_POINTS:
+    if b - a >= _MAX_GRID_POINTS * s:  # a product, which no tiny step can overflow
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     # the points start + i*step <= stop in exact decimals, each rounded once
-    a, b, s = map(Decimal, text.split(":"))
-    return [float(a + i * s) for i in range(int((b - a) // s) + 1)]
+    grid = [float(a + i * s) for i in range(int((b - a) // s) + 1)]
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"grid {text!r} has points closer than a float can tell apart")
+    return grid
 
 
 def _cmd_figure(args) -> int:

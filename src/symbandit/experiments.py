@@ -174,7 +174,7 @@ class SweepSpec:
         if rules != 1:
             raise ValueError("exactly one of gamma, power, eps_list must be set")
         if self.eps_list is not None and len(self.T_list) != 1:
-            raise ValueError("eps_list mode requires a single horizon in T_list")
+            raise ValueError("an eps_list sweep requires a single horizon in T_list")
         if self.eps_list == []:
             raise ValueError("eps_list must be nonempty")
         if self.episodes < 0:

@@ -58,8 +58,13 @@ class TabularStrategy:
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
-        for _, why in _refusals(table):
-            raise ValueError(why)
+        t_min = min((t for t, _ in table), default=0)
+        for (t, x), p in table.items():
+            if t >= 0 or abs(x) > t - t_min:
+                raise ValueError(f"table key ({t}, {x}) is unreachable: a game from "
+                                 f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
         ts = [t for t, _ in table] or [0]
         xs = [x for _, x in table] or [0]
         self._t0, self._x0 = min(ts), min(xs) - 1  # column 0 is the left border
@@ -81,8 +86,7 @@ class TabularStrategy:
 
     @classmethod
     def from_file(cls, path) -> "TabularStrategy":
-        """The table of a file, each refusal naming the file and the line at fault."""
-        table, lines = {}, {}
+        table = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh.read().splitlines(), 1):
                 body = line.split("#", 1)[0].strip()
@@ -97,21 +101,11 @@ class TabularStrategy:
                 if key in table:
                     raise ValueError(f"{path}:{lineno}: state (t={key[0]}, xi_r={key[1]}) "
                                      "is listed twice")
-                table[key], lines[key] = p1, lineno
-        for key, why in _refusals(table):
-            raise ValueError(f"{path}:{lines[key]}: {why}")
-        return cls(table)
-
-
-def _refusals(table):
-    """(key, reason) of each entry of a strategy table that no game can use."""
-    t_min = min((t for t, _ in table), default=0)
-    for (t, x), p in table.items():
-        if t >= 0 or abs(x) > t - t_min:
-            yield (t, x), (f"table key ({t}, {x}) is unreachable: a game from "
-                           f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
-        elif not 0.0 <= p <= 1.0:
-            yield (t, x), f"p1 must lie in [0, 1], got {p} at ({t}, {x})"
+                table[key] = p1
+        try:
+            return cls(table)
+        except ValueError as exc:  # an entry's refusal names its key (t, xi_r)
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ lists of `experiments`, and `--kind` offers exactly the keys of
 
 Every refusal raised in `SweepSpec.__post_init__` begins with the field
 it refuses, so `SweepSpec.from_file` can name that key's line; the few
-rules across keys, which name the file alone, are pinned. A refusal that
+rules across keys, which name the file alone, are pinned, and none of
+them begins with a field. A refusal that
 drifted from the convention would lose its line silently.
 
 Every test helper, a `tests/_*.py` module, is imported by a collected
@@ -215,7 +216,8 @@ def test_sweep_kinds_are_the_keys_of_the_kind_table():
 
 
 # refusals of `SweepSpec.__post_init__` that no one key is at fault for
-ACROSS_KEYS = ("exactly one of gamma, power, eps_list must be set",)
+ACROSS_KEYS = ("exactly one of gamma, power, eps_list must be set",
+               "an eps_list sweep requires a single horizon in T_list")
 
 
 def test_every_sweep_spec_refusal_begins_with_its_key():
@@ -225,6 +227,8 @@ def test_every_sweep_spec_refusal_begins_with_its_key():
     (post_init,) = [node for node in spec.body
                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
     keys = {field.name for field in dataclasses.fields(experiments.SweepSpec)}
+    # a rule across keys names the file alone, so it begins with no key
+    assert not [text for text in ACROSS_KEYS if text.partition(" ")[0] in keys]
     drifted, across = [], set()
     for node in ast.walk(post_init):
         if not isinstance(node, ast.Raise):

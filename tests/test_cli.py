@@ -275,11 +275,12 @@ class TestSimulate:
             assert not path.exists()
 
     @pytest.mark.parametrize("text, message", [
-        ("-2 0 0.5\n-1 1 1.5\n", ":2: p1 must lie in [0, 1], got 1.5 at (-1, 1)"),
-        ("-2 0 0.5\n-1 5 0.5\n", ":2: table key (-1, 5) is unreachable"),
+        # an entry's refusal names the file and the entry's key, a line's the line
+        ("-2 0 0.5\n-1 1 1.5\n", ": p1 must lie in [0, 1], got 1.5 at (-1, 1)"),
+        ("-2 0 0.5\n-1 5 0.5\n", ": table key (-1, 5) is unreachable"),
         ("-2 0 0.5\n-1 1\n", ":2: expected integers t and xi_r and a number p1, got '-1 1'"),
     ], ids=["p1 above 1", "unreachable key", "two fields"])
-    def test_bad_table_names_its_file_and_line(self, capsys, tmp_path, text, message):
+    def test_bad_table_names_its_file(self, capsys, tmp_path, text, message):
         table, audit = tmp_path / "strategy.txt", tmp_path / "audit.jsonl"
         table.write_text(text)
         code, out, err = run(capsys, "simulate", "--T", "2", "--eps", "0.2", "--episodes", "5",
@@ -514,8 +515,17 @@ class TestFigure:
             ("nope", "grid must be start:stop:step"),
             ("0.1:inf:0.1", "grid bounds and step must be finite"),
             ("nan:1:0.1", "grid bounds and step must be finite"),
+            ("abc:1:0.1", "grid must be start:stop:step"),
+            ("snan:1:0.1", "grid bounds and step must be finite"),
+            # finite decimals whose float is inf
+            ("0:1e400:1e399", "grid bounds and step must be finite"),
             # about 9e299 points: refused before the list is built
             ("0.1:1:1e-300", "has more than 100000 points"),
+            # start and stop are one float, but 1e10 and 1e40 exact-decimal points
+            ("1:1.00000000000000000001:1e-30", "has more than 100000 points"),
+            ("1:1.00000000000000000001:1e-60", "has more than 100000 points"),
+            # 10,001 exact decimals within 1e-14 of 1, about 45 to a float
+            ("1:1.00000000000001:1e-18", "has points closer than a float can tell apart"),
             ("2:1:0.1", "grid must satisfy start <= stop, step > 0"),
         ]:
             code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
