@@ -89,7 +89,7 @@ def _cmd_pde(args) -> int:
 
 def _cmd_prefactor(args) -> int:
     if args.gamma is not None:
-        f = pde.prefactor_c if args.which == "c" else pde.prefactor_c_bar
+        f, _ = pde.PREFACTORS[args.which]
         print(f"{args.which}({_fmt(args.gamma, args.round3)}) = {_fmt(f(args.gamma), args.round3)}")
         return 0
     gstar, val = pde.maximize_prefactor(args.which)
@@ -155,7 +155,10 @@ def _cmd_sweep(args) -> int:
 
     spec = experiments.SweepSpec.from_file(args.config, args.kind)
     run, _ = experiments.KINDS[args.kind]
-    columns, rows, header, summary = run(spec)
+    try:
+        columns, rows, header, summary = run(spec)
+    except ValueError as exc:  # a kind's own refusals of the config name its file too
+        raise ValueError(f"{args.config}: {exc}") from None
     experiments.write_csv(args.out, columns, rows, spec.meta(args.kind) | header)
     print(*summary, f"{len(rows)} rows written to {args.out}", sep="\n")
     return 0
@@ -165,10 +168,11 @@ def _cmd_sweep(args) -> int:
 # 1e5 points, a step of 5e-5 across the whole gamma domain (0, 5], take
 # about 25 MB and 0.3 s. Finer grids are refused before the list is built.
 _MAX_GRID_POINTS = 100_000
+_GRID_DIGITS = 100  # significant digits of a grid point, exact up to this many
 
 
 def _parse_grid(text: str) -> list[float]:
-    from decimal import Decimal
+    from decimal import Context, Decimal, Inexact, localcontext
 
     try:
         a, b, s = map(Decimal, text.split(":"))
@@ -178,10 +182,14 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if s <= 0 or b < a:
         raise ValueError(f"grid must satisfy start <= stop, step > 0, got {text!r}")
-    if b - a >= _MAX_GRID_POINTS * s:  # a product, which no tiny step can overflow
-        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     # the points start + i*step <= stop in exact decimals, each rounded once
-    grid = [float(a + i * s) for i in range(int((b - a) // s) + 1)]
+    with localcontext(Context(prec=_GRID_DIGITS, traps=[Inexact])):
+        try:
+            if b - a >= _MAX_GRID_POINTS * s:  # a product, which no tiny step can overflow
+                raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+            grid = [float(a + i * s) for i in range(int((b - a) // s) + 1)]
+        except Inexact:
+            raise ValueError(f"grid {text!r} needs more than {_GRID_DIGITS} digits") from None
     if len(set(grid)) < len(grid):
         raise ValueError(f"grid {text!r} has points closer than a float can tell apart")
     return grid
@@ -317,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pde)
 
     sp = sub.add_parser("prefactor", help="prefactors c, cbar and their maximizers")
-    sp.add_argument("--which", required=True, choices=("c", "c_bar"))
+    sp.add_argument("--which", required=True, choices=tuple(pde.PREFACTORS))
     sp.add_argument("--gamma", type=float, default=None,
                     help="evaluate at gamma instead of maximizing")
     sp.add_argument("--round3", action="store_true")

@@ -413,27 +413,20 @@ KINDS = {
 # ---------------------------------------------------------------------------
 
 def figure_data(gamma_grid) -> list[dict]:
-    """Rows (gamma, c, cbar) with the rows nearest each maximizer flagged."""
-    grid = [float(g) for g in gamma_grid]
-    if not grid:
-        raise ValueError("gamma grid is empty")
-    for g in grid:
+    """Rows (gamma, c, cbar), one `pde.prefactor_pair` call each, with the
+    row nearest each maximizer of `pde.PREFACTORS` flagged."""
+    rows = []
+    for g in map(float, gamma_grid):
         if not 0.0 < g <= 5.0:
             raise ValueError(f"gamma grid must lie in (0, 5], got {g}")
-    gstar_c, _ = pde.maximize_prefactor("c")
-    gstar_cb, _ = pde.maximize_prefactor("c_bar")
-    i_c = min(range(len(grid)), key=lambda i: abs(grid[i] - gstar_c))
-    i_cb = min(range(len(grid)), key=lambda i: abs(grid[i] - gstar_cb))
-    return [
-        {
-            "gamma": g,
-            "c": pde.prefactor_c(g),
-            "c_bar": pde.prefactor_c_bar(g),
-            "is_max_c": int(i == i_c),
-            "is_max_c_bar": int(i == i_cb),
-        }
-        for i, g in enumerate(grid)
-    ]
+        c, c_bar = pde.prefactor_pair(g)
+        rows.append({"gamma": g, "c": c, "c_bar": c_bar, "is_max_c": 0, "is_max_c_bar": 0})
+    if not rows:
+        raise ValueError("gamma grid is empty")
+    for which in pde.PREFACTORS:
+        gstar, _ = pde.maximize_prefactor(which)
+        min(rows, key=lambda row: abs(row["gamma"] - gstar))[f"is_max_{which}"] = 1
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,8 @@ def bar_pde_residual(
 # Leading-order prefactors and their maximizers
 # ---------------------------------------------------------------------------
 
-def prefactor_c(gamma: float) -> float:
-    """Normalized origin value of the regret solution at gamma = eps sqrt(T).
+def prefactor_pair(gamma: float) -> tuple[float, float]:
+    """(c, cbar) at gamma = eps sqrt(T), c the regret solution's origin value / sqrt(T):
 
     c(gamma) = e^{-g^2}/sqrt(pi) + g erf(g) + (1/g - g) erf(g/sqrt2)
                - sqrt(2/pi) e^{-g^2/2}
@@ -289,7 +289,13 @@ def prefactor_c(gamma: float) -> float:
     small- and large-gamma forms of cbar. The gamma -> 0 limit is
     SMALL_GAP_LIMIT_C.
     """
-    return prefactor_c_bar(gamma) + math.exp(-gamma * gamma) / SQRT_PI - gamma * erfc(gamma)
+    cbar = prefactor_c_bar(gamma)
+    return cbar + math.exp(-gamma * gamma) / SQRT_PI - gamma * erfc(gamma), cbar
+
+
+def prefactor_c(gamma: float) -> float:
+    """c(gamma), the first of `prefactor_pair`."""
+    return prefactor_pair(gamma)[0]
 
 
 def prefactor_c_bar(gamma: float) -> float:
@@ -327,6 +333,10 @@ def _prefactor_c_slope(gamma: float) -> float:
     return _prefactor_c_bar_slope(gamma) - erfc(gamma)
 
 
+PREFACTORS = {"c": (prefactor_c, _prefactor_c_slope),
+              "c_bar": (prefactor_c_bar, _prefactor_c_bar_slope)}
+
+
 def maximize_prefactor(which: str) -> tuple[float, float]:
     """Argmax and max of c or cbar over gamma > 0.
 
@@ -337,12 +347,9 @@ def maximize_prefactor(which: str) -> tuple[float, float]:
     is flat to second order at its peak, so comparing its values could
     place the argmax only to about the square root of its rounding.
     """
-    if which == "c":
-        f, slope = prefactor_c, _prefactor_c_slope
-    elif which == "c_bar":
-        f, slope = prefactor_c_bar, _prefactor_c_bar_slope
-    else:
-        raise ValueError(f"which must be 'c' or 'c_bar', got {which!r}")
+    if which not in PREFACTORS:
+        raise ValueError(f"which must be {' or '.join(map(repr, PREFACTORS))}, got {which!r}")
+    f, slope = PREFACTORS[which]
     lo, hi = 1e-3, 10.0
     if not slope(lo) > 0.0 > slope(hi):
         raise RuntimeError(f"the slope of {which} does not change sign on ({lo}, {hi})")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dp
 from .core import arm_probs, check_game
 
 
@@ -131,6 +130,8 @@ def brute_force_minimax(T: int, eps: float, grid: int) -> BruteForceCertificate:
     player's exact regret v must attain the grid minimum of the worse
     label within one conservative Lipschitz bound (2 * classes / grid).
     """
+    from . import dp
+
     if T > 3:
         raise ValueError(f"brute force search is limited to T <= 3, got {T}")
     if grid < 2:

@@ -1,4 +1,4 @@
-"""Four design rules on the names of `symbandit`, three on its command line,
+"""Four design rules on the names of `symbandit`, four on its command line,
 one on its sweep configs, one on its tests, and one on the imports of both.
 
 Every public name has a caller in the program: a public module-level
@@ -29,6 +29,8 @@ have one reader, `dp.trace_rows`.
 `sweep` holds no sweep kind: `cli` names none of the runners or column
 lists of `experiments`, and `--kind` offers exactly the keys of
 `experiments.KINDS`, the one table of what each kind runs and writes.
+Likewise `prefactor --which` offers exactly the keys of `pde.PREFACTORS`,
+the one table of each prefactor's function and slope.
 
 Every refusal raised in `SweepSpec.__post_init__` begins with the field
 it refuses, so `SweepSpec.from_file` can name that key's line; the few
@@ -49,7 +51,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from symbandit import cli, experiments
+from symbandit import cli, experiments, pde
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "symbandit"
@@ -208,11 +210,19 @@ def test_cli_names_no_sweep_runner_or_column_list():
                         "CONVERGENCE_COLUMNS", "ERROR_SCALING_COLUMNS"}
 
 
-def test_sweep_kinds_are_the_keys_of_the_kind_table():
+def _choices(command, dest):
     (commands,) = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    (kind,) = [a for a in commands.choices["sweep"]._actions if a.dest == "kind"]
-    assert list(kind.choices) == list(experiments.KINDS)
+    (action,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+    return tuple(action.choices)
+
+
+def test_sweep_kinds_are_the_keys_of_the_kind_table():
+    assert _choices("sweep", "kind") == tuple(experiments.KINDS)
+
+
+def test_prefactors_are_the_keys_of_the_prefactor_table():
+    assert _choices("prefactor", "which") == tuple(pde.PREFACTORS)
 
 
 # refusals of `SweepSpec.__post_init__` that no one key is at fault for

@@ -342,7 +342,19 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg),
                            "--kind", "error-scaling", "--out", str(out))
         assert code == 1
-        assert "eps > 0" in err
+        assert f"error: {cfg}: every cell needs eps > 0" in err
+        assert not out.exists()
+
+    def test_error_scaling_refuses_an_undominated_envelope(self, capsys, tmp_path):
+        # at T = 400, gamma 0.7 the C1 term eps^2 T = 0.49 is below eps ln T + 1
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("regime = medium\nT_list = 100, 400\ngamma = 0.7\n")
+        out = tmp_path / "fit.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", str(cfg),
+                                "--kind", "error-scaling", "--out", str(out))
+        assert code == 1
+        assert "slope" not in stdout
+        assert f"error: {cfg}: dominance precondition failed" in err
         assert not out.exists()
 
     def test_error_scaling_refuses_a_constant_predictor(self, capsys, tmp_path):
@@ -355,7 +367,7 @@ class TestSweep:
                                 "--kind", "error-scaling", "--out", str(out))
         assert code == 1
         assert "slope" not in stdout
-        assert "at least two distinct log_predictor values" in err
+        assert f"error: {cfg}: a fit needs at least two distinct log_predictor values" in err
         assert not out.exists()
 
     def test_bad_config_exits_1(self, capsys, tmp_path):
@@ -527,6 +539,8 @@ class TestFigure:
             # 10,001 exact decimals within 1e-14 of 1, about 45 to a float
             ("1:1.00000000000001:1e-18", "has points closer than a float can tell apart"),
             ("2:1:0.1", "grid must satisfy start <= stop, step > 0"),
+            # 1 - 1e-999999999 has a billion digits: refused, not rounded
+            ("1e-999999999:1:0.5", "grid '1e-999999999:1:0.5' needs more than 100 digits"),
         ]:
             code, _, err = run(capsys, "figure", "--grid", grid, "--out", str(out))
             assert code == 1
@@ -537,6 +551,8 @@ class TestFigure:
         # finer than 12 decimals, every point distinct and the start not 0
         ("1:1.000000000001:1e-14", 101, "1.0"),
         ("4e-13:0.01:0.001", 10, "4e-13"),
+        # 1e-30 + 2*0.5 lies past stop, though it rounds to 1 in 28 digits
+        ("1e-30:1:0.5", 2, "1e-30"),
     ])
     def test_points_finer_than_12_decimals(self, capsys, tmp_path, grid, rows, first):
         out = tmp_path / "figure.csv"
@@ -635,6 +651,12 @@ class TestStartup:
         # `dataclasses` pulls in `inspect`, a third of what `cli` takes to import
         argvs = [["pde", "--T", "100", "--gamma", "0.707"], ["prefactor", "--which", "c"]]
         assert modules_loaded_by(argvs, tmp_path, ["dataclasses"], preload=()) == []
+
+    def test_simulate_loads_no_dp(self, tmp_path):
+        # only the brute-force oracle of `strategy` reads `dp`
+        argvs = [["simulate", "--T", "100", "--gamma", "0.9", "--episodes", "1000",
+                  "--seed", "1", "--json"]]
+        assert modules_loaded_by(argvs, tmp_path, ["symbandit.dp"], preload=()) == []
 
     def test_verify_loads_no_strategy(self, tmp_path):
         # the Bayes recursion of `dp` is the certificate; the grid search

@@ -1,11 +1,13 @@
 import concurrent.futures
 import math
+import random
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from symbandit import dp, experiments
+from symbandit import dp, experiments, pde
 from symbandit.cli import main
 from symbandit.experiments import (
     SweepSpec,
@@ -287,6 +289,34 @@ class TestFigureData:
         flagged_cb = next(r for r in rows if r["is_max_c_bar"])
         # measured maximizer of the pseudoregret prefactor formula
         assert abs(flagged_cb["gamma"] - 1.2468587) < 0.011
+
+    @staticmethod
+    def per_gamma_rows(grid):
+        """Rows of per-gamma `prefactor_c` and `prefactor_c_bar` calls, the
+        row nearest each maximizer flagged."""
+        nearest = {}
+        for which in ("c", "c_bar"):
+            gstar, _ = pde.maximize_prefactor(which)
+            nearest[which] = min(range(len(grid)), key=lambda i: abs(grid[i] - gstar))
+        return [{"gamma": g, "c": pde.prefactor_c(g), "c_bar": pde.prefactor_c_bar(g),
+                 "is_max_c": int(i == nearest["c"]), "is_max_c_bar": int(i == nearest["c_bar"])}
+                for i, g in enumerate(grid)]
+
+    @pytest.mark.parametrize("grid", [
+        [float(Decimal("0.01") * i) for i in range(1, 501)],  # the figure's 0.01:5:0.01
+        sorted(random.Random(35).uniform(1e-6, 5.0) for _ in range(2000)),
+    ], ids=["0.01:5:0.01", "random"])
+    def test_rows_equal_per_gamma_prefactor_calls(self, grid):
+        assert figure_data(grid) == self.per_gamma_rows(grid)
+
+    def test_one_prefactor_pair_call_per_gamma(self, monkeypatch):
+        grid = [0.25 * i for i in range(1, 21)]
+        gstar_c, _ = pde.maximize_prefactor("c")
+        calls, pair = [], pde.prefactor_pair
+        monkeypatch.setattr(pde, "prefactor_pair", lambda g: calls.append(g) or pair(g))
+        figure_data(grid)
+        # maximize_prefactor("c") reads c once at its argmax, through the pair
+        assert sorted(calls) == sorted([*grid, gstar_c])
 
     def test_small_gamma_values(self):
         rows = figure_data([0.01])

@@ -122,6 +122,19 @@ def test_convergence_slopes_at_fixed_gamma():
         assert agrees(-slope, printed), printed
 
 
+def test_unit_envelope_is_far_from_tight_at_fixed_gamma():
+    text = finding("At fixed `gamma`, the normalized deviation")
+    gamma = float(re.search(rf"at `gamma = {NUMBER}`", text).group(1))
+    pattern = (rf"`\|u - v\|` is {NUMBER} of `eps\^2 T \+ eps ln T \+ 1` at `T = (\d+)` "
+               rf"and {NUMBER} at `T = (\d+)`")
+    first, T_first, last, T_last = re.search(pattern, text).groups()
+    for printed, T in ((first, int(T_first)), (last, int(T_last))):
+        eps = gamma / math.sqrt(T)
+        v = dp.values(T, eps)[0]
+        u = pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.c1(eps))
+        assert agrees(abs(u - v) / (eps**2 * T + eps * math.log(T) + 1.0), printed), T
+
+
 def test_c0_against_c1_at_the_largest_horizon():
     text = finding("Deep in the large-gap regime")
     pattern = (rf"\(at `T = (\d+)`: {NUMBER} vs {NUMBER} at `eps = {NUMBER}`, "

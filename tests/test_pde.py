@@ -23,6 +23,7 @@ from symbandit.pde import (
     phi_hat,
     prefactor_c,
     prefactor_c_bar,
+    prefactor_pair,
     u_h,
     u_n,
     u_total,
@@ -383,6 +384,14 @@ class TestPrefactors:
     def test_large_gap_limits(self):
         assert abs(50.0 * prefactor_c(50.0) - 1.0) <= 1e-6
         assert abs(50.0 * prefactor_c_bar(50.0) - 1.0) <= 1e-6
+
+    def test_pair_is_c_bar_plus_the_closed_form_terms(self):
+        # bit for bit, c = cbar + e^{-g^2}/sqrt(pi) - g erfc(g) summed left to right
+        for g in np.logspace(-8.0, 1.5, 97):
+            g = float(g)
+            cbar = prefactor_c_bar(g)
+            c = cbar + math.exp(-g * g) / math.sqrt(math.pi) - g * math.erfc(g)
+            assert prefactor_pair(g) == (c, cbar) and prefactor_c(g) == c
 
     @pytest.mark.parametrize("f,oracle", [(prefactor_c_bar, c_bar_oracle),
                                           (prefactor_c, c_oracle)],
