@@ -18,11 +18,11 @@ never the arrays below them. `sweep` writes what its kind's entry of
 config. `simulate --json` writes the fields of `experiments.MCResult` by
 name and `--audit` the logs of `experiments.audit_logs`.
 
-Only the standard library, `core` and `pde` load with this module, which
-imports no numpy itself; each handler imports the layers (`dp`,
-`strategy`), `experiments` and `json` it runs, so `pde`, `prefactor` and
-`figure` start without numpy or `json`. `dp` loads numpy only for
-`--trace`, so `dp` and an exact-only `sweep` start without numpy too.
+Only the standard library, `core` and `pde` load with this module; each
+handler imports the layers (`dp`, `strategy`), `experiments` and `json`
+it runs, so `pde`, `prefactor` and `figure` start without numpy or
+`json`, and `dp` (numpy only for `--trace`) and an exact-only `sweep`
+without numpy. None of the seven commands loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _cmd_simulate(args) -> int:
                 "safe_arm": args.safe_arm,
             })["config"],
             "seed": args.seed,
-            **vars(res),
+            **res._asdict(),
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pde", help="closed forms u, ubar and components")
     add_common(sp)
-    sp.add_argument("--branch", default="C1", choices=("C1", "C0"))
+    sp.add_argument("--branch", default="C1", choices=tuple(pde.BRANCHES))
     sp.add_argument("--eta", type=float, default=0.0)
     sp.add_argument("--xi-h", dest="xi_h", type=float, default=0.0)
     sp.add_argument("--xi-r", dest="xi_r", type=float, default=0.0)

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,8 +144,7 @@ def _ints_in(items, allowed) -> bool:
     return type(items) is list and all(type(x) is int and x in allowed for x in items)
 
 
-@dataclass
-class EpisodeLog:
+class EpisodeLog(NamedTuple):
     """One simulated play-through, serializable one-per-line for audit."""
 
     seed: int
@@ -157,7 +156,7 @@ class EpisodeLog:
     s2: int  # risky-arm pulls
 
     def to_line(self) -> str:
-        return json.dumps(vars(self), separators=(",", ":"))
+        return json.dumps(self._asdict(), separators=(",", ":"))
 
     @classmethod
     def from_line(cls, line: str) -> "EpisodeLog":
@@ -166,7 +165,7 @@ class EpisodeLog:
         number), and the final regret (by `core.terminal_payoff`) and risky
         pulls those that replaying the choices and rewards gives."""
         rec = json.loads(line)
-        keys = [f.name for f in fields(cls)]
+        keys = list(cls._fields)
         if rec.keys() != set(keys):
             raise ValueError(f"audit record keys must be {keys}, got {list(rec)}")
         for key, types in _NUMBER_FIELDS.items():

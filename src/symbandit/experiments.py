@@ -15,15 +15,15 @@ them, and the process pool only when more than one worker has chunks to
 share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
 command) start without numpy, and a serial run without `multiprocessing`.
 An exact-only convergence sweep, and an error-scaling sweep, which fits
-its line with `statistics`, load no numpy.
+its line with `statistics`, load no numpy. The records are named tuples and
+`SPEC_KEYS` parses a config, so no command loads `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-import typing
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, pde
 from .core import check_game, check_gap
@@ -48,13 +48,7 @@ AUDIT = 9999
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MCResult:
-    regret_mean: float
-    regret_se: float
-    pseudo_mean: float
-    pseudo_se: float
-    episodes: int
+MCResult = namedtuple("MCResult", "regret_mean regret_se pseudo_mean pseudo_se episodes")
 
 
 def _mc_chunk(args) -> tuple[float, float, float, float]:
@@ -141,33 +135,35 @@ def audit_logs(strategy, T: int, eps: float, episodes: int, seed: int, safe_arm:
 # Sweep specification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepSpec:
+def _list_of(item):  # comma-separated items, blank ones skipped
+    return lambda text: [item(x) for x in text.split(",") if x.strip()]
+
+
+# Each key of a sweep config, in the field order of `SweepSpec`, and the
+# parser of its value; the first two keys are required.
+SPEC_KEYS = {"regime": str, "T_list": _list_of(int), "gamma": float, "power": float,
+             "eps_list": _list_of(float), "branch": str, "seed": int, "episodes": int}
+
+
+class SweepSpec(namedtuple("SweepSpec", SPEC_KEYS, defaults=(None, None, None, "C1", None, 0))):
     """One sweep: horizons plus exactly one gap rule.
 
     * ``gamma``    -- eps = gamma / sqrt(T)   (medium regime)
     * ``power``    -- eps = T ** -power       (small / large regimes)
     * ``eps_list`` -- explicit grid, requires a single T (branch fits)
 
-    The fields are the keys of a sweep config file (`from_file`) and of
-    the canonical config string of its output (`meta`). ``seed`` is set
-    exactly when ``episodes > 0``, to 0 if not given.
+    The fields are the keys of `SPEC_KEYS`, of a config file (`from_file`)
+    and of the canonical config string of its output (`meta`). ``seed`` is
+    set exactly when ``episodes > 0``, to 0 if not given.
     """
 
-    regime: str
-    T_list: list[int]
-    gamma: float | None = None
-    power: float | None = None
-    eps_list: list[float] | None = None
-    branch: str = "C1"
-    seed: int | None = None
-    episodes: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SweepSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.regime not in ("small", "medium", "large"):
             raise ValueError(f"regime must be small/medium/large, got {self.regime!r}")
-        if self.branch not in ("C1", "C0"):
-            raise ValueError(f"branch must be C1 or C0, got {self.branch!r}")
+        pde.check_branch(self.branch)
         if not self.T_list or any(a >= b for a, b in zip(self.T_list, self.T_list[1:])):
             raise ValueError(f"T_list must be nonempty and strictly ascending, got {self.T_list}")
         rules = sum(x is not None for x in (self.gamma, self.power, self.eps_list))
@@ -183,15 +179,19 @@ class SweepSpec:
             raise ValueError("episodes must be 0 (no Monte Carlo) or >= 2 for a standard "
                              "error, got 1")
         if self.episodes and self.seed is None:
-            self.seed = 0
+            self = self._replace(seed=0)
         if self.seed is not None and not self.episodes:
             raise ValueError("seed is read only by a Monte Carlo sweep; set episodes > 0")
         if (self.seed or 0) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for T in self.T_list:  # the horizon first: cells() divides by T or raises it
-            check_game(T, 0.0)
+            try:
+                check_game(T, 0.0)
+            except ValueError as exc:
+                raise ValueError(f"T_list {exc}") from None
         for T, eps in self.cells():
             check_gap(eps)  # the rule must keep every cell feasible
+        return self
 
     def cells(self) -> list[tuple[int, float]]:
         if self.gamma is not None:
@@ -204,12 +204,11 @@ class SweepSpec:
     def from_file(cls, path, kind: str) -> "SweepSpec":
         """Key = value file -> SweepSpec of a `kind` sweep; '#' starts a comment.
 
-        Each key is a field the kind reads, its value parsed by the field's
-        type; a list takes comma-separated items. Every refusal names the
-        file, and the line of the key at fault when it is one key's.
+        Each key is one of `SPEC_KEYS` the kind reads, its value read by the
+        key's parser. Every refusal names the file, and the line of the key
+        at fault when it is one key's.
         """
-        types = typing.get_type_hints(cls)
-        keys = [k for k in types if k not in KINDS[kind][1]]
+        keys = [k for k in SPEC_KEYS if k not in KINDS[kind][1]]
         kwargs, places = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -225,10 +224,10 @@ class SweepSpec:
                 if k in kwargs:
                     raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
                 try:
-                    kwargs[k], places[k] = _parse_value(types[k], v), f"{path}:{lineno}"
+                    kwargs[k], places[k] = SPEC_KEYS[k](v), f"{path}:{lineno}"
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
+        missing = set(SPEC_KEYS) - set(cls._field_defaults) - set(kwargs)
         if missing:
             raise ValueError(f"{path}: sweep config is missing keys: {sorted(missing)}")
         try:
@@ -241,19 +240,8 @@ class SweepSpec:
         reads, lists comma-joined, in a config string that runs it again as
         a config file; so `seed` only when it draws Monte Carlo."""
         return run_meta(f"sweep:{kind}", {k: ",".join(map(repr, v)) if isinstance(v, list) else v
-                                          for k, v in asdict(self).items()
+                                          for k, v in self._asdict().items()
                                           if v is not None and k not in KINDS[kind][1]})
-
-
-def _parse_value(tp, text: str):
-    """`text` as a value of type `tp`: `X | None` parses as X, a list
-    as comma-separated items."""
-    if type(None) in typing.get_args(tp):
-        tp, _ = typing.get_args(tp)
-    if typing.get_origin(tp) is list:
-        item, = typing.get_args(tp)
-        return [item(x) for x in text.split(",") if x.strip()]
-    return tp(text)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +302,8 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
 # Error-scaling fits
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScalingFit:
-    """Least-squares line through the log-log points of `cells` cells."""
-
-    slope: float
-    intercept: float
-    r2: float
-    x_axis: str
-    cells: int
+# the least-squares line through the log-log points of `cells` cells
+ScalingFit = namedtuple("ScalingFit", "slope intercept r2 x_axis cells")
 
 
 _ROUNDING_ULPS = 64  # ulps of eps*T + sqrt(T), the size of the terms whose difference is u
@@ -397,7 +378,7 @@ def _error_scaling(spec: SweepSpec):
     rows, fit = error_scaling(spec)
     summary = (f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g}, "
                f"{fit.cells} of {len(rows)} cells fitted)")
-    return ERROR_SCALING_COLUMNS, rows, {f"fit_{k}": v for k, v in vars(fit).items()}, (summary,)
+    return ERROR_SCALING_COLUMNS, rows, {f"fit_{k}": v for k, v in fit._asdict().items()}, (summary,)
 
 
 # Each sweep kind: what it runs, spec -> (columns, rows, header fields beside

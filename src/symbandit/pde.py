@@ -33,11 +33,23 @@ SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
 
 
+# Each branch of the layer family and its constant b(eps). C1 is the unique
+# C^1 member. C0 keeps a slope jump at xi_r = 0, and its b is the value at
+# which the jumps there satisfy (1/2)[phi'] + (eps/4)[phi''] = 0.
+BRANCHES = {"C1": lambda eps: 1.0 / eps, "C0": lambda eps: 1.0 / (eps - eps**3)}
+
+
+def check_branch(branch: str) -> None:
+    """Refuse a branch name that is not one of `BRANCHES`."""
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be {' or '.join(map(repr, BRANCHES))}, got {branch!r}")
+
+
 class ClosedForm:
     """Gap, branch constant b, and derived kappa = 2(1 + eps^2).
 
-    A plain class rather than a dataclass, so that importing `pde` (and
-    the closed-form commands) does not load `dataclasses`.
+    A plain class rather than a named tuple, as it validates its gap on
+    construction, which a `NamedTuple` body cannot do in `__new__`.
     """
 
     __slots__ = ("eps", "b")
@@ -51,30 +63,20 @@ class ClosedForm:
         return 2.0 * (1.0 + self.eps * self.eps)
 
     @classmethod
-    def c1(cls, eps: float) -> "ClosedForm":
-        """The C^1 member, b = 1/eps."""
+    def make(cls, branch: str, eps: float) -> "ClosedForm":
+        """The member `branch` of `BRANCHES` at the gap eps > 0."""
+        check_branch(branch)
         if eps <= 0.0:
-            raise ValueError(f"C1 branch needs eps > 0, got {eps}")
-        return cls(eps=eps, b=1.0 / eps)
+            raise ValueError(f"{branch} branch needs eps > 0, got {eps}")
+        return cls(eps=eps, b=BRANCHES[branch](check_gap(eps)))
+
+    @classmethod
+    def c1(cls, eps: float) -> "ClosedForm":
+        return cls.make("C1", eps)
 
     @classmethod
     def c0(cls, eps: float) -> "ClosedForm":
-        """The C^0 member, b = 1/(eps - eps^3).
-
-        It keeps a slope jump at xi_r = 0, and b is the value at which the
-        jumps there satisfy (1/2)[phi'] + (eps/4)[phi''] = 0.
-        """
-        if eps <= 0.0:
-            raise ValueError(f"C0 branch needs eps > 0, got {eps}")
-        return cls(eps=eps, b=1.0 / (eps - eps**3))
-
-    @classmethod
-    def make(cls, branch: str, eps: float) -> "ClosedForm":
-        if branch == "C1":
-            return cls.c1(eps)
-        if branch == "C0":
-            return cls.c0(eps)
-        raise ValueError(f"branch must be 'C1' or 'C0', got {branch!r}")
+        return cls.make("C0", eps)
 
 
 def _require_negative_t(t: float) -> None:

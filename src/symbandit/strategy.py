@@ -17,7 +17,7 @@ round loop (int16 up to T = 2^15 - 1, see `env`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class TabularStrategy:
             raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BruteForceCertificate:
+class BruteForceCertificate(NamedTuple):
     """Result of the exhaustive grid search over tabular strategies."""
 
     value: float                # min over the strategy grid of worst-case regret

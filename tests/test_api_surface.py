@@ -30,9 +30,10 @@ have one reader, `dp.trace_rows`.
 lists of `experiments`, and `--kind` offers exactly the keys of
 `experiments.KINDS`, the one table of what each kind runs and writes.
 Likewise `prefactor --which` offers exactly the keys of `pde.PREFACTORS`,
-the one table of each prefactor's function and slope.
+the one table of each prefactor's function and slope, and `pde --branch`
+those of `pde.BRANCHES`, the one table of each branch's constant.
 
-Every refusal raised in `SweepSpec.__post_init__` begins with the field
+Every refusal raised in `SweepSpec.__new__` begins with the field
 it refuses, so `SweepSpec.from_file` can name that key's line; the few
 rules across keys, which name the file alone, are pinned, and none of
 them begins with a field. A refusal that
@@ -48,7 +49,6 @@ a route or an oracle that leaned on them would fail where they are not.
 
 import argparse
 import ast
-import dataclasses
 from pathlib import Path
 
 from symbandit import cli, experiments, pde
@@ -225,7 +225,11 @@ def test_prefactors_are_the_keys_of_the_prefactor_table():
     assert _choices("prefactor", "which") == tuple(pde.PREFACTORS)
 
 
-# refusals of `SweepSpec.__post_init__` that no one key is at fault for
+def test_branches_are_the_keys_of_the_branch_table():
+    assert _choices("pde", "branch") == tuple(pde.BRANCHES)
+
+
+# refusals of `SweepSpec.__new__` that no one key is at fault for
 ACROSS_KEYS = ("exactly one of gamma, power, eps_list must be set",
                "an eps_list sweep requires a single horizon in T_list")
 
@@ -234,13 +238,13 @@ def test_every_sweep_spec_refusal_begins_with_its_key():
     tree = ast.parse((PACKAGE / "experiments.py").read_text())
     (spec,) = [node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "SweepSpec"]
-    (post_init,) = [node for node in spec.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
-    keys = {field.name for field in dataclasses.fields(experiments.SweepSpec)}
+    (new,) = [node for node in spec.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__new__"]
+    keys = set(experiments.SweepSpec._fields)
     # a rule across keys names the file alone, so it begins with no key
     assert not [text for text in ACROSS_KEYS if text.partition(" ")[0] in keys]
     drifted, across = [], set()
-    for node in ast.walk(post_init):
+    for node in ast.walk(new):
         if not isinstance(node, ast.Raise):
             continue
         (message,) = node.exc.args

@@ -408,7 +408,7 @@ class TestSweep:
             ("regime = tiny\nT_list = 16\ngamma = 0.7\n",
              f"{cfg}:1: regime must be small/medium/large, got 'tiny'"),
             ("regime = medium\nT_list = 16\ngamma = 0.7\nbranch = C2\n",
-             f"{cfg}:4: branch must be C1 or C0, got 'C2'"),
+             f"{cfg}:4: branch must be 'C1' or 'C0', got 'C2'"),
             ("regime = medium\nT_list 16\n", f"{cfg}:2: expected 'key = value'"),
         ]:
             cfg.write_text(text)
@@ -449,7 +449,7 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg),
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert f"{cfg}: horizon must be a positive integer, got 0" in err
+        assert f"{cfg}:2: T_list horizon must be a positive integer, got 0" in err
 
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "absent.cfg"
@@ -647,9 +647,19 @@ class TestStartup:
         watched = ["numpy", "multiprocessing", "concurrent.futures.process", "json"]
         assert modules_loaded_by(argvs, tmp_path, watched) == []
 
-    def test_closed_form_commands_load_no_dataclasses(self, tmp_path):
-        # `dataclasses` pulls in `inspect`, a third of what `cli` takes to import
-        argvs = [["pde", "--T", "100", "--gamma", "0.707"], ["prefactor", "--which", "c"]]
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # `dataclasses` pulls in `inspect`, a third of what `cli` takes to import;
+        # the records are named tuples and `SPEC_KEYS` parses a sweep config
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("regime = medium\nT_list = 16, 64\ngamma = 0.4\n")
+        argvs = [["dp", "--T", "100", "--gamma", "0.707"],
+                 ["pde", "--T", "100", "--gamma", "0.707"],
+                 ["prefactor", "--which", "c"],
+                 ["figure", "--grid", "0.5:2:0.5", "--out", str(tmp_path / "figure.csv")],
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")],
+                 ["simulate", "--T", "20", "--eps", "0.1", "--episodes", "100", "--seed", "1",
+                  "--json", "--audit", str(tmp_path / "audit.jsonl")],
+                 ["verify"]]
         assert modules_loaded_by(argvs, tmp_path, ["dataclasses"], preload=()) == []
 
     def test_simulate_loads_no_dp(self, tmp_path):

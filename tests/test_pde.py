@@ -122,6 +122,8 @@ class TestClosedFormType:
             ClosedForm.c1(0.0)
         with pytest.raises(ValueError, match="C0 branch needs eps > 0, got 0.0"):
             ClosedForm.c0(0.0)
+        with pytest.raises(ValueError, match="gap must satisfy"):  # before b divides by 0
+            ClosedForm.c0(1.0)
         with pytest.raises(ValueError, match="branch must be 'C1' or 'C0', got 'C2'"):
             ClosedForm.make("C2", 0.1)
 
