@@ -31,7 +31,7 @@ import argparse
 import math
 import sys
 
-from . import pde
+from . import __version__, pde
 from .core import check_game, check_gap
 
 
@@ -126,7 +126,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.json:
         payload = {
-            "version": experiments.ARTIFACT_VERSION,
+            "version": __version__,
             "config": experiments.run_meta("simulate", {
                 "T": T, "eps": repr(eps), "episodes": args.episodes,
                 "seed": args.seed, "strategy": args.strategy,

@@ -1,9 +1,10 @@
 """The rules of the game, shared by every other module.
 
 One home per rule: the reward law of the two arms, the final-time
-payoff, and the validation of a game's parameters. The error function
-is the standard library's; the test suite checks it against a slow
-high-precision series oracle.
+payoff, the validation of a game's parameters, and the line syntax of
+both input files, a sweep config and a strategy table: '#' starts a
+comment (`content_lines`). The error function is the standard library's;
+the test suite checks it against a slow high-precision series oracle.
 """
 
 from __future__ import annotations
@@ -47,3 +48,11 @@ def check_game(T: int, eps: float, safe_arm: int = 1) -> None:
     check_gap(eps)
     if safe_arm not in (1, 2):
         raise ValueError(f"safe_arm must be 1 or 2, got {safe_arm}")
+
+
+def content_lines(path) -> list[tuple[str, str, str]]:
+    """(path:lineno, text before any '#' stripped, the line) per line with more than a comment."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return [(f"{path}:{n}", body, line) for n, line in enumerate(lines, 1)
+            if (body := line.split("#", 1)[0].strip())]

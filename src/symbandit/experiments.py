@@ -26,9 +26,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from . import __version__, pde
-from .core import check_game, check_gap
-
-ARTIFACT_VERSION = __version__
+from .core import check_game, check_gap, content_lines
 
 CONVERGENCE_COLUMNS = [
     "T", "eps", "gamma", "branch", "v", "vbar", "u", "ubar",
@@ -189,6 +187,11 @@ class SweepSpec(namedtuple("SweepSpec", SPEC_KEYS, defaults=(None, None, None, "
                 check_game(T, 0.0)
             except ValueError as exc:
                 raise ValueError(f"T_list {exc}") from None
+        for eps in self.eps_list or ():
+            try:
+                check_gap(eps)
+            except ValueError as exc:
+                raise ValueError(f"eps_list {exc}") from None
         for T, eps in self.cells():
             check_gap(eps)  # the rule must keep every cell feasible
         return self
@@ -202,7 +205,7 @@ class SweepSpec(namedtuple("SweepSpec", SPEC_KEYS, defaults=(None, None, None, "
 
     @classmethod
     def from_file(cls, path, kind: str) -> "SweepSpec":
-        """Key = value file -> SweepSpec of a `kind` sweep; '#' starts a comment.
+        """`key = value` lines (`core.content_lines`) -> SweepSpec of a `kind` sweep.
 
         Each key is one of `SPEC_KEYS` the kind reads, its value read by the
         key's parser. Every refusal names the file, and the line of the key
@@ -210,23 +213,19 @@ class SweepSpec(namedtuple("SweepSpec", SPEC_KEYS, defaults=(None, None, None, "
         """
         keys = [k for k in SPEC_KEYS if k not in KINDS[kind][1]]
         kwargs, places = {}, {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                k, v = (part.strip() for part in body.split("=", 1))
-                if k not in keys:
-                    raise ValueError(f"{path}:{lineno}: unknown key {k!r} for sweep kind "
-                                     f"{kind!r}; known keys: {', '.join(keys)}")
-                if k in kwargs:
-                    raise ValueError(f"{path}:{lineno}: key {k!r} is set twice")
-                try:
-                    kwargs[k], places[k] = SPEC_KEYS[k](v), f"{path}:{lineno}"
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad value for {k!r}: {exc}") from None
+        for place, body, line in content_lines(path):
+            if "=" not in body:
+                raise ValueError(f"{place}: expected 'key = value', got {line!r}")
+            k, v = (part.strip() for part in body.split("=", 1))
+            if k not in keys:
+                raise ValueError(f"{place}: unknown key {k!r} for sweep kind {kind!r}; "
+                                 f"known keys: {', '.join(keys)}")
+            if k in kwargs:
+                raise ValueError(f"{place}: key {k!r} is set twice")
+            try:
+                kwargs[k], places[k] = SPEC_KEYS[k](v), place
+            except ValueError as exc:
+                raise ValueError(f"{place}: bad value for {k!r}: {exc}") from None
         missing = set(SPEC_KEYS) - set(cls._field_defaults) - set(kwargs)
         if missing:
             raise ValueError(f"{path}: sweep config is missing keys: {sorted(missing)}")
@@ -345,12 +344,12 @@ def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
             f"dominant envelope term {dom:.3g} < remaining terms {rest:.3g} "
             f"at the largest gap; slope fit would be meaningless"
         )
-    power = 2 if spec.branch == "C1" else 3
     rows = convergence_sweep(spec)
     xs, ys = [], []
     for row in rows:
         T, eps = row["T"], row["eps"]
-        row.update(abs_diff=abs(row["u_minus_v"]), predictor=eps**power * T)
+        row.update(abs_diff=abs(row["u_minus_v"]),
+                   predictor=_dominant_and_rest(T, eps, spec.branch)[0])
         if row["abs_diff"] >= _ROUNDING_ULPS * math.ulp(eps * T + math.sqrt(T)):
             xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
             ys.append(math.log(row["abs_diff"]))
@@ -433,7 +432,7 @@ def write_csv(path, columns: list[str], rows: Iterable[dict], meta: dict) -> Non
     they come, so a generator of rows is never held whole.
     """
     with open(path, "w") as fh:
-        fh.write(f"# symbandit_version={ARTIFACT_VERSION}\n")
+        fh.write(f"# symbandit_version={__version__}\n")
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(columns) + "\n")

@@ -31,6 +31,7 @@ from .core import SQRT_PI, SQRT_TWO_PI, check_gap
 
 SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 # Each branch of the layer family and its constant b(eps). C1 is the unique
@@ -86,7 +87,7 @@ def _require_negative_t(t: float) -> None:
 
 def folded_normal_mean(x: float) -> float:
     """E|x + Z| for standard normal Z: sqrt(2/pi) e^{-x^2/2} + x erf(x/sqrt2)."""
-    return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) + x * erf(x / SQRT2)
+    return SQRT_2_OVER_PI * math.exp(-0.5 * x * x) + x * erf(x / SQRT2)
 
 
 def _normal_cdf(x: float) -> float:
@@ -204,7 +205,6 @@ def bar_u_n(xi_r: float, t: float, cf: ClosedForm) -> float:
 
 def bar_u_total(xi_r: float, s2: float, t: float, cf: ClosedForm) -> float:
     """Full pseudoregret solution ubar = 2 eps s2 + bar_phi - bar_phi_hat."""
-    _require_negative_t(t)
     return 2.0 * cf.eps * s2 + bar_u_n(xi_r, t, cf)
 
 
@@ -315,19 +315,19 @@ def prefactor_c_bar(gamma: float) -> float:
     g = gamma
     if g < 0.01:
         g2 = g * g
-        return g - math.sqrt(2.0 / math.pi) * g2 * (2.0 / 3.0 - g2 * (1.0 / 15.0 - g2 / 140.0))
+        return g - SQRT_2_OVER_PI * g2 * (2.0 / 3.0 - g2 * (1.0 / 15.0 - g2 / 140.0))
     if g <= 8.0:
         return ((1.0 / g - g) * erf(g / SQRT2)
-                - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g) + g)
+                - SQRT_2_OVER_PI * math.exp(-0.5 * g * g) + g)
     return (1.0 / g + (g - 1.0 / g) * erfc(g / SQRT2)
-            - math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g))
+            - SQRT_2_OVER_PI * math.exp(-0.5 * g * g))
 
 
 def _prefactor_c_bar_slope(gamma: float) -> float:
     """cbar'(g) = 1 - (1 + 1/g^2) erf(g/sqrt2) + sqrt(2/pi) e^{-g^2/2}/g."""
     g = gamma
     return (1.0 - (1.0 + 1.0 / (g * g)) * erf(g / SQRT2)
-            + math.sqrt(2.0 / math.pi) * math.exp(-0.5 * g * g) / g)
+            + SQRT_2_OVER_PI * math.exp(-0.5 * g * g) / g)
 
 
 def _prefactor_c_slope(gamma: float) -> float:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import arm_probs, check_game
+from .core import arm_probs, check_game, content_lines
 
 
 class MyopicStrategy:
@@ -46,8 +46,8 @@ class TabularStrategy:
     """Explicit (t, xi_r) -> p1 table, loadable from a plain-text file.
 
     File format: one `t xi_r p1` triple per line, '#' starts a comment.
-    A key no game reaches is refused: t >= 0, or |xi_r| > t - t_min for
-    the earliest key's t_min.
+    A key no game reaches is refused: t >= 0, or |xi_r| > t - t_min, or
+    xi_r and t - t_min of unlike parity, for the earliest key's t_min.
     The table is held as one dense array over the rectangle of its keys'
     t and xi_r ranges, with NaN where the table has no entry, plus a NaN
     row past the last t and a NaN column each side: a decision is one row
@@ -59,9 +59,9 @@ class TabularStrategy:
     def __init__(self, table: dict[tuple[int, int], float]):
         t_min = min((t for t, _ in table), default=0)
         for (t, x), p in table.items():
-            if t >= 0 or abs(x) > t - t_min:
-                raise ValueError(f"table key ({t}, {x}) is unreachable: a game from "
-                                 f"t = {t_min} has t < 0, and |xi_r| <= {t - t_min} there")
+            if t >= 0 or abs(x) > t - t_min or (x - t + t_min) % 2:
+                raise ValueError(f"table key ({t}, {x}) is unreachable: a game from t = {t_min} "
+                                 f"has t < 0, and |xi_r| <= {t - t_min} of like parity there")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p1 must lie in [0, 1], got {p} at ({t}, {x})")
         ts = [t for t, _ in table] or [0]
@@ -86,21 +86,16 @@ class TabularStrategy:
     @classmethod
     def from_file(cls, path) -> "TabularStrategy":
         table = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh.read().splitlines(), 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                try:
-                    t, x, p1 = body.split()
-                    key, p1 = (int(t), int(x)), float(p1)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected integers t and xi_r and a "
-                                     f"number p1, got {line!r}") from None
-                if key in table:
-                    raise ValueError(f"{path}:{lineno}: state (t={key[0]}, xi_r={key[1]}) "
-                                     "is listed twice")
-                table[key] = p1
+        for place, body, line in content_lines(path):
+            try:
+                t, x, p1 = body.split()
+                key, p1 = (int(t), int(x)), float(p1)
+            except ValueError:
+                raise ValueError(f"{place}: expected integers t and xi_r and a "
+                                 f"number p1, got {line!r}") from None
+            if key in table:
+                raise ValueError(f"{place}: state (t={key[0]}, xi_r={key[1]}) is listed twice")
+            table[key] = p1
         try:
             return cls(table)
         except ValueError as exc:  # an entry's refusal names its key (t, xi_r)

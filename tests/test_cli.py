@@ -278,8 +278,10 @@ class TestSimulate:
         # an entry's refusal names the file and the entry's key, a line's the line
         ("-2 0 0.5\n-1 1 1.5\n", ": p1 must lie in [0, 1], got 1.5 at (-1, 1)"),
         ("-2 0 0.5\n-1 5 0.5\n", ": table key (-1, 5) is unreachable"),
+        ("-2 0 0.5\n-1 0 0.5\n", ": table key (-1, 0) is unreachable: a game from t = -2 has "
+                                 "t < 0, and |xi_r| <= 1 of like parity there"),
         ("-2 0 0.5\n-1 1\n", ":2: expected integers t and xi_r and a number p1, got '-1 1'"),
-    ], ids=["p1 above 1", "unreachable key", "two fields"])
+    ], ids=["p1 above 1", "unreachable key", "unreachable parity", "two fields"])
     def test_bad_table_names_its_file(self, capsys, tmp_path, text, message):
         table, audit = tmp_path / "strategy.txt", tmp_path / "audit.jsonl"
         table.write_text(text)
@@ -409,7 +411,11 @@ class TestSweep:
              f"{cfg}:1: regime must be small/medium/large, got 'tiny'"),
             ("regime = medium\nT_list = 16\ngamma = 0.7\nbranch = C2\n",
              f"{cfg}:4: branch must be 'C1' or 'C0', got 'C2'"),
-            ("regime = medium\nT_list 16\n", f"{cfg}:2: expected 'key = value'"),
+            # the line is quoted as written, without its newline, as a table line is
+            ("regime = medium\nT_list 16\n", f"{cfg}:2: expected 'key = value', got 'T_list 16'"),
+            # one eps_list value out of range is that key's: its line is named
+            ("regime = large\nT_list = 16\neps_list = 0.1, 1.5\n",
+             f"{cfg}:3: eps_list gap must satisfy 0 <= eps < 1, got eps=1.5"),
         ]:
             cfg.write_text(text)
             code, _, err = run(capsys, "sweep", "--config", str(cfg),
@@ -594,6 +600,13 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 15
         assert "0 failures" in out
+
+    def test_a_failing_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("symbandit.cli._verify_checks",
+                            lambda: [("holds", True, ""), ("breaks", False, "off by 1")])
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert out.splitlines() == ["PASS holds", "FAIL breaks (off by 1)", "1 failures"]
 
     def _certificate_checks(self):
         return [ok for name, ok, _ in _verify_checks()

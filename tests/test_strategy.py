@@ -140,7 +140,7 @@ class TestTabular:
         # a random table over the states a game from t = -T reaches, with
         # holes, queried on and off its rectangle: each answer is the
         # dict's, or the first miss is named
-        states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1)]
+        states = [(t, x) for t in range(-T, 0) for x in range(-(T + t), T + t + 1, 2)]
         table = data.draw(st.dictionaries(st.sampled_from(states), st.floats(0.0, 1.0)))
         table[(-T, 0)] = data.draw(st.floats(0.0, 1.0))  # the origin fixes t_min
         t = data.draw(st.integers(-T - 2, 1))
@@ -181,6 +181,7 @@ class TestTabular:
         ({(-2, 0): 0.5, (-1, -2): 0.5}, (-1, -2)),  # below the reachable range
         ({(-2, 0): 0.5, (-2, 1): 0.5}, (-2, 1)),    # off the origin at the first round
         ({(-1, 0): 0.5, (0, 0): 0.5}, (0, 0)),      # t = 0 is after the last round
+        ({(-2, 0): 0.5, (-1, 0): 0.25}, (-1, 0)),   # xi_r is odd one round after the origin
     ])
     def test_unreachable_key_raises(self, table, key):
         with pytest.raises(ValueError, match=re.escape(f"table key {key} is unreachable")):
