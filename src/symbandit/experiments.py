@@ -1,4 +1,4 @@
-"""Monte Carlo estimation, sweep kinds, scaling fits, figure data.
+"""Monte Carlo estimation, sweep kinds, figure data.
 
 `KINDS` holds each kind of the `sweep` command, `SweepSpec` its config.
 
@@ -14,9 +14,10 @@ numpy, `dp`, `env` and `strategy` are imported by the functions that run
 them, and the process pool only when more than one worker has chunks to
 share, so `SweepSpec`, `figure_data` and the CSV I/O (the `figure`
 command) start without numpy, and a serial run without `multiprocessing`.
-An exact-only convergence sweep, and an error-scaling sweep, which fits
-its line with `statistics`, load no numpy. The records are named tuples and
-`SPEC_KEYS` parses a config, so no command loads `dataclasses`.
+An exact-only convergence sweep, and an error-scaling sweep, whose
+prediction `pde.origin_error` takes from `math` alone, load no numpy.
+The records are named tuples and `SPEC_KEYS` parses a config, so no
+command loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ CONVERGENCE_COLUMNS = [
 ]
 MC_COLUMNS = ["mc_regret_mean", "mc_regret_se", "mc_pseudo_mean", "mc_pseudo_se"]
 FIGURE_COLUMNS = ["gamma", "c", "c_bar", "is_max_c", "is_max_c_bar"]
-ERROR_SCALING_COLUMNS = ["T", "eps", "branch", "v", "u", "abs_diff", "predictor"]
+ERROR_SCALING_COLUMNS = ["T", "eps", "branch", "v", "u", "u_minus_v", "predicted"]
 
 # the head of each purpose's spawn keys
 SIMULATE = 0
@@ -148,7 +149,7 @@ class SweepSpec(namedtuple("SweepSpec", SPEC_KEYS, defaults=(None, None, None, "
 
     * ``gamma``    -- eps = gamma / sqrt(T)   (medium regime)
     * ``power``    -- eps = T ** -power       (small / large regimes)
-    * ``eps_list`` -- explicit grid, requires a single T (branch fits)
+    * ``eps_list`` -- explicit grid, requires a single T (branch errors)
 
     The fields are the keys of `SPEC_KEYS`, of a config file (`from_file`)
     and of the canonical config string of its output (`meta`). ``seed`` is
@@ -298,90 +299,32 @@ def convergence_sweep(spec: SweepSpec) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Error-scaling fits
+# Error scaling (u - v against its closed law)
 # ---------------------------------------------------------------------------
 
-# the least-squares line through the log-log points of `cells` cells
-ScalingFit = namedtuple("ScalingFit", "slope intercept r2 x_axis cells")
-
-
-_ROUNDING_ULPS = 64  # ulps of eps*T + sqrt(T), the size of the terms whose difference is u
-
-
-def _dominant_and_rest(T: int, eps: float, branch: str) -> tuple[float, float]:
-    """Envelope terms with unit constants: dominant vs the lower-order sum."""
-    if branch == "C1":
-        return eps**2 * T, eps * math.log(T) + 1.0
-    return eps**3 * T, eps**2 * math.sqrt(T) + eps * math.log(T) + 1.0
-
-
-def error_scaling(spec: SweepSpec) -> tuple[list[dict], ScalingFit]:
-    """The convergence sweep's rows, with |u - v| as `abs_diff` and the
-    `predictor`, and the fit of log|u - v| against log(eps) (eps_list
-    sweeps) or log of the dominant predictor.
-
-    The fit leaves out each cell whose |u - v| lies below the rounding
-    floor of u, 64 ulps of eps*T + sqrt(T). Refuses episodes > 0 and a zero
-    gap; refuses when the branch's dominant envelope term, with unit
-    constants, does not exceed the remaining terms at the largest-gap
-    cell (a fit would measure the mixture, not the power); and refuses
-    fitted cells with fewer than two distinct x values (within 1e-9 count
-    as one), as a single cell or a `gamma` rule with C1 (predictor
-    gamma^2) gives.
-    """
-    import statistics
-
+def error_scaling(spec: SweepSpec) -> list[dict]:
+    """The convergence sweep's rows, each with `predicted`, the law of
+    u - v at its cell (`pde.origin_error`). Refuses episodes > 0."""
     if spec.episodes:
         raise ValueError(f"error-scaling runs no Monte Carlo; episodes must be 0, "
                          f"got {spec.episodes}")
-    cells = spec.cells()
-    if min(eps for _, eps in cells) == 0.0:
-        raise ValueError("every cell needs eps > 0: the fit is of log|u - v| against the gap")
-    dom, rest = _dominant_and_rest(*max(cells, key=lambda c: c[1]), spec.branch)
-    if dom < rest:
-        raise ValueError(
-            "dominance precondition failed: "
-            f"dominant envelope term {dom:.3g} < remaining terms {rest:.3g} "
-            f"at the largest gap; slope fit would be meaningless"
-        )
     rows = convergence_sweep(spec)
-    xs, ys = [], []
     for row in rows:
-        T, eps = row["T"], row["eps"]
-        row.update(abs_diff=abs(row["u_minus_v"]),
-                   predictor=_dominant_and_rest(T, eps, spec.branch)[0])
-        if row["abs_diff"] >= _ROUNDING_ULPS * math.ulp(eps * T + math.sqrt(T)):
-            xs.append(math.log(eps if spec.eps_list is not None else row["predictor"]))
-            ys.append(math.log(row["abs_diff"]))
-    x_axis = "log_eps" if spec.eps_list is not None else "log_predictor"
-    if not xs or max(xs) - min(xs) <= 1e-9:
-        raise ValueError(
-            f"a fit needs at least two distinct {x_axis} values; {len(xs)} of the "
-            f"{len(cells)} cell(s) lie above the rounding floor of u"
-            + (f", all at {x_axis} = {xs[0]:.6g}" if xs else "")
-        )
-    slope, intercept = statistics.linear_regression(xs, ys)
-    try:
-        r2 = statistics.correlation(xs, ys) ** 2
-    except statistics.StatisticsError:  # every y, so every fitted value, is the same
-        r2 = float("nan")
-    return rows, ScalingFit(slope, intercept, r2, x_axis, len(xs))
+        row["predicted"] = pde.origin_error(row["T"], row["eps"], spec.branch)
+    return rows
 
 
 def _convergence(spec: SweepSpec):
     mc = MC_COLUMNS if spec.episodes > 0 else []
-    return CONVERGENCE_COLUMNS + mc, convergence_sweep(spec), {}, ()
+    return CONVERGENCE_COLUMNS + mc, convergence_sweep(spec)
 
 
 def _error_scaling(spec: SweepSpec):
-    rows, fit = error_scaling(spec)
-    summary = (f"slope = {fit.slope:.6g} (x axis: {fit.x_axis}, r2 = {fit.r2:.6g}, "
-               f"{fit.cells} of {len(rows)} cells fitted)")
-    return ERROR_SCALING_COLUMNS, rows, {f"fit_{k}": v for k, v in fit._asdict().items()}, (summary,)
+    return ERROR_SCALING_COLUMNS, error_scaling(spec)
 
 
-# Each sweep kind: what it runs, spec -> (columns, rows, header fields beside
-# `SweepSpec.meta`'s, summary lines), and the config keys it does not read.
+# Each sweep kind: what it runs, spec -> (columns, rows), and the config
+# keys it does not read.
 KINDS = {
     "convergence": (_convergence, ()),
     "error-scaling": (_error_scaling, ("seed", "episodes")),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from math import erf, erfc
 
-from .core import SQRT_PI, SQRT_TWO_PI, check_gap
+from .core import SQRT_PI, SQRT_TWO_PI, check_game, check_gap
 
 SMALL_GAP_LIMIT_C = 1.0 / SQRT_PI  # limit of c(gamma) as gamma -> 0
 SQRT2 = math.sqrt(2.0)
@@ -277,7 +277,7 @@ def bar_pde_residual(
 
 
 # ---------------------------------------------------------------------------
-# Leading-order prefactors and their maximizers
+# Leading-order prefactors, their maximizers, and the error at the origin
 # ---------------------------------------------------------------------------
 
 def prefactor_pair(gamma: float) -> tuple[float, float]:
@@ -361,3 +361,36 @@ def maximize_prefactor(which: str) -> tuple[float, float]:
         else:
             hi = mid
     return mid, f(mid)
+
+
+
+def _second_order(gamma: float) -> tuple[float, float]:
+    """(d, e~) at gamma, the T^-1/2 terms of v and of the C1 form u at the origin."""
+    g2 = gamma * gamma
+    decay = math.exp(-g2) / SQRT_PI
+    return g2 * _normal_pdf(gamma) - decay * (1.0 + 2.0 * g2) / 8.0, 0.5 * g2 * decay
+
+
+def origin_error(T: int, eps: float, branch: str) -> float:
+    """The law of u - v at the origin of the T-round game, to O(T^-3/2):
+    (e~ - d)(gamma)/sqrt(T), gamma = eps sqrt(T), plus eps erf(gamma/sqrt2)/(1 - eps^2)
+    on C0; d(g) = g^2 phi(g) - e^{-g^2}(1 + 2g^2)/(8 sqrt(pi)), e~(g) = g^2 e^{-g^2}/(2 sqrt(pi)).
+
+    v = c sqrt(T) + d/sqrt(T): vbar's own term is g^2 phi(g), and `dp`'s
+    v - vbar = T a_T - g^2 R(T) expands, by C(2T, T)/4^T = (1 - 1/(8T))/sqrt(pi T),
+    (1 - eps^2)^T = e^{-g^2}(1 - g^4/(2T)) and Euler-Maclaurin's
+    R(T) = (sqrt(T)/g) erfc(g) + e^{-g^2}(1/4 - g^2/2)/sqrt(pi T), whose g^4
+    terms cancel, to (c - cbar) sqrt(T) - e^{-g^2}(1 + 2g^2)/(8 sqrt(pi T)).
+    u = c sqrt(T) + e~/sqrt(T) on C1: at the origin ubar = cbar sqrt(T) and
+    u - ubar = u_h - eps T, whose kappa = 2(1 + eps^2) adds e~ to (c - cbar) sqrt(T).
+    The branch constant b enters u only through bar_phi_hat's
+    b (Phi(-gamma) - Phi(gamma)) = -b erf(gamma/sqrt2), so C0 adds
+    (b_C0 - b_C1) erf(gamma/sqrt2) exactly. At eps = 0, u_h - v = -d(0)/sqrt(T).
+    """
+    check_game(T, eps)
+    check_branch(branch)
+    sqrt_T = math.sqrt(T)
+    gamma = eps * sqrt_T
+    d, e_tilde = _second_order(gamma)
+    shift = eps * erf(gamma / SQRT2) / (1.0 - eps * eps) if branch == "C0" else 0.0
+    return (e_tilde - d) / sqrt_T + shift

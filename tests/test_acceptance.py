@@ -161,13 +161,15 @@ def test_criterion_05_bather_constant():
 def test_criterion_06_error_branch_improvement():
     T = 4096
     eps_grid = [0.05, 0.1, 0.2]
-    fits = {}
+    slopes = {}
     diffs = {}
     for branch in ("C1", "C0"):
         spec = SweepSpec(regime="large", T_list=[T], eps_list=eps_grid, branch=branch)
-        rows, fits[branch] = error_scaling(spec)
-        diffs[branch] = {row["eps"]: row["abs_diff"] for row in rows}
-    s1, s0 = fits["C1"].slope, fits["C0"].slope
+        diffs[branch] = {row["eps"]: abs(row["u_minus_v"]) for row in error_scaling(spec)}
+        # the log-log line through the cells whose u - v is nonzero
+        fitted = [eps for eps in eps_grid if diffs[branch][eps] > 0.0]
+        slopes[branch] = _loglog_slope(fitted, [diffs[branch][eps] for eps in fitted])
+    s1, s0 = slopes["C1"], slopes["C0"]
     d1 = ", ".join(f"{e}:{diffs['C1'][e]:.3e}" for e in eps_grid)
     d0 = ", ".join(f"{e}:{diffs['C0'][e]:.3e}" for e in eps_grid)
     # the eps^2 T (C1) and eps^3 T (C0) envelopes are upper bounds; at T = 4096

@@ -10,7 +10,10 @@ import statistics
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from symbandit import dp, pde
+from symbandit.experiments import SweepSpec, error_scaling
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 NUMBER = r"([0-9.]+(?:e[+-]?[0-9]+)?)"
@@ -160,6 +163,42 @@ def test_c0_differs_more_than_c1_on_every_cell_measured():
         c0, c1 = (abs(pde.u_total(0.0, 0.0, 0.0, -float(T), pde.ClosedForm.make(branch, eps)) - v)
                   for branch in ("C0", "C1"))
         assert c0 > c1, (T, eps)
+
+
+def _relative_misses(T, gaps, branch):
+    """(eps, u - v, |predicted - (u - v)| / |u - v|) of an error-scaling sweep's rows;
+    inf where u - v is 0."""
+    rows = error_scaling(SweepSpec(regime="large", T_list=[T], eps_list=gaps, branch=branch))
+    return [(r["eps"], err, abs(r["predicted"] - err) / abs(err) if err else math.inf)
+            for r in rows for err in [r["u_minus_v"]]]
+
+
+def test_closed_law_of_the_origin_error():
+    text = finding("The error of the closed forms at the origin has a closed law")
+    horizons, gaps = re.search(r"on `T` ∈ \{([0-9, ]+)\} × `eps` ∈ \{([0-9., ]+)\}",
+                               text).groups()
+    horizons, gaps = [int(T) for T in horizons.split(",")], [float(e) for e in gaps.split(",")]
+    pattern = (rf"within {NUMBER} on every C0 cell, and within {NUMBER} on every C1 cell "
+               rf"with `T >= (\d+)` and `\|u - v\| > {NUMBER}`\. At `T = (\d+)` it misses "
+               rf"the C1 cells with `\|u - v\| > {NUMBER}` by up to (\d+) %, at "
+               rf"`eps = {NUMBER}` \(`gamma = {NUMBER}`\)")
+    c0, c1, T_min, floor, T_low, floor_low, percent, worst_eps, worst_gamma = re.search(
+        pattern, text).groups()
+    misses = {(T, branch): _relative_misses(T, gaps, branch)
+              for T in horizons for branch in ("C0", "C1")}
+    assert agrees(max(m for T in horizons for _, _, m in misses[T, "C0"]), c0)
+    assert agrees(max(m for T in horizons if T >= int(T_min)
+                      for _, err, m in misses[T, "C1"] if abs(err) > float(floor)), c1)
+    low = [(m, eps) for eps, err, m in misses[int(T_low), "C1"] if abs(err) > float(floor_low)]
+    m, eps = max(low)
+    assert agrees(100.0 * m, percent) and eps == float(worst_eps)
+    assert agrees(eps * math.sqrt(int(T_low)), worst_gamma)
+    printed, T = re.search(rf"At `eps = 0` the law is .* within {NUMBER} of `u - v` at "
+                           rf"`T = (\d+)`", text).groups()
+    ((_, err, m),) = _relative_misses(int(T), [0.0], "C1")
+    assert agrees(m, printed)
+    assert pde.origin_error(int(T), 0.0, "C1") == pytest.approx(
+        1.0 / (8.0 * math.sqrt(math.pi * int(T))), rel=1e-15)
 
 
 def test_small_and_large_gap_limits_at_one_horizon():

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbandit import pde
+from symbandit import dp, pde
 from symbandit.core import terminal_payoff
 from symbandit.pde import (
     ClosedForm,
@@ -17,6 +18,7 @@ from symbandit.pde import (
     bar_u_total,
     folded_normal_mean,
     maximize_prefactor,
+    origin_error,
     pde_residual,
     phi_deriv,
     phi_fn,
@@ -465,3 +467,52 @@ class TestPrefactors:
     def test_maximizer_is_the_root_of_the_derivative(self, which):
         gstar, _ = maximize_prefactor(which)
         assert abs(gstar - self.ROOTS[which]) <= 1e-13
+
+
+class TestOriginError:
+    """Each term of the law of u - v at the origin on its own. At T = 1e8
+    the remainder adds O(1/T) to each term scaled by sqrt(T); measured
+    worst 1.6e-8 (d) and 1.9e-7 (e~) on these gammas."""
+
+    T = 10**8
+    GAMMAS = [0.01, 0.1, 0.3, 0.707, 1.0, 1.5, 3.0, 5.0]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_d_is_the_second_order_term_of_v(self, gamma):
+        v = dp.values(self.T, gamma / math.sqrt(self.T))[0]
+        d, _ = pde._second_order(gamma)
+        assert abs(math.sqrt(self.T) * (v - prefactor_c(gamma) * math.sqrt(self.T)) - d) <= 1e-6
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_e_tilde_is_the_second_order_term_of_the_c1_form(self, gamma):
+        eps = gamma / math.sqrt(self.T)
+        u = u_total(0.0, 0.0, 0.0, -float(self.T), ClosedForm.c1(eps))
+        _, e_tilde = pde._second_order(gamma)
+        assert abs(math.sqrt(self.T) * (u - prefactor_c(gamma) * math.sqrt(self.T))
+                   - e_tilde) <= 1e-6
+
+    @pytest.mark.parametrize("T", [256, 1024, 4096])
+    def test_c0_adds_its_shift_exactly(self, T):
+        # README's 27 cells; the shift is exact, so only the rounding of u is left
+        for eps in (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4):
+            u0, u1 = (u_total(0.0, 0.0, 0.0, -float(T), ClosedForm.make(branch, eps))
+                      for branch in ("C0", "C1"))
+            shift = origin_error(T, eps, "C0") - origin_error(T, eps, "C1")
+            assert abs(u0 - u1 - shift) <= 1e-12 * u0, (T, eps)
+
+    def test_the_law_is_the_sum_of_its_terms(self):
+        for T, eps in ((256, 0.0), (256, 0.1), (4096, 0.05), (10**6, 0.3)):
+            d, e_tilde = pde._second_order(eps * math.sqrt(T))
+            assert origin_error(T, eps, "C1") == (e_tilde - d) / math.sqrt(T)
+        # at eps = 0 only d(0) = -1/(8 sqrt(pi)) is left
+        assert origin_error(256, 0.0, "C0") == pytest.approx(1 / (8 * math.sqrt(math.pi * 256)),
+                                                            rel=1e-15)
+
+    @pytest.mark.parametrize("args, message", [
+        ((256, 0.1, "C2"), "branch must be 'C1' or 'C0', got 'C2'"),
+        ((256, 1.0, "C1"), "gap must satisfy 0 <= eps < 1"),
+        ((0, 0.1, "C1"), "horizon must be a positive integer, got 0"),
+    ], ids=["branch", "gap", "horizon"])
+    def test_refuses_what_no_game_has(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            origin_error(*args)
