@@ -346,7 +346,7 @@ class TestSweep:
         # a gamma rule makes every C1 predictor eps^2 T the same gamma^2
         "regime = medium\nT_list = 100, 400, 1600, 6400\ngamma = 1.274\n",
     ], ids=["zero-gap", "undominated-envelope", "constant-predictor"])
-    def test_error_scaling_runs_what_the_envelope_fit_refused(self, capsys, tmp_path, text):
+    def test_error_scaling_runs_what_the_fit_refused(self, capsys, tmp_path, text):
         cfg, out = tmp_path / "fit.cfg", tmp_path / "fit.csv"
         cfg.write_text(text)
         code, _, err = run(capsys, "sweep", "--config", str(cfg),

@@ -213,9 +213,9 @@ class TestErrorScalingFit:
         SweepSpec(regime="medium", T_list=[100, 400, 1600, 6400], gamma=1.274),
         SweepSpec(regime="medium", T_list=[1000, 3000, 7000], gamma=2.2),
         SweepSpec(regime="large", T_list=[256], eps_list=[0.2], branch="C1"),
-    ], ids=["undominated-envelope", "zero-gap", "zero-gamma", "one-C1-predictor-1.274",
-            "one-C1-predictor-2.2", "one-cell"])
-    def test_predicts_the_sweeps_a_fit_refused(self, spec):
+    ], ids=["undominated-envelope", "zero-gap", "zero-gamma", "one-predictor-1.274",
+            "one-predictor-2.2", "one-cell"])
+    def test_predicts_what_a_fit_refused(self, spec):
         # the envelope fit refused these: an undominated envelope, a zero
         # gap, fewer than two distinct x values
         rows = error_scaling(spec)
@@ -239,7 +239,7 @@ class TestErrorScalingFit:
         assert [r["predicted"] for r in rows] == [pde.origin_error(256, eps, branch)
                                                   for eps in (0.1, 0.2, 0.4)]
 
-    def test_a_cell_of_zero_error_is_predicted_below_the_rounding_of_u(self):
+    def test_a_zero_error_cell_is_predicted_below_an_ulp_of_u(self):
         # at T = 4096 the C1 closed form at eps = 0.2 equals v to the last bit,
         # and the law there is about -3e-36
         spec = SweepSpec(regime="large", T_list=[4096], eps_list=[0.05, 0.1, 0.2],
