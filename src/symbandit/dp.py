@@ -6,13 +6,16 @@ Two production routes compute the same values at two scales, and
 * ``trace_rows`` (``value_trace``, ``symbandit dp --trace``, ``verify``)
   -- O(T) time and memory, from one array of central binomial
   probabilities: the rows (t, v, vbar) of every horizon up to T at once.
-  It alone reads the arrays of ``_origin_values``, which refuses more
-  than ``_MAX_TERMS`` (2e7) terms, about 1 GB of arrays.
+  It alone reads the arrays of ``_origin_values``, which refuses T above
+  ``_MAX_TERMS`` (2e7), about 1 GB of arrays.
 * ``values`` (the sweeps, ``symbandit dp`` and ``verify``; its halves
   ``regret_value`` and ``pseudoregret_value`` serve the benchmark) --
   one horizon in O(1) time and memory, without numpy, at every (T, eps):
-  a series in eps^2 up to gamma = eps sqrt(T) = 1, two incomplete-beta
-  tails beyond it from T = 12 on, and the a_i themselves below T = 12.
+  a series in eps^2 up to gamma = eps sqrt(T) = 1, and two incomplete-beta
+  tails beyond it.
+
+The negative-binomial tail R(k) below has one home, ``_central_and_tail``,
+which both routes read.
 
 Both production routes rest on the myopic player following xi_r, which
 moves up with probability p = (1 + eps)/2 whichever arm is pulled: xi_r
@@ -41,9 +44,9 @@ for m <= 1e7 plus the rounding of m log1p(-eps^2). rho is one prefix sum
 of 1, -eps a_0, -eps a_1, ..., so it is 1 at eps = 0, and vbar a prefix
 sum of rho; each is compensated for the rounding of its additions. When
 gamma = eps sqrt(T) is large, rho falls towards zero inside the horizon;
-it is then eps times R summed from the far end, so it keeps its relative
-accuracy. v - vbar is clamped at 0, so v >= vbar holds in floating point
-too.
+it is then eps times R, a_T, ..., a_0 summed from the far end onto the
+R(T + 1) of the one-horizon routes, so it keeps its relative accuracy.
+v - vbar is clamped at 0, so v >= vbar holds in floating point too.
 
 The one-horizon routes sum F4 in closed form. With M = T // 2,
 
@@ -58,8 +61,8 @@ sum_k (-eps^2)^k A_k and 2n a_n = sum_k (-eps^2)^k B_k. Their terms fall
 like (gamma^2)^k/k!, and math.fsum adds each value's terms exactly; A_0 =
 B_0, so vbar = 0 exactly at eps = 0. Beyond gamma = 1, R comes from
 Temme's uniform expansion of I_x(k, 1/2) as coded in BGRAT of DiDonato
-and Morris (ACM TOMS 18, 1992, Algorithm 708), from T = 12 on, and below
-from the a_i themselves (the expansion is off by 1.5e-13 at T = 11).
+and Morris (ACM TOMS 18, 1992, Algorithm 708) from k = 12 on, and below
+as a_k + ... + a_11 + R(12) (the expansion is off by 1.5e-13 at k = 11).
 c_k is the exact ratio below k = 16 and Loader's Stirling error from 16
 on (C. Loader, "Fast and Accurate Computation of Binomial
 Probabilities", 2000). From T*eps^2 = 80 on both values equal their
@@ -67,12 +70,14 @@ limit 1/eps within an ulp, so the route returns 1/eps. v(T, eps) <= 1/eps
 holds at every horizon.
 
 The tests hold ``values`` to 1e-13 relative of an exact rational oracle
-at T <= 400 (measured worst 3.5e-16), and to 5e-15 either side of T = 12
-at gamma > 1 (measured 1.2e-15 on the a_i, 5.6e-16 on the tails); every
-row of the O(T) arrays on both sides of its far-end switch to 5e-15 of
-the oracle (measured 1.5e-15), and the far-end path to 2 ulps; the series
-to 2e-15 of the O(T) route for T from 256 to 1e6 + 1 and gamma from
-0.001 to 1 (measured 6.3e-16), and to 5e-15 of the tails where both
+at T <= 400 (measured worst 3.5e-16), and to 5e-15 at gamma > 1 on every
+T from 2 to 25, either side of k = 12 for both T and M (measured
+2.8e-16); every row of the O(T) arrays on both sides of its far-end
+switch to 5e-15 of the oracle (measured 1.5e-15), and the far-end path to
+2 ulps, and to an ulp of the same sum padded with 40/eps^2 more a_i in
+place of R(T + 1) (measured bit-identical); the series to 2e-15 of the
+O(T) route for T from 256 to 1e6 + 1 and gamma from 0.001 to 1
+(measured 6.3e-16), and to 5e-15 of the tails where both
 serve, 0.3 <= gamma <= 1, up to T = 1e12 (measured 2.6e-15); and the
 tails to 1e-14 of the O(T) route up to gamma 9 (measured 3.5e-15).
 Above T = 400 the O(T) arrays are held at every k <= 1e6 + 1 by
@@ -134,10 +139,10 @@ def _central_binomial(n: int, eps: float) -> np.ndarray:
 
 # Once T*eps^2 passes _DEEP_TAIL, rho(k) = 1 - eps S0(k) falls to at most a
 # few dozen ulps of 1 inside the horizon (a_m <= exp(-m eps^2)/sqrt(pi m)), so
-# it is eps times R summed from the far end of _TAIL_PAD/eps^2 extra terms.
+# it is eps times R: a_T, ..., a_0 summed from the far end onto R(T + 1) of
+# _central_and_tail.
 _DEEP_TAIL = 30.0
-_TAIL_PAD = 40.0
-# The pass holds its n terms in several n-long arrays at once, 32-48 bytes
+# The pass holds its T terms in several T-long arrays at once, 32-48 bytes
 # per term (measured: 486 MB peak RSS of `symbandit dp --trace` at T = 1e7,
 # gamma 0.707), so _MAX_TERMS terms take about 1 GB; beyond it the request
 # is refused rather than left to fail inside numpy or be killed. A chunked
@@ -147,27 +152,25 @@ _MAX_TERMS = 20_000_000
 
 def _origin_values(T: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (v_k, vbar_k), k = 0..T: the exact values at the origin of
-    every horizon up to T, from one O(T) pass. The pass sums T terms, plus
-    _TAIL_PAD/eps^2 on the deep-tail path; more than _MAX_TERMS is refused
+    every horizon up to T, from one O(T) pass. T above _MAX_TERMS is refused
     with a ValueError before anything is allocated."""
     check_game(T, eps)
-    deep = eps * eps * T >= _DEEP_TAIL
-    n = T + math.ceil(_TAIL_PAD / (eps * eps)) if deep else T
-    if n > _MAX_TERMS:
-        raise ValueError(f"the O(T) route would sum {n} terms at T={T}, eps={eps!r}, above "
+    if T > _MAX_TERMS:
+        raise ValueError(f"the O(T) route would sum {T} terms at T={T}, eps={eps!r}, above "
                          f"its limit of {_MAX_TERMS} terms (about 50 bytes each)")
     import numpy as np
 
-    a = _central_binomial(n + 1, eps)
+    a = _central_binomial(T + 1, eps)
     # rho(k) = eps R(k) = 1 - eps S0(k), k = 0..T
-    if deep:
-        rho = eps * _prefix_sums(a[::-1])[::-1][: T + 1]
+    if eps * eps * T >= _DEEP_TAIL:
+        far_end = np.concatenate(([_central_and_tail(T + 1, eps)[1]], a[::-1]))
+        rho = eps * _prefix_sums(far_end)[::-1][: T + 1]
     else:
         rho = _prefix_sums(np.concatenate(([1.0], -eps * a[:T])))[1:]
     # P(W_j < 0) + P(W_j = 0)/2 = rho((j + 1)//2)/2, j = 0..T-1
     vbar = eps * _prefix_sums(rho[(np.arange(T) + 1) // 2])
     # v_k - vbar_k = 2 E[(k - X)^+] >= 0: the clamp only removes round-off
-    return vbar + np.maximum(np.arange(T + 1) * (a[: T + 1] - eps * rho), 0.0), vbar
+    return vbar + np.maximum(np.arange(T + 1) * (a - eps * rho), 0.0), vbar
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +218,25 @@ _BGRAT_D = _bgrat_coefficients(16)
 
 def _central_and_tail(k: int, eps: float) -> tuple[float, float]:
     """(a_k, R(k)): a_k = C(2k, k) (pq)^k, and the negative-binomial tail
-    R(k) = sum_{i>=k} a_i = I_x(k, 1/2)/eps with x = 1 - eps^2; k >= 6.
+    R(k) = sum_{i>=k} a_i = I_x(k, 1/2)/eps with x = 1 - eps^2; k >= 0.
 
-    I_x(k, 1/2) is Temme's uniform expansion as DiDonato and Morris code
-    it in BGRAT (ACM TOMS 18, 1992, Algorithm 708), at b = 1/2. With
-    nu = k - 1/4 and z = -nu log x, it is G sum_n d_n H_n, where
+    From k = 12 on, I_x(k, 1/2) is Temme's uniform expansion as DiDonato
+    and Morris code it in BGRAT (ACM TOMS 18, 1992, Algorithm 708), at
+    b = 1/2. With nu = k - 1/4 and z = -nu log x, it is G sum_n d_n H_n, where
 
     * G = Gamma(k + 1/2)/(Gamma(k) sqrt(nu)) = c_k sqrt(pi k) sqrt(k/nu);
     * H_0 = Gamma(1/2, z)/Gamma(1/2) = erfc(sqrt(z));
     * H_n = ((2n - 3/2)(2n - 1/2) H_{n-1} + (z + 2n - 1/2) r_n)/(4 nu^2),
       with r_n = exp(-z) sqrt(z/pi) (log(x)^2/4)^(n-1).
+
+    Below k = 12, where the expansion is too short (off by 1.5e-13 at
+    k = 11), R(k) = a_k + ... + a_11 + R(12), its positive terms summed
+    exactly and rounded once.
     """
     log_x = math.log1p(-eps * eps)
+    if k < 12:
+        a = [_central_ratio(i)[0] * math.exp(i * log_x) for i in range(k, 12)]
+        return a[0], math.fsum([*a, _central_and_tail(12, eps)[1]])
     c, ratio = _central_ratio(k)  # c_k and c_k sqrt(pi k)
     # two exps: adding the logs first would round their sum once more
     a = c * math.exp(k * log_x)
@@ -252,7 +262,7 @@ _SATURATED_TE2 = 80.0
 
 def _tail_values(T: int, eps: float) -> tuple[float, float]:
     """(v, vbar) of the T-round game by the first forms of the module
-    docstring, from a_M, R(M), a_T and R(T), M = T // 2; T >= 12."""
+    docstring, from a_M, R(M), a_T and R(T), M = T // 2."""
     limit = 1.0 / eps
     if T * eps * eps >= _SATURATED_TE2:
         return limit, limit
@@ -285,10 +295,15 @@ def _series_terms(n: int, eps: float) -> tuple[list[float], list[float]]:
     return a_terms, b_terms
 
 
-def _summed_values(T: int, eps: float, s0_half, gap_half, s0_T, b_T) -> tuple[float, float]:
-    """(v, vbar) from the terms of S0(M), S0(M) - 2M a_M, S0(T) and 2T a_T
-    by the second forms of the module docstring, each value's terms summed
-    exactly and rounded once; the eps T of v cancels."""
+def _series_values(T: int, eps: float) -> tuple[float, float]:
+    """(v, vbar) for T eps^2 <= 1 by the second forms of the module
+    docstring, from the eps^2 series of S0(M), S0(M) - 2M a_M, S0(T) and
+    2T a_T, each value's terms summed exactly and rounded once; the eps T
+    of v cancels."""
+    s0_half, b_half = _series_terms(T // 2, eps)
+    s0_T, b_T = _series_terms(T, eps)
+    # A_0 = B_0 exactly: vbar = 0 at eps = 0
+    gap_half = [a - b for a, b in zip(s0_half, b_half)]
     e2T = eps * eps * T
     shift = [-e2T * s for s in s0_half]
     vbar = math.fsum([eps * T, *gap_half, *shift])
@@ -297,39 +312,14 @@ def _summed_values(T: int, eps: float, s0_half, gap_half, s0_T, b_T) -> tuple[fl
     return max(v, vbar), vbar
 
 
-def _series_values(T: int, eps: float) -> tuple[float, float]:
-    """(v, vbar) for T eps^2 <= 1 from the eps^2 series of S0 and a."""
-    a_half, b_half = _series_terms(T // 2, eps)
-    a_T, b_T = _series_terms(T, eps)
-    # A_0 = B_0 exactly: vbar = 0 at eps = 0
-    gap_half = [a - b for a, b in zip(a_half, b_half)]
-    return _summed_values(T, eps, a_half, gap_half, a_T, b_T)
-
-
-def _direct_values(T: int, eps: float) -> tuple[float, float]:
-    """(v, vbar) for T < _TAILS_MIN_T from the a_i themselves."""
-    x = (1.0 - eps) * (1.0 + eps)
-    a = [_central_ratio(i)[0] * x**i for i in range(T + 1)]
-    half = T // 2
-    return _summed_values(T, eps, a[:half], [*a[:half], -2.0 * half * a[half]],
-                          a[:T], [2.0 * T * a[T]])
-
-
-# Routes of `values` by (T, gamma): the eps^2 series up to gamma 1, where
-# its terms fall from the first on; beyond, the two tails from T = 12 on,
-# and below T = 12 the sums of at most 12 a_i
-_TAILS_MIN_T = 12
-
-
 def values(T: int, eps: float) -> tuple[float, float]:
     """Exact (v, vbar) at the origin of the T-round game, in O(1) time and
-    memory at every (T, eps)."""
+    memory at every (T, eps): the eps^2 series up to gamma = 1, where its
+    terms fall from the first on, and the two tails beyond."""
     check_game(T, eps)
     if T * eps * eps <= 1.0:
         return _series_values(T, eps)
-    if T >= _TAILS_MIN_T:
-        return _tail_values(T, eps)
-    return _direct_values(T, eps)
+    return _tail_values(T, eps)
 
 
 def regret_value(T: int, eps: float) -> float:

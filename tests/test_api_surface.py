@@ -204,6 +204,13 @@ def test_cli_reads_only_public_results():
     assert _callers("_origin_values") == {"dp.trace_rows"}
 
 
+def test_one_home_of_the_tail():
+    # (a_k, R(k)) comes from `_central_and_tail` alone: the two exact routes
+    # read it, and it calls itself for R(12) below k = 12
+    assert _callers("_central_and_tail") == {"dp._tail_values", "dp._origin_values",
+                                             "dp._central_and_tail"}
+
+
 def test_cli_names_no_sweep_runner_or_column_list():
     named = {name for _, name in _references(ast.parse((PACKAGE / "cli.py").read_text()))}
     assert not named & {"convergence_sweep", "error_scaling", "MC_COLUMNS",

@@ -310,13 +310,12 @@ class TestGuards:
     def test_o_t_route_size_guard(self):
         # the arrays of T = 1e9 would take about 50 GB: refused before
         # allocation, while `values` sums its series or tails there. The
-        # refusal names the terms: T below T*eps^2 = 30, and from 30 on
-        # 40/eps^2 more, summed from the far end
+        # refusal names the T terms on either side of the far-end switch at
+        # T*eps^2 = 30
         T = 10**9
-        for gamma2, pad in ((0.01, 0), (29.5, 0), (30.5, 40)):
+        for gamma2 in (0.01, 29.5, 30.5):
             eps = math.sqrt(gamma2 / T)
-            n = T + math.ceil(pad / (eps * eps))
-            message = f"{n} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
+            message = f"{T} terms at T={T}, eps={eps!r}, above its limit of 20000000 terms"
             for route in (dp._origin_values, dp.value_trace):
                 with pytest.raises(ValueError, match=re.escape(message)):
                     route(T, eps)

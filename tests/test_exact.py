@@ -5,18 +5,20 @@ reaches and against exact identities beyond.
   rational oracle in tests/_exact.py on a (T, eps) grid with T up to 400
   and eps from 0 to 0.9, with v >= vbar holding exactly (measured worst:
   3.5e-16). The grid reaches every route of `values`: the eps^2 series at
-  gamma <= 1, the tails beyond from T = 12 on, the a_i below, and
-  saturation. On the cells with T*eps^2 >= 30 the O(T) arrays, which sum
-  their tails from the far end there, are held to 2 ulps as well
-  (measured 2.2e-16; 4.9e-15 without that path). Either side of T = 12,
-  where gamma > 1 moves from the sums of the a_i to the tails, both are
-  held to 5e-15 (measured 1.2e-15 and 5.6e-16).
+  gamma <= 1, the tails beyond, and saturation. On the cells with
+  T*eps^2 >= 30 the O(T) arrays, which sum their tails from the far end
+  there, are held to 2 ulps as well (measured 2.2e-16; 4.9e-15 without
+  that path). At gamma > 1 on every T from 2 to 25, either side of k = 12
+  for both T and M = T // 2, where R(k) moves from the sum of the a_i to
+  Temme's expansion, the tails are held to 5e-15 (measured 2.8e-16).
 * Every row of the O(T) arrays either side of their far-end switch, on
   two (T, eps) pairs, within 5e-15 of the oracle's row of that horizon
   (2 ulps on the far-end side, measured 1.1 ulp), and v - vbar within
   5e-15 of v of twice the exact shortfall (measured 1.4e-15 and
   1.5e-15): the one check of F2 on the arrays that does not restate the
-  route.
+  route. The far-end rows, which sum a_T, ..., a_0 onto R(T + 1), within
+  an ulp of the same sum padded with TAIL_PAD/eps^2 more terms instead
+  (measured bit-identical).
 * The Bayes lower bound of `dp.bayes_pseudoregret`: its posterior-form
   oracle in tests/_exact.py, a rational backward recursion over (t, xi_r),
   equals the exact vbar with no error at T <= 30, and the F8 sum over the
@@ -47,6 +49,9 @@ from _lattice import pseudoregret_value_full, regret_value_full
 
 ROUTE_BUDGET = 1e-13
 FAR_END_BUDGET = 2 * 2.0**-52
+# R(k) summed from the far end of TAIL_PAD/eps^2 terms past k, where a_i has
+# fallen below exp(-TAIL_PAD): a reference for the route's R(T + 1)
+TAIL_PAD = 40.0
 
 GRID_T = (1, 2, 3, 4, 7, 16, 33, 64, 101, 256, 400)
 GRID_EPS = (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(3, 10),
@@ -177,11 +182,37 @@ def test_every_row_of_the_arrays_either_side_of_the_far_end_switch(T, eps):
         assert abs(gap - 2 * shortfall(k, eps)) <= 5e-15 * v_exact[k], k
 
 
-@pytest.mark.parametrize("T", [10, 11, 12, 13])
-def test_routes_either_side_of_t_12(T):
-    # gamma > 1 on every cell: the a_i below T = 12, the tails from 12 on,
-    # where the tails with an exact c_k hold 6e-16 (1.5e-13 at T = 11)
-    for eps in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
+def _padded_values(T, eps):
+    """F4's (v_k, vbar_k), k = 0..T, as the O(T) route sums them on its far-end
+    path, with R summed from the far end of TAIL_PAD/eps^2 more terms."""
+    a = dp._central_binomial(T + 1 + math.ceil(TAIL_PAD / (eps * eps)), eps)
+    rho = eps * dp._prefix_sums(a[::-1])[::-1][: T + 1]
+    vbar = eps * dp._prefix_sums(rho[(np.arange(T) + 1) // 2])
+    return vbar + np.maximum(np.arange(T + 1) * (a[: T + 1] - eps * rho), 0.0), vbar
+
+
+@pytest.mark.parametrize("T, eps", [(119, 0.5), (120, 0.5), (332, 0.3), (334, 0.3),
+                                    (10**5, 6 / math.sqrt(10**5)), (10**5, 20 / math.sqrt(10**5))])
+def test_far_end_rows_equal_the_padded_sum(T, eps):
+    # from T*eps^2 = 30 on the route adds R(T + 1) where the padded sum adds
+    # the a_i beyond T: every row within an ulp (measured bit-identical).
+    # Below 30 it sums rho forward, within 5e-15 of the padded sum (measured
+    # 6.5 ulps)
+    budget = 2.0**-52 if T * eps * eps >= 30 else 5e-15
+    for route, padded in zip(dp._origin_values(T, eps), _padded_values(T, eps)):
+        assert np.all(np.abs(route[1:] - padded[1:]) <= budget * padded[1:])
+
+
+@pytest.mark.parametrize("T", range(2, 26))
+def test_tails_either_side_of_k_12(T):
+    # gamma > 1 on every cell (none at T = 1, as eps < 1): R(k) is the sum of
+    # a_k..a_11 onto R(12) below k = 12 and Temme's expansion from 12 on,
+    # which with an exact c_k holds 6e-16 there (1.5e-13 at k = 11); T = 24
+    # and 25 take both of their tails from the expansion (measured worst 2.8e-16)
+    cells = [eps for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+                             Fraction(9, 10), Fraction(99, 100)) if T * eps * eps > 1]
+    assert cells
+    for eps in cells:
         v_exact, vbar_exact = exact_values(T, eps)
         v, vbar = dp.values(T, float(eps))
         assert relative_error(v, v_exact) <= 5e-15, eps
@@ -217,9 +248,9 @@ def test_identities_hold_on_the_arrays_at_a_million(gamma):
     v, vbar = dp._origin_values(T, eps)
     # a_i and S0(k) = sum_{i<k} a_i; R(k) = 1/eps - S0(k) cancels once S0
     # nears 1/eps, so past T eps^2 = _DEEP_TAIL R is summed from the far end
-    # of _TAIL_PAD/eps^2 extra terms, where a_i has fallen below exp(-_TAIL_PAD)
+    # of TAIL_PAD/eps^2 extra terms
     deep = T * e2 >= dp._DEEP_TAIL
-    a = dp._central_binomial(T + 1 + (math.ceil(dp._TAIL_PAD / e2) if deep else 0), eps)
+    a = dp._central_binomial(T + 1 + (math.ceil(TAIL_PAD / e2) if deep else 0), eps)
     S0 = dp._prefix_sums(a)
     R = dp._prefix_sums(a[::-1])[::-1] if deep else 1.0 / eps - S0
     k = np.arange(T + 1)

@@ -165,6 +165,26 @@ def test_c0_differs_more_than_c1_on_every_cell_measured():
         assert c0 > c1, (T, eps)
 
 
+def test_c0_origin_error_is_the_larger_to_leading_order():
+    # F13: where e~ < d, 2(d - e~) stays below README's fraction of
+    # gamma erf(gamma/sqrt2), which C0's shift times sqrt(T) exceeds
+    text = finding("Deep in the large-gap regime")
+    pattern = (rf"Where `ẽ < d` \(from `gamma = {NUMBER}` on\), "
+               rf"`2\(d - ẽ\) <= {NUMBER} gamma erf\(gamma/sqrt2\)`, with the maximum at "
+               rf"`gamma = {NUMBER}` on a grid of 2·10\^(\d+) points of `gamma` in \(0, (\d+)\]")
+    start, fraction, at, power, top = re.search(pattern, text).groups()
+    n, top = 2 * 10 ** int(power), int(top)
+    ratios = []
+    for i in range(1, n + 1):
+        gamma = i * top / n
+        d, e_tilde = pde._second_order(gamma)
+        if e_tilde < d:
+            ratios.append((2 * (d - e_tilde) / (gamma * math.erf(gamma / math.sqrt(2))), gamma))
+    worst, argmax = max(ratios)
+    assert agrees(worst, fraction) and agrees(argmax, at)
+    assert agrees(min(g for _, g in ratios), start)
+
+
 def _relative_misses(T, gaps, branch):
     """(eps, u - v, |predicted - (u - v)| / |u - v|) of an error-scaling sweep's rows;
     inf where u - v is 0."""
